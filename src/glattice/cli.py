@@ -219,7 +219,7 @@ def cmd_symrank(args, fmt, out) -> RunReport:
     lat = full_lattice(dim) if args.lattice == "full" else hnf(load_matrix_file(args.lattice))
     mode = args.mode
     if mode == "exact":
-        res = search.symrank_search(grp, lat, radius=args.radius, orbit_cap=args.cap, group_cap=args.cap)
+        res = search.symrank_search(grp, lat, radius=args.radius, orbit_cap=args.cap)
         payload = {
             "upper_bound": res.upper_bound,
             "lower_bound": res.lower_bound,

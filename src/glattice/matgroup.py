@@ -115,13 +115,45 @@ def element_matrices(g: MatGroup, cap: int = DEFAULT_GROUP_CAP) -> list[IntMatri
     return [IntMatrix(g.dim, g.dim, t) for t in sorted(elems)]
 
 
-def _sparse_rows(m: IntMatrix) -> tuple:
-    """Rows as (column, coefficient) pairs; fast matrix-vector kernels."""
-    n = m.cols
-    ent = m.entries
-    return tuple(
-        tuple((j, ent[i * n + j]) for j in range(n) if ent[i * n + j]) for i in range(m.rows)
-    )
+def _moved_rows(g: MatGroup) -> tuple:
+    """Per generator, the rows unlike the identity's: (indices, terms).
+
+    The terms are (row, column, coefficient) triples of the nonzero entries
+    of those rows.  A simple reflection in lattice coordinates moves only a
+    few coordinates, so the orbit kernel recomputes just those and copies
+    the rest.
+    """
+    n = g.dim
+    out = []
+    for h in g.generators:
+        idx = tuple(i for i in range(n) if h.row(i) != tuple(int(i == j) for j in range(n)))
+        out.append((idx, tuple((i, j, h[i, j]) for i in idx for j in range(n) if h[i, j])))
+    return tuple(out)
+
+
+def _orbit_bfs(moved: tuple, start: tuple, cap: int, stop=frozenset()) -> tuple[set, bool]:
+    """BFS closure of {start} under generators given by :func:`_moved_rows`.
+
+    Returns the set reached and whether it is the whole orbit.  The BFS stops
+    early, incomplete, before a new vector would make the set larger than
+    cap, or on reaching a vector in stop.
+    """
+    seen = {start}
+    queue = [start]
+    for cur in queue:
+        for idx, terms in moved:
+            nxt = list(cur)
+            for i in idx:
+                nxt[i] = 0
+            for i, j, c in terms:
+                nxt[i] += c * cur[j]
+            nxt = tuple(nxt)
+            if nxt not in seen:
+                if len(seen) >= cap or nxt in stop:
+                    return seen, False
+                seen.add(nxt)
+                queue.append(nxt)
+    return seen, True
 
 
 def orbit(g: MatGroup, v, cap: int = DEFAULT_ORBIT_CAP) -> Orbit:
@@ -129,23 +161,10 @@ def orbit(g: MatGroup, v, cap: int = DEFAULT_ORBIT_CAP) -> Orbit:
     vv = as_vector(v)
     if vv.dim != g.dim:
         raise ValueError("vector dimension does not match group dimension")
-    start = vv.entries
-    seen = {start}
-    queue = [start]
-    qi = 0
-    gens = [_sparse_rows(h) for h in g.generators]
-    while qi < len(queue):
-        cur = queue[qi]
-        qi += 1
-        for rows in gens:
-            nxt = tuple(sum(c * cur[j] for j, c in row) for row in rows)
-            if nxt not in seen:
-                if len(seen) >= cap:
-                    raise CapExceeded("orbit", cap)
-                seen.add(nxt)
-                queue.append(nxt)
-    rep = IntVector(min(seen))
-    return Orbit(rep, frozenset(seen), len(seen))
+    seen, complete = _orbit_bfs(_moved_rows(g), vv.entries, cap)
+    if not complete:
+        raise CapExceeded("orbit", cap)
+    return Orbit(IntVector(min(seen)), frozenset(seen), len(seen))
 
 
 def stable_span(g: MatGroup, v, max_rounds: int = 10_000) -> LatticeBasis:

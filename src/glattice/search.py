@@ -23,9 +23,10 @@ from dataclasses import dataclass
 from .errors import CapExceeded, NotGStable, NotInLattice
 from .intmat import IntVector, LatticeBasis, as_vector, full_lattice, hnf_from_rows
 from .matgroup import (
-    DEFAULT_GROUP_CAP,
     DEFAULT_ORBIT_CAP,
     MatGroup,
+    _moved_rows,
+    _orbit_bfs,
     in_lattice_coordinates,
     is_lattice_stable,
     orbit,
@@ -64,20 +65,27 @@ def _rep_key(t: tuple[int, ...]):
 def _orbit_records(gl: MatGroup, radius: int, orbit_cap: int) -> list[_OrbitRecord]:
     """Group the coefficient box into orbits under the restricted action.
 
-    BFS of a new orbit is capped at the incumbent bound once one is known:
-    an orbit strictly larger than an already-found spanning configuration
-    can never occur in a minimal solution, so abandoning it is sound.  Box
-    vectors of an abandoned orbit are skipped individually (each retry is
-    itself capped, so the redundancy is bounded by the incumbent).
+    Each orbit is built at most once.  BFS of a new orbit is capped at the
+    incumbent bound once one is known: an orbit strictly larger than an
+    already-found spanning configuration can never occur in a minimal
+    solution, so abandoning it is sound.  Generator BFS in a finite group
+    reaches only vectors of the start's orbit, so every box vector an
+    abandoned BFS reached lies in that oversized orbit and is marked
+    ``big`` at once.  The incumbent only falls, so the cap in force when a
+    vector was marked is never below a later cap: a later BFS that reaches
+    a marked vector is in an orbit over its own cap and stops there.
+    Vectors outside the box are not marked, which keeps memory at the size
+    of the box.
     """
     r = gl.dim
     box = [c for c in itertools.product(range(-radius, radius + 1), repeat=r) if any(c)]
     box.sort(key=_rep_key)
     full_rows = tuple(full_lattice(r).rows())
-    seen_box: set[tuple[int, ...]] = set()
+    box_set = set(box)
+    moved = _moved_rows(gl)
     big: set[tuple[int, ...]] = set()  # box vectors known to be in oversized orbits
     records: list[_OrbitRecord] = []
-    vector_record: dict[tuple[int, ...], int] = {}
+    vector_record: dict[tuple[int, ...], int] = {}  # box vector -> index of its orbit
     incumbent: int | None = None
     basis_vectors = [tuple(int(i == j) for j in range(r)) for i in range(r)]
 
@@ -91,26 +99,23 @@ def _orbit_records(gl: MatGroup, radius: int, orbit_cap: int) -> list[_OrbitReco
         return sum(records[i].size for i in idxs)
 
     for coeffs in basis_vectors + box:
-        if coeffs in seen_box or coeffs in big:
+        if coeffs in vector_record or coeffs in big:
             continue
         cap = orbit_cap if incumbent is None else min(orbit_cap, incumbent)
-        try:
-            orb = orbit(gl, coeffs, cap)
-        except CapExceeded:
+        orb, complete = _orbit_bfs(moved, coeffs, cap, big)
+        if not complete:
             if incumbent is None:
-                raise
-            big.add(coeffs)
+                raise CapExceeded("orbit", cap)
+            big.update(box_set.intersection(orb))
             continue
-        idx = len(records)
+        idx, size = len(records), len(orb)
         span = stable_span(gl, coeffs)
-        rep = min(orb.elements, key=_rep_key)
-        records.append(_OrbitRecord(orb.size, rep, tuple(span.rows())))
-        for e in orb.elements:
-            if all(abs(x) <= radius for x in e):
-                seen_box.add(e)
-                vector_record[e] = idx
-        if span.rows() == list(full_rows) and (incumbent is None or orb.size < incumbent):
-            incumbent = orb.size
+        rep = min(orb, key=_rep_key)
+        records.append(_OrbitRecord(size, rep, tuple(span.rows())))
+        for e in box_set.intersection(orb):
+            vector_record[e] = idx
+        if span.rows() == list(full_rows) and (incumbent is None or size < incumbent):
+            incumbent = size
         if incumbent is None:
             u = union_incumbent()
             if u is not None:
@@ -131,7 +136,6 @@ def symrank_search(
     l: LatticeBasis,
     radius: int = 3,
     orbit_cap: int = DEFAULT_ORBIT_CAP,
-    group_cap: int = DEFAULT_GROUP_CAP,
 ) -> SymrankResult:
     """Minimal total size of a spanning union of orbits within the box."""
     if radius < 1:
@@ -173,8 +177,10 @@ def symrank_search(
             return
         if i == len(records):
             return
-        if best_size is not None and size + records[i].size >= best_size:
-            return  # records sorted by size: no cheaper completion exists
+        if best_size is not None and size + max(records[i].size, r - len(span)) >= best_size:
+            # records are sorted by size, and an orbit of size s raises the
+            # rank by at most s: no cheaper completion exists
+            return
         if _span_rows(span, suffix_spans[i]) != full_rows:
             return  # remaining orbits cannot complete the span
         rec = records[i]
@@ -186,7 +192,8 @@ def symrank_search(
         dfs(i + 1, size, span, chosen)
 
     dfs(0, 0, (), [])
-    assert best_size is not None and best_reps is not None
+    if best_reps is None:
+        raise AssertionError("search found no spanning selection")
     # map representatives back to ambient coordinates and re-verify
     basis_rows = l.rows()
     ambient_reps = []
@@ -253,7 +260,6 @@ def table_dimension_maximum(
     candidates,
     radius: int = 3,
     orbit_cap: int = DEFAULT_ORBIT_CAP,
-    group_cap: int = DEFAULT_GROUP_CAP,
 ) -> TableMaxReport:
     """Per-candidate search results and their maximum.
 
@@ -264,7 +270,7 @@ def table_dimension_maximum(
     for label, grp, lat in candidates:
         if grp.dim != n or lat.ambient_dim != n:
             raise ValueError("candidate dimension mismatch")
-        out.append(CandidateResult(label, symrank_search(grp, lat, radius, orbit_cap, group_cap)))
+        out.append(CandidateResult(label, symrank_search(grp, lat, radius, orbit_cap)))
     if not out:
         raise ValueError("no candidates supplied")
     return TableMaxReport(n, tuple(out), max(c.result.upper_bound for c in out))
