@@ -6,6 +6,7 @@ Every command is deterministic (there is no randomized mode).  Exit codes:
   2  fixture mismatch
   3  missing external data
   4  cap exceeded
+  5  input error: a file is missing or malformed, or an argument is out of range
 
 Table-emitting commands compare their output against bundled fixtures of
 the published tables and fail with exit code 2 on any cell mismatch.
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from . import bounds as bounds_mod
 from . import groupdata, monomial, rootsys, search, theta
 from . import gf2cyclo
-from .errors import CapExceeded, FixtureMismatch, GLatticeError, MissingExternalData
+from .errors import CapExceeded, FixtureMismatch, GLatticeError, MissingExternalData, NonUnimodularGenerator
 from .intmat import full_lattice, hnf
 from .matgroup import MatGroup
 from .serialize import load_group_file, load_matrix_file, vector_to_json
@@ -30,6 +31,7 @@ EXIT_OK = 0
 EXIT_FIXTURE_MISMATCH = 2
 EXIT_MISSING_DATA = 3
 EXIT_CAP_EXCEEDED = 4
+EXIT_INPUT_ERROR = 5
 
 
 @dataclass
@@ -180,12 +182,12 @@ def _fmt_cases(cases) -> str:
     return ";".join((f"q={q}" if n is None else f"(n={n},q={q})") for n, q in sorted(cases, key=str))
 
 
-def _verify_low_dims(data_path, fmt, out) -> tuple[RunReport, bool]:
+def _verify_low_dims(fmt, out) -> RunReport:
     """Verify the internally constructible witnesses of the exact-value table.
 
-    Full verification needs externally exported maximal-group generators
-    (ingested via the group JSON schema); without them only the witness
-    side is checked and coverage is reported as partial.
+    Full verification needs externally exported maximal-group generators,
+    which nothing ingests yet, so only the witness side is checked and
+    coverage is always reported as partial.
     """
     rows = []
     mismatches = []
@@ -202,15 +204,10 @@ def _verify_low_dims(data_path, fmt, out) -> tuple[RunReport, bool]:
             mismatches.append({"n": n, "expected": b.value, "got": size, "spans": ok})
         rows.append((n, b.value, f"W({spec})", size, ok, "pass" if good else "FAIL"))
     _render(["n", "value", "witness", "orbit", "spans", "status"], rows, fmt, out)
-    missing = data_path is None
     cmp = {"fixture": "witness orbits", "mismatches": mismatches, "match": not mismatches}
-    payload = {
-        "coverage": "partial: upper-bound side needs externally exported maximal-group generators"
-        if missing
-        else "witnesses plus ingested generator data",
-    }
+    payload = {"coverage": "partial: upper-bound side needs externally exported maximal-group generators"}
     print(f"note: {payload['coverage']}", file=out)
-    return RunReport("verify", {"name": "low-dims"}, payload, cmp), missing
+    return RunReport("verify", {"name": "low-dims"}, payload, cmp)
 
 
 def cmd_symrank(args, fmt, out) -> RunReport:
@@ -408,10 +405,9 @@ def main(argv=None, out=None) -> int:
             elif args.name == "almost-simple":
                 report = _verify_almost_simple(args.data, args.qcap, args.ncap, fmt, out)
             else:
-                report, missing = _verify_low_dims(args.data, fmt, out)
-                if not report.match:
-                    return EXIT_FIXTURE_MISMATCH
-                return EXIT_MISSING_DATA if missing else EXIT_OK
+                report = _verify_low_dims(fmt, out)
+                if report.match:
+                    return EXIT_MISSING_DATA
         elif args.command == "symrank":
             report = cmd_symrank(args, fmt, out)
         elif args.command == "theta":
@@ -433,6 +429,9 @@ def main(argv=None, out=None) -> int:
     except FixtureMismatch as e:
         print(f"fixture mismatch: {e}", file=sys.stderr)
         return EXIT_FIXTURE_MISMATCH
+    except (OSError, ValueError, NonUnimodularGenerator) as e:
+        print(f"input error: {e}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     if not report.match:
         print(f"fixture mismatch: {report.fixture_comparison['mismatches']}", file=sys.stderr)
         return EXIT_FIXTURE_MISMATCH

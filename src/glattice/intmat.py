@@ -16,7 +16,6 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .errors import NotASublattice
@@ -186,30 +185,18 @@ class IntMatrix:
         return self.rows == self.cols and self.det() in (1, -1)
 
     def inverse_unimodular(self) -> "IntMatrix":
-        """Exact inverse of a matrix with determinant +-1."""
+        """Exact inverse of a matrix with determinant +-1.
+
+        The HNF of [A | I] is [I | A^-1] exactly when A is unimodular.
+        """
         n = self.rows
         if n != self.cols:
             raise ValueError("inverse of a non-square matrix")
-        aug = [[Fraction(self[i, j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-            if piv is None:
-                raise ValueError("matrix is singular")
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv = 1 / aug[col][col]
-            aug[col] = [x * inv for x in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col] != 0:
-                    f = aug[r][col]
-                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-        out = []
-        for i in range(n):
-            for j in range(n):
-                x = aug[i][n + j]
-                if x.denominator != 1:
-                    raise ValueError("matrix is not unimodular")
-                out.append(int(x))
-        return IntMatrix(n, n, tuple(out))
+        aug = [list(self.row(i)) + [int(i == j) for j in range(n)] for i in range(n)]
+        rows = _hnf_rows(aug, 2 * n)
+        if [r[:n] for r in rows] != IntMatrix.identity(n).to_rows():
+            raise ValueError("matrix is not unimodular")
+        return IntMatrix(n, n, tuple(e for r in rows for e in r[n:]))
 
 
 def _bareiss_det(a: list[list[int]]) -> int:
@@ -245,29 +232,6 @@ def leading_principal_minors(m: IntMatrix) -> list[int]:
     return [
         _bareiss_det([list(m.row(i)[: k + 1]) for i in range(k + 1)]) for k in range(m.rows)
     ]
-
-
-def rational_rank(rows: list[tuple[int, ...]]) -> int:
-    """Rank over Q of a list of integer rows (exact, via Fractions)."""
-    work = [[Fraction(x) for x in r] for r in rows if any(r)]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    col = 0
-    while rank < len(work) and col < ncols:
-        piv = next((r for r in range(rank, len(work)) if work[r][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = 1 / work[rank][col]
-        work[rank] = [x * inv for x in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[rank])]
-        rank += 1
-        col += 1
-    return rank
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,8 @@ from .intmat import (
     LatticeBasis,
     as_vector,
     coordinates_in,
+    hnf,
     hnf_from_rows,
-    rational_rank,
 )
 
 DEFAULT_GROUP_CAP = 10**7
@@ -30,9 +30,11 @@ DEFAULT_ORBIT_CAP = 10**7
 class MatGroup:
     """Subgroup of GL_n(Z) generated by unimodular matrices.
 
-    Construction is cheap; the element set is materialized lazily by
-    :func:`closure` and cached.  After materialization all reads are safe
-    from concurrent contexts.
+    Construction is cheap; the element set and order are computed lazily by
+    :func:`closure` and cached on the instance.  Concurrent first calls may
+    each run the closure, but every call returns the whole element set and
+    the exact order: the order is cached before the element set, and the
+    cache is read only once the element set is there.
     """
 
     dim: int
@@ -104,8 +106,9 @@ def closure(g: MatGroup, cap: int = DEFAULT_GROUP_CAP) -> tuple[frozenset, int]:
                     raise CapExceeded("group closure", cap)
                 seen.add(nxt.entries)
                 queue.append(nxt)
-    g._elements = frozenset(seen)
+    # _order first: a reader that finds _elements set also finds _order.
     g._order = len(seen)
+    g._elements = frozenset(seen)
     return g._elements, g._order
 
 
@@ -246,8 +249,7 @@ def commutant_dimension(g: MatGroup) -> int:
                     coeff[k * n + j] += h[i, k]
                     coeff[i * n + k] -= h[k, j]
                 rows.append(tuple(coeff))
-    rank = rational_rank(rows)
-    return n * n - rank
+    return n * n - hnf_from_rows(rows, n * n).rank
 
 
 CERTIFIED_IRREDUCIBLE = "certified irreducible"
@@ -281,40 +283,13 @@ def action_in_row_basis(g: MatGroup, basis: IntMatrix) -> MatGroup:
     :func:`in_lattice_coordinates` the basis need not be in HNF (use this
     to work in a root basis, for example).
     """
-    from fractions import Fraction
-
-    r, n = basis.rows, basis.cols
-
-    def coords(w: IntVector) -> tuple[int, ...]:
-        # solve sum_i y_i * basis_row_i = w exactly
-        aug = [[Fraction(basis[i, j]) for i in range(r)] + [Fraction(w[j])] for j in range(n)]
-        piv = []
-        row = 0
-        for col in range(r):
-            k = next((i for i in range(row, n) if aug[i][col] != 0), None)
-            if k is None:
-                raise NotGStable("basis rows are dependent")
-            aug[row], aug[k] = aug[k], aug[row]
-            inv = 1 / aug[row][col]
-            aug[row] = [x * inv for x in aug[row]]
-            for i in range(n):
-                if i != row and aug[i][col] != 0:
-                    f = aug[i][col]
-                    aug[i] = [x - f * y for x, y in zip(aug[i], aug[row])]
-            piv.append(col)
-            row += 1
-        y = [aug[i][r] for i in range(r)]
-        if any(aug[i][r] != 0 for i in range(r, n)):
-            raise NotGStable("vector leaves the span of the basis")
-        if any(x.denominator != 1 for x in y):
-            raise NotGStable("lattice is not stable under a generator")
-        return tuple(int(x) for x in y)
-
-    gens = []
-    for h in g.generators:
-        rows = [coords(h.apply(IntVector(basis.row(i)))) for i in range(r)]
-        gens.append(IntMatrix.from_rows(rows).transpose())
-    return MatGroup(r, gens, label=g.label)
+    lat = hnf(basis)
+    if lat.rank < basis.rows:
+        raise NotGStable("basis rows are dependent")
+    # basis = U @ lat.basis with U unimodular, so coordinates in the basis
+    # are those in lat under the change of basis U^T.
+    u = IntMatrix.from_rows([coordinates_in(b, lat) for b in basis.to_rows()])
+    return conjugate(in_lattice_coordinates(g, lat), u.transpose().inverse_unimodular())
 
 
 def in_lattice_coordinates(g: MatGroup, l: LatticeBasis) -> MatGroup:

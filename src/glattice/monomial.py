@@ -1,9 +1,10 @@
 """Monomial (signed permutation) groups and the prime-dimension sublattice analysis.
 
 Elements are stored structurally as (signs, permutation) pairs, never as
-dense matrices: orbits of binary vectors in dimension p can reach size
-2^p, and the structural action keeps that enumeration cheap.  Dense
-matrices are available on demand for interop with :mod:`matgroup`.
+dense matrices.  Vector orbits, which for binary vectors in dimension p can
+reach size 2^p, run through the orbit kernel of :mod:`matgroup`, which
+touches only the one nonzero entry in each moved row of a signed
+permutation.  Dense matrices are available on demand.
 
 The composition law is verified against matrix multiplication in the test
 suite; the convention is that ``(signs, perm)`` denotes D(signs) P(perm)
@@ -26,6 +27,7 @@ from .intmat import (
     ones_vector,
     unit_vector,
 )
+from .matgroup import MatGroup, _moved_rows, _orbit_bfs
 
 DEFAULT_CAP = 10**7
 
@@ -104,13 +106,7 @@ class MonomialGroup:
             if g.n != self.n:
                 raise ValueError("generator size mismatch")
 
-    def contains_minus_identity(self, cap: int = DEFAULT_CAP) -> bool:
-        minus = MonomialElement((-1,) * self.n, tuple(range(self.n)))
-        return minus in closure_elements(self, cap)
-
-    def matgroup(self):
-        from .matgroup import MatGroup
-
+    def matgroup(self) -> MatGroup:
         return MatGroup(self.n, tuple(g.matrix() for g in self.generators), label=self.label)
 
 
@@ -161,22 +157,10 @@ def closure_elements(g: MonomialGroup, cap: int = DEFAULT_CAP) -> frozenset:
 
 
 def vector_orbit(g: MonomialGroup, v, cap: int = DEFAULT_CAP) -> frozenset:
-    """Orbit of a vector under the structural action (deterministic BFS)."""
-    start = as_vector(v).entries
-    seen = {start}
-    queue = [start]
-    qi = 0
-    while qi < len(queue):
-        cur = queue[qi]
-        qi += 1
-        for gen in g.generators:
-            inv = gen.inverse_perm()
-            nxt = tuple(gen.signs[j] * cur[inv[j]] for j in range(g.n))
-            if nxt not in seen:
-                if len(seen) >= cap:
-                    raise CapExceeded("monomial orbit", cap)
-                seen.add(nxt)
-                queue.append(nxt)
+    """Orbit of a vector (deterministic BFS through the matrix orbit kernel)."""
+    seen, complete = _orbit_bfs(_moved_rows(g.matgroup()), as_vector(v).entries, cap)
+    if not complete:
+        raise CapExceeded("monomial orbit", cap)
     return frozenset(seen)
 
 

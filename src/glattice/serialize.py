@@ -61,11 +61,18 @@ def group_from_json(obj: dict) -> tuple[int, list[IntMatrix], IntMatrix | None, 
     return dim, gens, gram, label
 
 
-def load_group_file(path: str):
+def _load(path: str, parse, what: str):
+    """parse() of the JSON in a file; a malformed file raises ValueError naming it."""
     with open(path, "r", encoding="utf-8") as fh:
-        return group_from_json(json.load(fh))
+        try:
+            return parse(json.load(fh))
+        except (KeyError, TypeError, ValueError) as e:
+            raise ValueError(f"{path}: not a {what} file ({type(e).__name__}: {e})") from e
+
+
+def load_group_file(path: str):
+    return _load(path, group_from_json, "group")
 
 
 def load_matrix_file(path: str) -> IntMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        return matrix_from_json(json.load(fh))
+    return _load(path, matrix_from_json, "matrix")

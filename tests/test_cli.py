@@ -2,8 +2,12 @@
 import io
 import json
 
+import pytest
+
+from glattice import cli
 from glattice.cli import (
     EXIT_CAP_EXCEEDED,
+    EXIT_INPUT_ERROR,
     EXIT_MISSING_DATA,
     EXIT_OK,
     main,
@@ -68,8 +72,12 @@ def test_verify_almost_simple():
     assert "M23,M24,Co2,Co3,HS,McL" in out.replace(" ", "")
 
 
-def test_verify_low_dims_reports_missing_data():
+def test_verify_low_dims_reports_missing_data(tmp_path):
     rc, out = run(["verify", "--name", "low-dims"])
+    assert rc == EXIT_MISSING_DATA
+    assert "partial" in out
+    # nothing ingests generator data, so --data cannot complete the coverage
+    rc, out = run(["--data", str(tmp_path / "missing.json"), "verify", "--name", "low-dims"])
     assert rc == EXIT_MISSING_DATA
     assert "partial" in out
 
@@ -177,3 +185,39 @@ def test_synthetic_generator_file_ingestion(tmp_path):
     rc, out = run(["symrank", "--group", str(gpath), "--mode", "diagonal-theta"])
     assert rc == EXIT_OK
     assert json.loads(out)["upper_bound"] == 4
+
+
+def _write(path, obj):
+    path.write_text(obj if isinstance(obj, str) else json.dumps(obj))
+    return str(path)
+
+
+ONE_GENERATOR = group_to_json(1, [IntMatrix.from_rows([(-1,)])])
+BAD_INPUTS = {
+    "missing group file": lambda d: ["symrank", "--group", str(d / "missing.json")],
+    "malformed json": lambda d: ["symrank", "--group", _write(d / "bad.json", '{"dim": 2, "generators": [')],
+    "group file as gram": lambda d: ["theta", "--gram", _write(d / "g.json", ONE_GENERATOR)],
+    "radius 0": lambda d: ["symrank", "--group", _write(d / "g.json", ONE_GENERATOR), "--radius", "0"],
+    "max rank 0": lambda d: ["rootsys-table", "--max-rank", "0"],
+    "non-unimodular generator": lambda d: [
+        "symrank", "--group", _write(d / "g2.json", group_to_json(1, [IntMatrix.from_rows([(2,)])]))
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_is_one_line_and_exit_5(case, tmp_path, capsys):
+    rc, out = run(BAD_INPUTS[case](tmp_path))
+    err = capsys.readouterr().err
+    assert rc == EXIT_INPUT_ERROR == 5
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("input error: ")
+
+
+def test_assertion_error_is_not_an_input_error(monkeypatch):
+    def broken(*args):
+        raise AssertionError("internal invariant")
+
+    monkeypatch.setattr(cli, "cmd_rootsys_table", broken)
+    with pytest.raises(AssertionError):
+        run(["rootsys-table", "--max-rank", "2"])

@@ -2,6 +2,9 @@
 import random
 
 import pytest
+from conftest import unimodular_matrices
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glattice.errors import NotASublattice
 from glattice.intmat import (
@@ -192,3 +195,21 @@ def test_unimodular_inverse():
     m = IntMatrix.from_rows([(1, 2), (1, 3)])
     inv = m.inverse_unimodular()
     assert m.mul(inv) == IntMatrix.identity(2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6).flatmap(unimodular_matrices))
+def test_inverse_unimodular_of_elementary_products(a):
+    inv = a.inverse_unimodular()
+    assert a.mul(inv) == IntMatrix.identity(a.rows)
+    assert inv.mul(a) == IntMatrix.identity(a.rows)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[(2, 0), (0, 1)], [(3, 1), (1, 1)], [(1, 1), (1, 1)], [(0,)], [(1, 0, 0), (0, 1, 0)]],
+    ids=["det 2", "det 2 not diagonal", "singular", "zero 1x1", "not square"],
+)
+def test_inverse_unimodular_rejects_other_matrices(rows):
+    with pytest.raises(ValueError):
+        IntMatrix.from_rows(rows).inverse_unimodular()

@@ -3,11 +3,15 @@ import itertools
 import random
 
 import pytest
+from conftest import unimodular_matrices
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from glattice.errors import CapExceeded, NonUnimodularConjugator, NonUnimodularGenerator
-from glattice.intmat import IntMatrix, full_lattice, hnf_from_rows, index
+from glattice.errors import CapExceeded, NonUnimodularConjugator, NonUnimodularGenerator, NotGStable
+from glattice.intmat import IntMatrix, full_lattice, hnf, hnf_from_rows, index
 from glattice.matgroup import (
     MatGroup,
+    action_in_row_basis,
     closure,
     commutant_dimension,
     conjugate,
@@ -35,6 +39,20 @@ def test_closure_order_two():
 def test_closure_weyl_orders():
     assert closure(wgroup("G", 2))[1] == 12
     assert closure(wgroup("A", 3))[1] == 24
+
+
+def test_closure_caches_order_before_elements():
+    """A concurrent order() that finds the element set cached also finds the order."""
+    order_when_elements_stored = []
+
+    class Watched(MatGroup):
+        def __setattr__(self, name, value):
+            if name == "_elements" and value is not None:
+                order_when_elements_stored.append(self._order)
+            super().__setattr__(name, value)
+
+    assert Watched(2, wgroup("A", 2).generators).order() == 6
+    assert order_when_elements_stored == [6]
 
 
 def test_closure_cap():
@@ -188,3 +206,70 @@ def test_restricted_action_preserves_orbit_sizes():
             coords = coordinates_in(amb, root)
             assert coords is not None
             assert orbit(g, amb).size == orbit(gl, coords).size
+
+
+def _check_row_basis_action(g, basis, rewritten):
+    """sum_k M[k, i] b_k == h(b_i) for every generator h, in plain integers."""
+    b = basis.to_rows()
+    for h, m in zip(g.generators, rewritten.generators):
+        for i in range(len(b)):
+            combo = tuple(sum(m[k, i] * b[k][j] for k in range(len(b))) for j in range(basis.cols))
+            assert combo == h.apply(b[i]).entries
+
+
+WEYL_SPECS = [("A", 2), ("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2), ("F", 4)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(WEYL_SPECS).flatmap(lambda s: st.tuples(st.just(s), unimodular_matrices(s[1]))))
+def test_action_in_row_basis_on_changed_root_bases(case):
+    spec, u = case
+    model = build(RootSystemSpec(*spec))
+    g = model.matgroup()
+    basis = u.mul(model.cartan)  # another basis of the root lattice
+    rewritten = action_in_row_basis(g, basis)
+    assert rewritten.dim == model.rank and rewritten.order() == g.order()
+    _check_row_basis_action(g, basis, rewritten)
+
+
+def test_action_in_row_basis_of_a_lower_rank_lattice():
+    swap = IntMatrix.from_rows([(0, 1, 0), (1, 0, 0), (0, 0, 1)])
+    flip = IntMatrix.from_rows([(1, 0, 0), (0, 1, 0), (0, 0, -1)])
+    g = MatGroup(3, [swap, flip])
+    basis = IntMatrix.from_rows([(1, 1, 1), (2, 2, 1)])  # spans (1, 1, 0) and (0, 0, 1)
+    rewritten = action_in_row_basis(g, basis)
+    assert rewritten.dim == 2
+    _check_row_basis_action(g, basis, rewritten)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[(1, 0), (2, 0)], [(1, 0), (0, 1), (1, 1)], [(0, 0), (0, 1)]],
+    ids=["parallel", "three rows in Z^2", "zero row"],
+)
+def test_action_in_row_basis_rejects_dependent_rows(rows):
+    with pytest.raises(NotGStable):
+        action_in_row_basis(wgroup("A", 2), IntMatrix.from_rows(rows))
+
+
+@pytest.mark.parametrize("rows", [[(1, 0), (0, 2)], [(1, 0)]], ids=["full rank", "rank 1"])
+def test_action_in_row_basis_rejects_unstable_lattices(rows):
+    from glattice.matgroup import is_lattice_stable
+
+    g = wgroup("A", 2)
+    basis = IntMatrix.from_rows(rows)
+    assert not is_lattice_stable(g, hnf(basis))
+    with pytest.raises(NotGStable):
+        action_in_row_basis(g, basis)
+
+
+WEYL_UP_TO_RANK_8 = [
+    (fam, n)
+    for fam, lo, hi in [("A", 1, 8), ("B", 2, 8), ("C", 3, 8), ("D", 4, 8), ("E", 6, 8), ("F", 4, 4), ("G", 2, 2)]
+    for n in range(lo, hi + 1)
+]
+
+
+@pytest.mark.parametrize("spec", WEYL_UP_TO_RANK_8, ids=lambda s: f"{s[0]}{s[1]}")
+def test_weyl_groups_are_certified_irreducible(spec):
+    assert commutant_dimension(wgroup(*spec)) == 1

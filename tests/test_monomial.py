@@ -3,12 +3,13 @@ import random
 
 import pytest
 
-from glattice.errors import HypothesisNotMet
+from glattice.errors import CapExceeded, HypothesisNotMet
 from glattice.gf2cyclo import binary_sublattice, binary_sublattices, cp_stable_subspaces, diag_generators
 from glattice.intmat import full_lattice, member
 from glattice.monomial import (
     MonomialElement,
     MonomialGroup,
+    closure_elements,
     cycle_element,
     diagonal_element,
     full_monomial_group,
@@ -168,3 +169,20 @@ def test_three_sublattice_spans_verified_by_bfs_p7():
             "L_1": binary_sublattice(7, {0}),
         }[row.lattice_label]
         assert span == ref
+
+
+def test_vector_orbit_is_the_image_under_every_element():
+    rng = random.Random(29)
+    for n in (3, 4, 5):
+        for _ in range(6):
+            g = MonomialGroup(n, tuple(random_element(rng, n) for _ in range(rng.randint(1, 2))))
+            v = tuple(rng.randint(-2, 2) for _ in range(n))
+            assert vector_orbit(g, v) == {e.apply(v).entries for e in closure_elements(g)}
+
+
+def test_vector_orbit_cap():
+    mon = full_monomial_group(5)
+    assert len(vector_orbit(mon, (1,) * 5, cap=32)) == 32
+    with pytest.raises(CapExceeded) as exc:
+        vector_orbit(mon, (1,) * 5, cap=31)
+    assert (exc.value.what, exc.value.cap) == ("monomial orbit", 31)
