@@ -38,6 +38,14 @@ DATA_ENV_VAR = "SYMRANK_DATA_DIR"
 TWO_TO_29 = 2**29
 
 
+def _field(record, key: str, what: str):
+    """record[key], or a ValueError naming the missing key."""
+    try:
+        return record[key]
+    except (KeyError, TypeError):
+        raise ValueError(f"{what} has no {key!r} field") from None
+
+
 def _prod(it):
     out = 1
     for x in it:
@@ -215,10 +223,10 @@ class FamilyRecord:
                 continue
             if "q_odd_power_of" in sc and (u != sc["q_odd_power_of"] or t % 2 == 0):
                 continue
-            if sc["kind"] == "q":
+            if _field(sc, "kind", f"{self.name} scan") == "q":
                 yield (fixed_n, q, u, t)
             else:
-                for n in range(sc["n_min"], n_cap + 1):
+                for n in range(_field(sc, "n_min", f"{self.name} scan"), n_cap + 1):
                     if sc.get("n_parity") == "odd" and n % 2 == 0:
                         continue
                     if sc.get("n_parity") == "even" and n % 2 == 1:
@@ -242,18 +250,15 @@ class FamilyRecord:
         return self._resolve(BOUND_FORMULAS, self.dim_bound_formula)(n, q, u, t)
 
 
+_FAMILY_KEYS = ("name", "scan", "order_formula", "out_formula", "center_formula", "dim_bound_formula", "bound_kind")
+
+
 def family_records(data: dict) -> list[FamilyRecord]:
     out = []
-    for raw in data["families"]:
+    for i, raw in enumerate(_field(data, "families", "data file")):
         out.append(
             FamilyRecord(
-                name=raw["name"],
-                scan=raw["scan"],
-                order_formula=raw["order_formula"],
-                out_formula=raw["out_formula"],
-                center_formula=raw["center_formula"],
-                dim_bound_formula=raw["dim_bound_formula"],
-                bound_kind=raw["bound_kind"],
+                **{key: _field(raw, key, f"family record {i}") for key in _FAMILY_KEYS},
                 expected_remaining=tuple(
                     (pair[0], pair[1]) for pair in raw.get("expected_remaining", [])
                 ),
@@ -272,10 +277,12 @@ class SporadicRecord:
 
 
 def sporadic_records(data: dict) -> list[SporadicRecord]:
-    return [
-        SporadicRecord(s["name"], int(s["aut_order"]), int(s["rdim"]), bool(s["expected_fail"]))
-        for s in data["sporadics"]
-    ]
+    out = []
+    for i, s in enumerate(_field(data, "sporadics", "data file")):
+        keys = ("name", "aut_order", "rdim", "expected_fail")
+        name, aut, rdim, fail = (_field(s, key, f"sporadic record {i}") for key in keys)
+        out.append(SporadicRecord(name, int(aut), int(rdim), bool(fail)))
+    return out
 
 
 @dataclass(frozen=True)
@@ -374,10 +381,14 @@ def aut_spot_checks(data: dict | None = None) -> list[tuple[str, int, int]]:
     data = data if data is not None else load_data()
     recs = {r.name: r for r in family_records(data)}
     out = []
-    for chk in data.get("aut_spot_checks", []):
-        rec = recs[chk["family"]]
-        q = chk["q"]
+    for i, chk in enumerate(data.get("aut_spot_checks", [])):
+        what = f"aut spot check {i}"
+        family = _field(chk, "family", what)
+        if family not in recs:
+            raise ValueError(f"{what} names unknown family {family!r}")
+        rec = recs[family]
+        q = _field(chk, "q", what)
         u, t = prime_power(q)
         computed = rec.aut_order(chk.get("n"), q, u, t)
-        out.append((f"{rec.name} @ n={chk.get('n')}, q={q}", computed, int(chk["expected_aut"])))
+        out.append((f"{rec.name} @ n={chk.get('n')}, q={q}", computed, int(_field(chk, "expected_aut", what))))
     return out

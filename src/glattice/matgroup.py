@@ -1,11 +1,13 @@
 """Finite subgroups of GL_n(Z) given by generators.
 
-Closure and orbits are breadth-first enumerations with hard caps; hitting
-a cap raises :class:`CapExceeded`, which callers treat as a first-class
-outcome (the inequality engines deliberately avoid materializing huge
-groups).  Enumeration order is deterministic: queue order, then generator
-index, and orbit representatives are the lexicographically minimal
-elements, so every downstream output is reproducible.
+Orbits and the closure run on one breadth-first orbit kernel with a hard
+cap; the closure is the orbit of the identity's entries under right
+multiplication by the generators.  Hitting a cap raises
+:class:`CapExceeded`, which callers treat as a first-class outcome (the
+inequality engines deliberately avoid materializing huge groups).
+Enumeration order is deterministic: queue order, then generator index, and
+orbit representatives are the lexicographically minimal elements, so every
+downstream output is reproducible.
 """
 from __future__ import annotations
 
@@ -84,28 +86,28 @@ class Orbit:
 
 
 def closure(g: MatGroup, cap: int = DEFAULT_GROUP_CAP) -> tuple[frozenset, int]:
-    """Full element set (as entry tuples) and exact order.
+    """Full element set (as row-major entry tuples) and exact order.
 
-    A finite matrix group is closed under products of generators alone
-    (every element has finite order), so no explicit inverses are needed.
+    The element set is the orbit of the identity's entries under right
+    multiplication by the generators, run on the orbit kernel: row i of
+    x h is h^T applied to row i of x, so each generator acts on the n^2
+    entries as n copies of h^T.  A finite matrix group is closed under
+    products of generators alone (every element has finite order), so no
+    explicit inverses are needed.
     """
     if g._elements is not None:
         return g._elements, g._order
-    ident = IntMatrix.identity(g.dim)
-    seen = {ident.entries}
-    queue = [ident]
-    qi = 0
-    gens = g.generators
-    while qi < len(queue):
-        cur = queue[qi]
-        qi += 1
-        for gen in gens:
-            nxt = cur.mul(gen)
-            if nxt.entries not in seen:
-                if len(seen) >= cap:
-                    raise CapExceeded("group closure", cap)
-                seen.add(nxt.entries)
-                queue.append(nxt)
+    n = g.dim
+    moved = tuple(
+        (
+            tuple(i * n + a for i in range(n) for a in idx),
+            tuple((i * n + a, i * n + b, c) for i in range(n) for a, b, c in terms),
+        )
+        for idx, terms in _moved_rows([h.transpose() for h in g.generators])
+    )
+    seen, complete = _orbit_bfs(moved, IntMatrix.identity(n).entries, cap)
+    if not complete:
+        raise CapExceeded("group closure", cap)
     # _order first: a reader that finds _elements set also finds _order.
     g._order = len(seen)
     g._elements = frozenset(seen)
@@ -118,17 +120,17 @@ def element_matrices(g: MatGroup, cap: int = DEFAULT_GROUP_CAP) -> list[IntMatri
     return [IntMatrix(g.dim, g.dim, t) for t in sorted(elems)]
 
 
-def _moved_rows(g: MatGroup) -> tuple:
-    """Per generator, the rows unlike the identity's: (indices, terms).
+def _moved_rows(mats) -> tuple:
+    """Per square matrix, the rows unlike the identity's: (indices, terms).
 
     The terms are (row, column, coefficient) triples of the nonzero entries
     of those rows.  A simple reflection in lattice coordinates moves only a
     few coordinates, so the orbit kernel recomputes just those and copies
     the rest.
     """
-    n = g.dim
     out = []
-    for h in g.generators:
+    for h in mats:
+        n = h.rows
         idx = tuple(i for i in range(n) if h.row(i) != tuple(int(i == j) for j in range(n)))
         out.append((idx, tuple((i, j, h[i, j]) for i in idx for j in range(n) if h[i, j])))
     return tuple(out)
@@ -164,7 +166,7 @@ def orbit(g: MatGroup, v, cap: int = DEFAULT_ORBIT_CAP) -> Orbit:
     vv = as_vector(v)
     if vv.dim != g.dim:
         raise ValueError("vector dimension does not match group dimension")
-    seen, complete = _orbit_bfs(_moved_rows(g), vv.entries, cap)
+    seen, complete = _orbit_bfs(_moved_rows(g.generators), vv.entries, cap)
     if not complete:
         raise CapExceeded("orbit", cap)
     return Orbit(IntVector(min(seen)), frozenset(seen), len(seen))
@@ -205,12 +207,6 @@ def stabilizer_order(g: MatGroup, v, cap: int = DEFAULT_GROUP_CAP) -> int:
     if order % orb.size != 0:
         raise AssertionError("orbit size does not divide group order")
     return order // orb.size
-
-
-def stabilizer_order_direct(g: MatGroup, v, cap: int = DEFAULT_GROUP_CAP) -> int:
-    """Count stabilizing elements directly (oracle for stabilizer_order)."""
-    vv = as_vector(v)
-    return sum(1 for m in element_matrices(g, cap) if m.apply(vv) == vv)
 
 
 def conjugate(g: MatGroup, a: IntMatrix) -> MatGroup:

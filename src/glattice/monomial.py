@@ -158,7 +158,7 @@ def closure_elements(g: MonomialGroup, cap: int = DEFAULT_CAP) -> frozenset:
 
 def vector_orbit(g: MonomialGroup, v, cap: int = DEFAULT_CAP) -> frozenset:
     """Orbit of a vector (deterministic BFS through the matrix orbit kernel)."""
-    seen, complete = _orbit_bfs(_moved_rows(g.matgroup()), as_vector(v).entries, cap)
+    seen, complete = _orbit_bfs(_moved_rows(g.matgroup().generators), as_vector(v).entries, cap)
     if not complete:
         raise CapExceeded("monomial orbit", cap)
     return frozenset(seen)

@@ -82,7 +82,7 @@ def _orbit_records(gl: MatGroup, radius: int, orbit_cap: int) -> list[_OrbitReco
     box.sort(key=_rep_key)
     full_rows = tuple(full_lattice(r).rows())
     box_set = set(box)
-    moved = _moved_rows(gl)
+    moved = _moved_rows(gl.generators)
     big: set[tuple[int, ...]] = set()  # box vectors known to be in oversized orbits
     records: list[_OrbitRecord] = []
     vector_record: dict[tuple[int, ...], int] = {}  # box vector -> index of its orbit

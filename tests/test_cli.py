@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from glattice import cli
+from glattice import cli, groupdata
 from glattice.cli import (
     EXIT_CAP_EXCEEDED,
     EXIT_INPUT_ERROR,
@@ -193,6 +193,14 @@ def _write(path, obj):
 
 
 ONE_GENERATOR = group_to_json(1, [IntMatrix.from_rows([(-1,)])])
+
+
+def _family_without_scan():
+    data = groupdata.load_data()
+    del data["families"][0]["scan"]
+    return data
+
+
 BAD_INPUTS = {
     "missing group file": lambda d: ["symrank", "--group", str(d / "missing.json")],
     "malformed json": lambda d: ["symrank", "--group", _write(d / "bad.json", '{"dim": 2, "generators": [')],
@@ -201,6 +209,10 @@ BAD_INPUTS = {
     "max rank 0": lambda d: ["rootsys-table", "--max-rank", "0"],
     "non-unimodular generator": lambda d: [
         "symrank", "--group", _write(d / "g2.json", group_to_json(1, [IntMatrix.from_rows([(2,)])]))
+    ],
+    "data without families": lambda d: ["--data", _write(d / "e.json", {}), "verify", "--name", "almost-simple"],
+    "family without scan": lambda d: [
+        "--data", _write(d / "f.json", _family_without_scan()), "verify", "--name", "almost-simple"
     ],
 }
 

@@ -119,3 +119,37 @@ def test_families_without_formulas_are_reported_unscanned():
     rep = almost_simple_scan(data, q_cap=4, n_cap=3)
     assert "mystery family" in rep.unscanned
     assert all(f.name != "mystery family" for f in rep.families)
+
+
+def _drop(path):
+    def edit(data):
+        *parents, key = path
+        for p in parents:
+            data = data[p]
+        del data[key]
+
+    return edit
+
+
+def _rename_spot_check_family(data):
+    data["aut_spot_checks"][0]["family"] = "no such family"
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (_drop(["families"]), "'families'"),
+        (_drop(["families", 0, "bound_kind"]), "'bound_kind'"),
+        (_drop(["families", 0, "scan", "kind"]), "'kind'"),
+        (_drop(["sporadics", 3, "rdim"]), "'rdim'"),
+        (_drop(["aut_spot_checks", 0, "q"]), "'q'"),
+        (_rename_spot_check_family, "'no such family'"),
+    ],
+    ids=["families", "family field", "scan kind", "sporadic field", "spot check field", "spot check family"],
+)
+def test_malformed_data_raises_value_error_naming_the_key(edit, named):
+    data = json.loads(json.dumps(DATA))
+    edit(data)
+    with pytest.raises(ValueError, match=named):
+        almost_simple_scan(data, q_cap=8, n_cap=4)
+        aut_spot_checks(data)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glattice.errors import CapExceeded, NonUnimodularConjugator, NonUnimodularGenerator, NotGStable
-from glattice.intmat import IntMatrix, full_lattice, hnf, hnf_from_rows, index
+from glattice.intmat import IntMatrix, as_vector, full_lattice, hnf, hnf_from_rows, index
 from glattice.matgroup import (
     MatGroup,
     action_in_row_basis,
@@ -20,7 +20,6 @@ from glattice.matgroup import (
     orbit_span,
     restrict_lattice,
     stabilizer_order,
-    stabilizer_order_direct,
 )
 from glattice.rootsys import RootSystemSpec, build
 
@@ -29,6 +28,26 @@ NEG = IntMatrix.from_rows([(-1,)])
 
 def wgroup(fam, n):
     return build(RootSystemSpec(fam, n)).matgroup()
+
+
+def _closure_oracle(g):
+    """Element set and order by BFS over matrix products (oracle for closure)."""
+    ident = IntMatrix.identity(g.dim)
+    seen = {ident.entries}
+    queue = [ident]
+    for cur in queue:
+        for gen in g.generators:
+            nxt = cur.mul(gen)
+            if nxt.entries not in seen:
+                seen.add(nxt.entries)
+                queue.append(nxt)
+    return frozenset(seen), len(seen)
+
+
+def stabilizer_order_direct(g, v):
+    """Count stabilizing elements directly (oracle for stabilizer_order)."""
+    vv = as_vector(v)
+    return sum(1 for m in element_matrices(g) if m.apply(vv) == vv)
 
 
 def test_closure_order_two():
@@ -273,3 +292,31 @@ WEYL_UP_TO_RANK_8 = [
 @pytest.mark.parametrize("spec", WEYL_UP_TO_RANK_8, ids=lambda s: f"{s[0]}{s[1]}")
 def test_weyl_groups_are_certified_irreducible(spec):
     assert commutant_dimension(wgroup(*spec)) == 1
+
+
+def _signed_permutations(n):
+    """Strategy: n x n signed permutation matrices."""
+    signs = st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n)
+    return st.tuples(st.permutations(range(n)), signs).map(
+        lambda ps: IntMatrix.from_rows([[s * int(j == p) for j in range(n)] for p, s in zip(*ps)])
+    )
+
+
+SIGNED_PERMUTATION_GENERATORS = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(_signed_permutations(n), min_size=1, max_size=3))
+)
+CONJUGATED_WEYL_GENERATORS = st.sampled_from([s for s in WEYL_UP_TO_RANK_8 if s[1] <= 4]).flatmap(
+    lambda s: unimodular_matrices(s[1]).map(lambda u: (s[1], conjugate(wgroup(*s), u).generators))
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(SIGNED_PERMUTATION_GENERATORS, CONJUGATED_WEYL_GENERATORS))
+def test_closure_equals_matrix_product_oracle(case):
+    dim, gens = case
+    elements, order = _closure_oracle(MatGroup(dim, gens))
+    assert closure(MatGroup(dim, gens), cap=order) == (elements, order)
+    if order > 1:  # the trivial group meets no new element, so no cap is hit
+        with pytest.raises(CapExceeded) as err:
+            closure(MatGroup(dim, gens), cap=order - 1)
+        assert (err.value.what, err.value.cap) == ("group closure", order - 1)

@@ -53,7 +53,7 @@ def test_build_a1():
     assert m.weyl_order == 2
 
 
-@pytest.mark.parametrize("fam,n", ALL_SMALL)
+@pytest.mark.parametrize("fam,n", ALL_SMALL + [("A", 5), ("B", 5), ("C", 5), ("D", 5)])
 def test_weyl_order_matches_closure(fam, n):
     m = build(RootSystemSpec(fam, n))
     assert closure(m.matgroup())[1] == m.weyl_order
