@@ -11,7 +11,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from glattice.matgroup import orbit, orbit_span
+from glattice.matgroup import orbit, stable_span
 from glattice.rootsys import RootSystemSpec, build, expected_symrank, rdim_lower_bound, weyl_symrank_table
 from glattice.search import symrank_search
 
@@ -21,7 +21,7 @@ for row in weyl_symrank_table(6):
     model = build(RootSystemSpec(row.family, row.rank))
     g = model.matgroup()
     orb = orbit(g, row.witness)
-    span_ok = orbit_span(g, row.witness) == row.target.basis
+    span_ok = stable_span(g, row.witness) == row.target.basis
     closed_form = expected_symrank(row)
     line = (
         f"{row.family}{row.rank:>2} {row.lattice_label:>9} {row.symrank:>8} "

@@ -56,7 +56,6 @@ from .matgroup import (
     conjugate,
     in_lattice_coordinates,
     orbit,
-    orbit_span,
     restrict_lattice,
     stabilizer_order,
 )

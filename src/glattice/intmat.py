@@ -193,7 +193,7 @@ class IntMatrix:
         if n != self.cols:
             raise ValueError("inverse of a non-square matrix")
         aug = [list(self.row(i)) + [int(i == j) for j in range(n)] for i in range(n)]
-        rows = _hnf_rows(aug, 2 * n)
+        rows = _hnf_rows(aug)
         if [r[:n] for r in rows] != IntMatrix.identity(n).to_rows():
             raise ValueError("matrix is not unimodular")
         return IntMatrix(n, n, tuple(e for r in rows for e in r[n:]))
@@ -256,58 +256,99 @@ class LatticeBasis:
         return self.rank == self.ambient_dim and self.basis == IntMatrix.identity(self.ambient_dim)
 
 
-def _hnf_rows(rows: list[list[int]], ncols: int) -> list[tuple[int, ...]]:
-    """Row-style HNF: positive pivots, entries above a pivot in [0, pivot)."""
-    work = [list(r) for r in rows if any(r)]
-    pivots: list[tuple[int, int]] = []  # (column, row index in result)
-    done: list[list[int]] = []
-    col = 0
-    while work and col < ncols:
-        # Euclidean reduction: shrink entries of this column until one remains.
-        while True:
-            live = [r for r in work if r[col] != 0]
-            if len(live) <= 1:
-                break
-            live.sort(key=lambda r: (abs(r[col]), r))
-            piv = live[0]
-            for r in live[1:]:
-                q = r[col] // piv[col]
-                for j in range(col, ncols):
-                    r[j] -= q * piv[j]
-        live = [r for r in work if r[col] != 0]
-        if live:
-            piv = live[0]
-            if piv[col] < 0:
-                for j in range(ncols):
-                    piv[j] = -piv[j]
-            done.append(piv)
-            pivots.append((col, len(done) - 1))
-            work = [r for r in work if r is not piv and any(r)]
-        col += 1
-    # Reduce entries above each pivot into [0, pivot).
-    for col, k in pivots:
-        p = done[k][col]
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with s*a + t*b = g = gcd(a, b) >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    if a < 0:
+        return -a, -s0, -t0
+    return a, s0, t0
+
+
+def _hnf_insert(rows: tuple[tuple[int, ...], ...], v) -> tuple[tuple[int, ...], ...]:
+    """HNF rows of the span of the canonical HNF ``rows`` plus the row v.
+
+    Walks v's columns in order (Cohen, *A Course in Computational Algebraic
+    Number Theory*, 2.4).  At a pivot column v's entry is removed by a
+    multiple of the pivot row when the pivot divides it, otherwise by an
+    extended-gcd step that replaces the pivot row; at a non-pivot column a
+    nonzero entry makes v a new pivot row.  Entries above the pivots of
+    changed rows are then reduced into ``[0, pivot)``.  When v reduces to
+    zero without changing a row it already lies in the span, and ``rows``
+    itself is returned.
+    """
+    v = list(v)
+    n = len(v)
+    basis = rows  # copied on the first change; `first` is that row's position
+    k = 0  # the row whose pivot is the first one at or right of column c
+    for c in range(n):
+        x = v[c]
+        if k < len(basis) and basis[k][c]:
+            if x:
+                h = basis[k]
+                p = h[c]
+                if x % p == 0:
+                    q = x // p
+                    for j in range(c, n):
+                        v[j] -= q * h[j]
+                else:
+                    g, s, t = _xgcd(p, x)
+                    a, b = p // g, x // g
+                    if basis is rows:
+                        basis, first = list(rows), k
+                    basis[k] = tuple(s * hj + t * vj for hj, vj in zip(h, v))
+                    v = [a * vj - b * hj for hj, vj in zip(h, v)]
+            k += 1
+        elif x:
+            if basis is rows:
+                basis, first = list(rows), k
+            basis.insert(k, tuple(v) if x > 0 else tuple(-e for e in v))
+            break
+    if basis is rows:
+        return rows
+    # Rows left of `first` are unchanged and already reduced against each
+    # other; reducing by the changed pivots left to right alters no entry at
+    # an earlier pivot column.
+    for k in range(first, len(basis)):
+        h = basis[k]
+        c = next(j for j, e in enumerate(h) if e)
+        p = h[c]
         for i in range(k):
-            q = done[i][col] // p
+            q = basis[i][c] // p
             if q:
-                for j in range(ncols):
-                    done[i][j] -= q * done[k][j]
-    return [tuple(r) for r in done]
+                basis[i] = tuple(e - q * f for e, f in zip(basis[i], h))
+    return tuple(basis)
+
+
+def _hnf_rows(rows) -> list[tuple[int, ...]]:
+    """Row-style HNF of the span of ``rows``, one row insertion at a time.
+
+    Positive pivots, zeros below each pivot, entries above a pivot in
+    ``[0, pivot)``.
+    """
+    basis: tuple[tuple[int, ...], ...] = ()
+    for r in rows:
+        basis = _hnf_insert(basis, r)
+    return list(basis)
 
 
 def hnf(m: IntMatrix) -> LatticeBasis:
     """Canonical HNF basis of the row span of m (zero matrix -> rank 0)."""
-    rows = _hnf_rows([list(r) for r in m.to_rows()], m.cols)
+    rows = _hnf_rows(m.to_rows())
     return LatticeBasis(m.cols, IntMatrix.from_rows(rows) if rows else IntMatrix.zero(0, m.cols))
 
 
 def hnf_from_rows(rows, ambient_dim: int) -> LatticeBasis:
     """HNF basis of the span of arbitrary integer rows."""
-    rows = [list(as_vector(r).entries) for r in rows]
+    rows = [as_vector(r).entries for r in rows]
     for r in rows:
         if len(r) != ambient_dim:
             raise ValueError("row dimension mismatch")
-    out = _hnf_rows(rows, ambient_dim)
+    out = _hnf_rows(rows)
     return LatticeBasis(ambient_dim, IntMatrix.from_rows(out) if out else IntMatrix.zero(0, ambient_dim))
 
 
@@ -444,13 +485,6 @@ def snf(m: IntMatrix) -> SmithDecomposition:
             for row in arr:
                 row[i], row[j] = x * row[i] + y * row[j], z * row[i] + w * row[j]
 
-    def ext_gcd(x, y):
-        # returns (g, s, t) with s*x + t*y = g
-        if y == 0:
-            return (abs(x), 1 if x >= 0 else -1, 0)
-        g, s, t = ext_gcd(y, x % y)
-        return (g, t, s - (x // y) * t)
-
     def clear_cross(t: int):
         """Zero out column t below and row t right of the pivot at (t, t)."""
         while True:
@@ -460,7 +494,7 @@ def snf(m: IntMatrix) -> SmithDecomposition:
                     if y % x == 0:
                         row_op(t, i, 1, 0, -(y // x), 1)
                     else:
-                        g, s, u = ext_gcd(x, y)
+                        g, s, u = _xgcd(x, y)
                         row_op(t, i, s, u, -(y // g), x // g)
             for j in range(t + 1, n):
                 if a[t][j] != 0:
@@ -468,7 +502,7 @@ def snf(m: IntMatrix) -> SmithDecomposition:
                     if y % x == 0:
                         col_op(t, j, 1, 0, -(y // x), 1)
                     else:
-                        g, s, u = ext_gcd(x, y)
+                        g, s, u = _xgcd(x, y)
                         col_op(t, j, s, u, -(y // g), x // g)
             if all(a[i][t] == 0 for i in range(t + 1, n)) and all(
                 a[t][j] == 0 for j in range(t + 1, n)

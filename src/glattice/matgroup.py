@@ -194,12 +194,6 @@ def stable_span(g: MatGroup, v, max_rounds: int = 10_000) -> LatticeBasis:
     raise AssertionError("stable span failed to converge")
 
 
-def orbit_span(g: MatGroup, v, cap: int = DEFAULT_ORBIT_CAP) -> LatticeBasis:
-    """HNF basis of the lattice spanned by the orbit of v."""
-    orb = orbit(g, v, cap)
-    return hnf_from_rows(sorted(orb.elements), g.dim)
-
-
 def stabilizer_order(g: MatGroup, v, cap: int = DEFAULT_GROUP_CAP) -> int:
     """|G| / |orbit(v)|, exact; asserts divisibility (orbit-stabilizer)."""
     _, order = closure(g, cap)

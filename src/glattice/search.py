@@ -9,11 +9,19 @@ smaller, so unconditional minimality is only claimed when the bound
 meets the certified lower bound (the rank).
 
 Orbits are ordered by (size, canonical representative) and the search
-returns the first minimum found in that deterministic order, preferring
-the smaller representative multiset among candidates it compares, so
-results are reproducible run to run.  (Exhausting *every* equal-size
-combination purely to canonicalize the witness would be exponential in
-the number of equal-size orbits and is deliberately not done.)
+returns the first minimum it finds in that record order, so results are
+reproducible run to run.  Only strictly smaller selections replace the
+incumbent, so no equal-size candidates are compared.  (Exhausting *every*
+equal-size combination purely to canonicalize the witness would be
+exponential in the number of equal-size orbits and is deliberately not
+done.)
+
+The depth-first search carries each partial span as canonical HNF rows
+and adds an orbit by inserting its span's rows one at a time.  It stops
+a branch by three prunes: size per unit of rank (no completion can be
+strictly cheaper than the incumbent), suffix span (the remaining orbits
+cannot complete the span) and no progress (an orbit that leaves the span
+unchanged is never chosen).
 """
 from __future__ import annotations
 
@@ -21,7 +29,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import CapExceeded, NotGStable, NotInLattice
-from .intmat import IntVector, LatticeBasis, as_vector, full_lattice, hnf_from_rows
+from .intmat import IntVector, LatticeBasis, _hnf_insert, as_vector, full_lattice, hnf_from_rows
 from .matgroup import (
     DEFAULT_ORBIT_CAP,
     MatGroup,
@@ -64,6 +72,10 @@ def _rep_key(t: tuple[int, ...]):
 
 def _orbit_records(gl: MatGroup, radius: int, orbit_cap: int) -> list[_OrbitRecord]:
     """Group the coefficient box into orbits under the restricted action.
+
+    Each record holds the orbit's size, its canonical representative and
+    the canonical HNF rows of its span (from ``stable_span``), which the
+    search inserts into a partial span one row at a time.
 
     Each orbit is built at most once.  BFS of a new orbit is capped at the
     incumbent bound once one is known: an orbit strictly larger than an
@@ -124,13 +136,6 @@ def _orbit_records(gl: MatGroup, radius: int, orbit_cap: int) -> list[_OrbitReco
     return records
 
 
-def _span_rows(*row_groups) -> tuple[tuple[int, ...], ...]:
-    rows = [r for g in row_groups for r in g]
-    if not rows:
-        return ()
-    return tuple(hnf_from_rows(rows, len(rows[0])).rows())
-
-
 def symrank_search(
     g: MatGroup,
     l: LatticeBasis,
@@ -148,28 +153,38 @@ def symrank_search(
     gl = in_lattice_coordinates(g, l)
     records = _orbit_records(gl, radius, orbit_cap)
     full_rows = tuple(full_lattice(r).rows())
-    # basis coefficient vectors are inside every box with radius >= 1, so a
-    # spanning selection always exists
-    if _span_rows(*(rec.span_rows for rec in records)) != full_rows:
-        raise AssertionError("box orbits fail to span their own lattice")
+
+    def insert(span, rows):
+        for row in rows:
+            span = _hnf_insert(span, row)
+        return span
 
     suffix_spans: list[tuple[tuple[int, ...], ...]] = [()] * (len(records) + 1)
     for i in range(len(records) - 1, -1, -1):
-        suffix_spans[i] = _span_rows(suffix_spans[i + 1], records[i].span_rows)
+        suffix_spans[i] = insert(suffix_spans[i + 1], records[i].span_rows)
+    # basis coefficient vectors are inside every box with radius >= 1, so a
+    # spanning selection always exists
+    if suffix_spans[0] != full_rows:
+        raise AssertionError("box orbits fail to span their own lattice")
+    # suffix_rate[i] = (a, b): a/b is the least size per unit of rank,
+    # s_j / k_j, over records j >= i; an orbit of size s_j whose span has
+    # rank k_j raises the rank of a span by at most k_j
+    suffix_rate: list[tuple[int, int]] = [(1, 0)] * len(records)
+    rate = (1, 0)  # 1/0 stands for infinity; every k_j is at least 1
+    for i in range(len(records) - 1, -1, -1):
+        s, k = records[i].size, len(records[i].span_rows)
+        if s * rate[1] < rate[0] * k:
+            rate = (s, k)
+        suffix_rate[i] = rate
 
     best_size = None
     best_reps: tuple[tuple[int, ...], ...] | None = None
 
     def consider(size: int, chosen: list[int]):
         nonlocal best_size, best_reps
-        reps = tuple(sorted((records[i].rep for i in chosen), key=_rep_key))
-        if (
-            best_size is None
-            or size < best_size
-            or (size == best_size and tuple(map(_rep_key, reps)) < tuple(map(_rep_key, best_reps)))
-        ):
-            best_size = size
-            best_reps = reps
+        # the prunes in dfs let only strictly smaller selections get here
+        best_size = size
+        best_reps = tuple(sorted((records[i].rep for i in chosen), key=_rep_key))
 
     def dfs(i: int, size: int, span: tuple[tuple[int, ...], ...], chosen: list[int]):
         if span == full_rows:
@@ -177,14 +192,17 @@ def symrank_search(
             return
         if i == len(records):
             return
-        if best_size is not None and size + max(records[i].size, r - len(span)) >= best_size:
-            # records are sorted by size, and an orbit of size s raises the
-            # rank by at most s: no cheaper completion exists
-            return
-        if _span_rows(span, suffix_spans[i]) != full_rows:
+        if best_size is not None:
+            # records are sorted by size, so any completion costs at least
+            # records[i].size, and closing the rank deficit with records i..
+            # costs at least deficit * a / b: no strictly cheaper completion
+            a, b = suffix_rate[i]
+            if size + records[i].size >= best_size or (r - len(span)) * a > (best_size - size - 1) * b:
+                return
+        if suffix_spans[i] != full_rows and insert(span, suffix_spans[i]) != full_rows:
             return  # remaining orbits cannot complete the span
         rec = records[i]
-        new_span = _span_rows(span, rec.span_rows)
+        new_span = insert(span, rec.span_rows)
         if new_span != span:
             chosen.append(i)
             dfs(i + 1, size + rec.size, new_span, chosen)

@@ -5,7 +5,13 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from hypothesis import strategies as st  # noqa: E402
 
-from glattice.intmat import IntMatrix  # noqa: E402
+from glattice.intmat import IntMatrix, LatticeBasis, hnf_from_rows  # noqa: E402
+from glattice.matgroup import MatGroup, orbit  # noqa: E402
+
+
+def orbit_span(g: MatGroup, v) -> LatticeBasis:
+    """Oracle for ``stable_span``: HNF basis of the span of the listed orbit of v."""
+    return hnf_from_rows(sorted(orbit(g, v).elements), g.dim)
 
 
 def unimodular_matrices(n: int):

@@ -9,6 +9,7 @@ import os
 import time
 
 import pytest
+from conftest import orbit_span
 
 from glattice._primes import primes_upto
 from glattice.bounds import min_threshold, prime_of_form, psl_order, prime_case_check
@@ -20,7 +21,7 @@ from glattice.gf2cyclo import (
 )
 from glattice.groupdata import almost_simple_scan, aut_spot_checks, load_data
 from glattice.intmat import IntMatrix, full_lattice, member, unit_vector
-from glattice.matgroup import MatGroup, orbit, orbit_span
+from glattice.matgroup import MatGroup, orbit
 from glattice.monomial import (
     full_monomial_group,
     three_sublattice_report,

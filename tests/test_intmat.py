@@ -10,6 +10,7 @@ from glattice.errors import NotASublattice
 from glattice.intmat import (
     INFINITE,
     IntMatrix,
+    _hnf_insert,
     full_lattice,
     hnf,
     hnf_from_rows,
@@ -213,3 +214,76 @@ def test_inverse_unimodular_of_elementary_products(a):
 def test_inverse_unimodular_rejects_other_matrices(rows):
     with pytest.raises(ValueError):
         IntMatrix.from_rows(rows).inverse_unimodular()
+
+
+def _hnf_oracle(rows, ncols):
+    """Row-style HNF by Euclidean elimination over all rows at once (oracle)."""
+    work = [list(r) for r in rows if any(r)]
+    pivots: list[tuple[int, int]] = []  # (column, row index in result)
+    done: list[list[int]] = []
+    col = 0
+    while work and col < ncols:
+        # Euclidean reduction: shrink entries of this column until one remains.
+        while True:
+            live = [r for r in work if r[col] != 0]
+            if len(live) <= 1:
+                break
+            live.sort(key=lambda r: (abs(r[col]), r))
+            piv = live[0]
+            for r in live[1:]:
+                q = r[col] // piv[col]
+                for j in range(col, ncols):
+                    r[j] -= q * piv[j]
+        live = [r for r in work if r[col] != 0]
+        if live:
+            piv = live[0]
+            if piv[col] < 0:
+                for j in range(ncols):
+                    piv[j] = -piv[j]
+            done.append(piv)
+            pivots.append((col, len(done) - 1))
+            work = [r for r in work if r is not piv and any(r)]
+        col += 1
+    # Reduce entries above each pivot into [0, pivot).
+    for col, k in pivots:
+        p = done[k][col]
+        for i in range(k):
+            q = done[i][col] // p
+            if q:
+                for j in range(ncols):
+                    done[i][j] -= q * done[k][j]
+    return [tuple(r) for r in done]
+
+
+@st.composite
+def _row_lists(draw):
+    """0-8 integer rows of dimension <= 6, with zero rows and combinations of earlier rows mixed in."""
+    n = draw(st.integers(1, 6))
+    entry = st.integers(-4, 4)
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(("random", "zero", "combination")))
+        if kind == "zero":
+            rows.append((0,) * n)
+        elif kind == "combination" and rows:
+            coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)))
+            rows.append(tuple(sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(n)))
+        else:
+            rows.append(tuple(draw(st.lists(entry, min_size=n, max_size=n))))
+    return n, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_row_lists())
+def test_incremental_hnf_equals_from_scratch_hnf(case):
+    n, rows = case
+    basis = ()
+    for r in rows:
+        basis = _hnf_insert(basis, r)
+    assert list(basis) == _hnf_oracle(rows, n)
+    assert hnf_from_rows(rows, n).rows() == _hnf_oracle(rows, n)
+    for r in rows:  # a row already in the span changes nothing
+        assert _hnf_insert(basis, r) is basis
+    z = tuple(full_lattice(n).rows())
+    for r in rows:
+        assert _hnf_insert(z, r) is z

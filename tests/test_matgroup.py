@@ -3,7 +3,7 @@ import itertools
 import random
 
 import pytest
-from conftest import unimodular_matrices
+from conftest import orbit_span, unimodular_matrices
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +17,6 @@ from glattice.matgroup import (
     conjugate,
     element_matrices,
     orbit,
-    orbit_span,
     restrict_lattice,
     stabilizer_order,
 )

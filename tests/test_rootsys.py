@@ -2,10 +2,11 @@
 import random
 
 import pytest
+from conftest import orbit_span
 
 from glattice.errors import InvalidRank, KindUnavailable
 from glattice.intmat import IntMatrix, full_lattice, index, member, unit_vector
-from glattice.matgroup import closure, orbit, orbit_span
+from glattice.matgroup import closure, orbit
 from glattice.rootsys import (
     RootSystemSpec,
     build,

@@ -214,6 +214,20 @@ def test_rank5_radius2_witnesses_are_pinned(row):
     assert (res.upper_bound, [w.entries for w in res.witness], res.orbit_count) == RANK5_RADIUS2[row]
 
 
+# {+-I}: every orbit has size 2 and rank 1, so the size-per-rank prune cuts
+# the whole tree at its root once the first witness is found.
+@pytest.mark.parametrize(
+    "n, radius, expected",
+    [
+        (3, 3, (6, [(0, 0, 1), (0, 1, 0), (1, 0, 0)], 171)),
+        (4, 1, (8, [(0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0)], 40)),
+    ],
+)
+def test_minus_identity_searches_are_pinned(n, radius, expected):
+    res = symrank_search(MatGroup(n, [IntMatrix.identity(n).neg()]), full_lattice(n), radius=radius)
+    assert (res.upper_bound, [w.entries for w in res.witness], res.orbit_count) == expected
+
+
 def test_orbit_matches_plain_bfs_and_raises_at_the_cap():
     b3 = build(RootSystemSpec("B", 3))
     a2 = build(RootSystemSpec("A", 2))
