@@ -22,20 +22,20 @@ LOG_FRAC_BITS = 12
 CASES = ("II.i", "II.ii", "III.i", "III.ii")
 
 
-def log2_fixed_upper(x: int, frac_bits: int = LOG_FRAC_BITS) -> int:
-    """Smallest k with k / 2^frac_bits >= log2(x), for x >= 1."""
+def log2_fixed_upper(x: int) -> int:
+    """Smallest k with k / 2^LOG_FRAC_BITS >= log2(x), for x >= 1."""
     if x < 1:
         raise ValueError("log2 of a nonpositive integer")
     if x == 1:
         return 0
-    return ceil_log2(x ** (1 << frac_bits))
+    return ceil_log2(x ** (1 << LOG_FRAC_BITS))
 
 
-def log2_fixed_lower(x: int, frac_bits: int = LOG_FRAC_BITS) -> int:
-    """Largest k with k / 2^frac_bits <= log2(x), for x >= 1."""
+def log2_fixed_lower(x: int) -> int:
+    """Largest k with k / 2^LOG_FRAC_BITS <= log2(x), for x >= 1."""
     if x < 1:
         raise ValueError("log2 of a nonpositive integer")
-    return floor_log2(x ** (1 << frac_bits))
+    return floor_log2(x ** (1 << LOG_FRAC_BITS))
 
 
 @dataclass(frozen=True)
@@ -117,10 +117,10 @@ def prime_case_check(p: int, a: int, ell: int, case: str) -> BoundVerdict:
         return BoundVerdict("II.ii", params, lhs, rhs, lhs >= rhs)
     # case III: exponent domain with outward-rounded logs, scale 2^(2f)
     f = LOG_FRAC_BITS
-    ku = log2_fixed_upper(p * p + 1, f)  # >= 2^f log2(p^2+1)
-    kw = log2_fixed_upper(p, f)  # >= 2^f log2 p
+    ku = log2_fixed_upper(p * p + 1)  # >= 2^f log2(p^2+1)
+    kw = log2_fixed_upper(p)  # >= 2^f log2 p
     # log2(log2 p) <= log2(kw / 2^f) = log2(kw) - f, rounded up
-    kv = log2_fixed_upper(kw, f) - (f << f)
+    kv = log2_fixed_upper(kw) - (f << f)
     if case == "III.i":
         if not 0 <= ell <= a - 1:
             raise InvalidCase("case III.i needs 0 <= ell <= a-1")
@@ -131,7 +131,7 @@ def prime_case_check(p: int, a: int, ell: int, case: str) -> BoundVerdict:
         return BoundVerdict("III.i", params, lhs, rhs, lhs >= rhs, scale_bits=2 * f)
     if ell != a:
         raise InvalidCase("case III.ii is the ell = a subcase")
-    ka = log2_fixed_upper(a, f) if a > 1 else 0
+    ka = log2_fixed_upper(a) if a > 1 else 0
     lhs = p << (2 * f)
     rhs = 3 * ((ka << f) + ku * ku + (kv << f))
     return BoundVerdict("III.ii", params, lhs, rhs, lhs >= rhs, scale_bits=2 * f)

@@ -17,7 +17,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 
 from . import bounds as bounds_mod
 from . import groupdata, monomial, rootsys, search, theta
@@ -32,18 +31,6 @@ EXIT_FIXTURE_MISMATCH = 2
 EXIT_MISSING_DATA = 3
 EXIT_CAP_EXCEEDED = 4
 EXIT_INPUT_ERROR = 5
-
-
-@dataclass
-class RunReport:
-    command: str
-    parameters: dict
-    payload: dict
-    fixture_comparison: dict | None = None
-
-    @property
-    def match(self) -> bool:
-        return self.fixture_comparison is None or self.fixture_comparison["match"]
 
 
 def _render(headers: list[str], rows: list[tuple], fmt: str, out) -> None:
@@ -62,8 +49,8 @@ def _render(headers: list[str], rows: list[tuple], fmt: str, out) -> None:
         print("  ".join(str(c).ljust(w) for c, w in zip(r, widths)), file=out)
 
 
-def cmd_rootsys_table(max_rank: int, fmt: str, out) -> RunReport:
-    rows = rootsys.weyl_symrank_table(max_rank)
+def cmd_rootsys_table(args, out) -> list:
+    rows = rootsys.weyl_symrank_table(args.max_rank)
     table = []
     mismatches = []
     for r in rows:
@@ -73,27 +60,25 @@ def cmd_rootsys_table(max_rank: int, fmt: str, out) -> RunReport:
                 {"row": f"{r.family}{r.rank} {r.lattice_label}", "expected": expected, "got": r.symrank}
             )
         table.append((f"{r.family}{r.rank}", r.lattice_label, r.symrank, r.generator_label))
-    _render(["root_system", "lattice", "symrank", "generator"], table, fmt, out)
-    cmp = {"fixture": "symmetric-rank table", "mismatches": mismatches, "match": not mismatches}
-    return RunReport("rootsys-table", {"max_rank": max_rank}, {"rows": len(table)}, cmp)
+    _render(["root_system", "lattice", "symrank", "generator"], table, args.format, out)
+    return mismatches
 
 
-def cmd_rdim_table(max_n: int, fmt: str, out) -> RunReport:
+def cmd_rdim_table(args, out) -> list:
     fixture = {1: 2, 2: 6, 3: 12, 4: 24, 5: 40, 6: 72}
     table = []
     mismatches = []
-    for n in range(1, max_n + 1):
+    for n in range(1, args.max_n + 1):
         b = rootsys.rdim_lower_bound(n)
         expected = fixture.get(n, 2**n)
         if b.value != expected:
             mismatches.append({"n": n, "expected": expected, "got": b.value})
         table.append((n, b.value, f"{b.witness_family}{b.witness_rank}", b.witness_kind))
-    _render(["n", "rdim_lower_bound", "witness_group", "witness_lattice"], table, fmt, out)
-    cmp = {"fixture": "lower-bound table", "mismatches": mismatches, "match": not mismatches}
-    return RunReport("rdim-table", {"max_n": max_n}, {"rows": len(table)}, cmp)
+    _render(["n", "rdim_lower_bound", "witness_group", "witness_lattice"], table, args.format, out)
+    return mismatches
 
 
-def _verify_three_sublattices(fmt, out) -> RunReport:
+def _verify_three_sublattices(args, out) -> list:
     fixture = {7: (14, 84, 128), 11: (22, 220, 2048), 13: (26, 312, 8192)}
     rows = []
     mismatches = []
@@ -105,12 +90,11 @@ def _verify_three_sublattices(fmt, out) -> RunReport:
         if not ok:
             mismatches.append({"p": p, "expected": expected, "got": got, "spans": spans})
         rows.append((p, *got, spans, rep.inequality_holds, "pass" if ok else "FAIL"))
-    _render(["p", "orbit_Zp", "orbit_LE", "orbit_L1", "spans", "ineq", "status"], rows, fmt, out)
-    cmp = {"fixture": "three-sublattice orbit sizes", "mismatches": mismatches, "match": not mismatches}
-    return RunReport("verify", {"name": "prop515"}, {"p_values": list(fixture)}, cmp)
+    _render(["p", "orbit_Zp", "orbit_LE", "orbit_L1", "spans", "ineq", "status"], rows, args.format, out)
+    return mismatches
 
 
-def _verify_threshold_existence(fmt, out) -> RunReport:
+def _verify_threshold_existence(args, out) -> list:
     rows = []
     mismatches = []
     for a in (1, 2, 3):
@@ -121,12 +105,11 @@ def _verify_threshold_existence(fmt, out) -> RunReport:
             except GLatticeError as e:
                 mismatches.append({"a": a, "case": case, "error": str(e)})
                 rows.append((a, case, "-", "-", "FAIL"))
-    _render(["a", "case", "threshold", "anomalies", "status"], rows, fmt, out)
-    cmp = {"fixture": "thresholds exist within horizon", "mismatches": mismatches, "match": not mismatches}
-    return RunReport("verify", {"name": "thmA"}, {}, cmp)
+    _render(["a", "case", "threshold", "anomalies", "status"], rows, args.format, out)
+    return mismatches
 
 
-def _verify_pinned_thresholds(fmt, out) -> RunReport:
+def _verify_pinned_thresholds(args, out) -> list:
     expectations = [
         ("II.i", 1, lambda v: v == 31, "31"),
         ("II.ii", 2, lambda v: v == 31, "31"),
@@ -146,14 +129,13 @@ def _verify_pinned_thresholds(fmt, out) -> RunReport:
     if v29.holds:
         mismatches.append({"case": "II.i @ 29", "expected": "fails", "got": "holds"})
     rows.append((2, "II.i @ p=29", "fails" if not v29.holds else "holds", "fails", "pass" if not v29.holds else "FAIL"))
-    _render(["a", "case", "threshold", "expected", "status"], rows, fmt, out)
-    cmp = {"fixture": "a=2 thresholds", "mismatches": mismatches, "match": not mismatches}
-    return RunReport("verify", {"name": "thmA2"}, {}, cmp)
+    _render(["a", "case", "threshold", "expected", "status"], rows, args.format, out)
+    return mismatches
 
 
-def _verify_almost_simple(data_path, q_cap, n_cap, fmt, out) -> RunReport:
-    data = groupdata.load_data(data_path)
-    rep = groupdata.almost_simple_scan(data, q_cap=q_cap, n_cap=n_cap)
+def _verify_almost_simple(args, out) -> list:
+    data = groupdata.load_data(args.data)
+    rep = groupdata.almost_simple_scan(data, q_cap=args.qcap, n_cap=args.ncap)
     rows = []
     mismatches = []
     for f in rep.families:
@@ -167,13 +149,12 @@ def _verify_almost_simple(data_path, q_cap, n_cap, fmt, out) -> RunReport:
     if not spor_ok:
         mismatches.append({"sporadics": rep.sporadics.failing, "expected": rep.sporadics.expected_failing})
     rows.append(("sporadic groups", len(groupdata.sporadic_records(data)), ",".join(rep.sporadics.failing), ",".join(rep.sporadics.expected_failing), "pass" if spor_ok else "FAIL"))
-    _render(["family", "checked", "remaining", "expected", "status"], rows, fmt, out)
+    _render(["family", "checked", "remaining", "expected", "status"], rows, args.format, out)
     # exact-|Aut| spot checks ride along
     for name, got, want in groupdata.aut_spot_checks(data):
         if got != want:
             mismatches.append({"aut": name, "expected": want, "got": got})
-    cmp = {"fixture": "remaining-case table", "mismatches": mismatches, "match": not mismatches}
-    return RunReport("verify", {"name": "almost-simple"}, {"unscanned": rep.unscanned}, cmp)
+    return mismatches
 
 
 def _fmt_cases(cases) -> str:
@@ -182,12 +163,13 @@ def _fmt_cases(cases) -> str:
     return ";".join((f"q={q}" if n is None else f"(n={n},q={q})") for n, q in sorted(cases, key=str))
 
 
-def _verify_low_dims(fmt, out) -> RunReport:
+def _verify_low_dims(args, out) -> list:
     """Verify the internally constructible witnesses of the exact-value table.
 
     Full verification needs externally exported maximal-group generators,
     which nothing ingests yet, so only the witness side is checked and
-    coverage is always reported as partial.
+    coverage is always reported as partial: when every witness passes this
+    raises :class:`MissingExternalData` (exit 3).
     """
     rows = []
     mismatches = []
@@ -203,14 +185,28 @@ def _verify_low_dims(fmt, out) -> RunReport:
         if not good:
             mismatches.append({"n": n, "expected": b.value, "got": size, "spans": ok})
         rows.append((n, b.value, f"W({spec})", size, ok, "pass" if good else "FAIL"))
-    _render(["n", "value", "witness", "orbit", "spans", "status"], rows, fmt, out)
-    cmp = {"fixture": "witness orbits", "mismatches": mismatches, "match": not mismatches}
-    payload = {"coverage": "partial: upper-bound side needs externally exported maximal-group generators"}
-    print(f"note: {payload['coverage']}", file=out)
-    return RunReport("verify", {"name": "low-dims"}, payload, cmp)
+    _render(["n", "value", "witness", "orbit", "spans", "status"], rows, args.format, out)
+    coverage = "partial: upper-bound side needs externally exported maximal-group generators"
+    print(f"note: {coverage}", file=out)
+    if not mismatches:
+        raise MissingExternalData(coverage)
+    return mismatches
 
 
-def cmd_symrank(args, fmt, out) -> RunReport:
+VERIFY = {
+    "low-dims": _verify_low_dims,
+    "prop515": _verify_three_sublattices,
+    "thmA": _verify_threshold_existence,
+    "thmA2": _verify_pinned_thresholds,
+    "almost-simple": _verify_almost_simple,
+}
+
+
+def cmd_verify(args, out) -> list:
+    return VERIFY[args.name](args, out)
+
+
+def cmd_symrank(args, out) -> list:
     dim, gens, gram, label = load_group_file(args.group)
     grp = MatGroup(dim, gens, label=label)
     lat = full_lattice(dim) if args.lattice == "full" else hnf(load_matrix_file(args.lattice))
@@ -240,31 +236,31 @@ def cmd_symrank(args, fmt, out) -> RunReport:
     else:
         raise ValueError(f"unknown mode {mode!r}")
     print(json.dumps(payload, default=str), file=out)
-    return RunReport("symrank", {"mode": mode}, payload)
+    return []
 
 
-def cmd_theta(args, fmt, out) -> RunReport:
+def cmd_theta(args, out) -> list:
     form = theta.GramForm(load_matrix_file(args.gram))
     if args.diagonal_bound:
         db = theta.diagonal_bound(form, cap=args.cap)
-        rows = [(sorted(db.diagonal_norms), db.bound)]
-        _render(["diagonal_norms", "bound"], rows, fmt, out)
-        return RunReport("theta", {"mode": "diagonal-bound"}, {"bound": db.bound})
+        _render(["diagonal_norms", "bound"], [(sorted(db.diagonal_norms), db.bound)], args.format, out)
+        return []
     pre = theta.theta_prefix(form, args.horizon, cap=args.cap)
-    rows = [(i, c) for i, c in enumerate(pre.coefficients)]
-    _render(["norm", "count"], rows, fmt, out)
-    return RunReport("theta", {"horizon": args.horizon}, {"coefficients": list(pre.coefficients)})
+    _render(["norm", "count"], list(enumerate(pre.coefficients)), args.format, out)
+    return []
 
 
-def cmd_gf2(args, fmt, out) -> RunReport:
-    if args.gf2_command == "factor-xp1":
-        fact = gf2cyclo.factor_xp_minus_1(args.p)
-        rows = [
-            (i, f.coeff_string(), f.degree, ",".join(map(str, sorted(c))))
-            for i, (f, c) in enumerate(zip(fact.factors, fact.cosets))
-        ]
-        _render(["index", "coefficients_lsb_first", "degree", "coset"], rows, fmt, out)
-        return RunReport("gf2 factor-xp1", {"p": args.p}, {"factor_count": len(fact.factors)})
+def cmd_gf2_factor(args, out) -> list:
+    fact = gf2cyclo.factor_xp_minus_1(args.p)
+    rows = [
+        (i, f.coeff_string(), f.degree, ",".join(map(str, sorted(c))))
+        for i, (f, c) in enumerate(zip(fact.factors, fact.cosets))
+    ]
+    _render(["index", "coefficients_lsb_first", "degree", "coset"], rows, args.format, out)
+    return []
+
+
+def cmd_gf2_subspaces(args, out) -> list:
     subs = gf2cyclo.cp_stable_subspaces(args.p)
     m = subs.component_count
     if 2**m > 4096:
@@ -276,11 +272,11 @@ def cmd_gf2(args, fmt, out) -> RunReport:
         rows.append(
             ("{" + ",".join(map(str, subset)) + "}", len(basis), ";".join(format(b, f"0{args.p}b") for b in basis))
         )
-    _render(["subset", "dimension", "basis_rows"], rows, fmt, out)
-    return RunReport("gf2 subspaces", {"p": args.p}, {"subsets": len(rows)})
+    _render(["subset", "dimension", "basis_rows"], rows, args.format, out)
+    return []
 
 
-def cmd_monomial_classify(args, fmt, out) -> RunReport:
+def cmd_monomial_classify(args, out) -> list:
     p = args.p
     lattices = gf2cyclo.binary_sublattices(p)
     subs = gf2cyclo.cp_stable_subspaces(p)
@@ -303,35 +299,31 @@ def cmd_monomial_classify(args, fmt, out) -> RunReport:
                 idx,
             )
         )
-    _render(["subset", "subspace_dim", "diagonal_order", "lattice_rank", "index_in_Zp"], rows, fmt, out)
+    _render(["subset", "subspace_dim", "diagonal_order", "lattice_rank", "index_in_Zp"], rows, args.format, out)
     rep = monomial.three_sublattice_report(p)
     rows2 = [(r.lattice_label, list(r.witness.entries), r.orbit_size, r.spans) for r in rep.rows]
-    _render(["lattice", "witness", "orbit_size", "spans"], rows2, fmt, out)
-    return RunReport(
-        "monomial classify",
-        {"p": p},
-        {"subsets": len(rows), "inequality_holds": rep.inequality_holds},
-    )
+    _render(["lattice", "witness", "orbit_size", "spans"], rows2, args.format, out)
+    return []
 
 
-def cmd_bounds(args, fmt, out) -> RunReport:
-    if args.bounds_command == "prime":
-        cases = [args.case] if args.case else list(bounds_mod.CASES)
-        rows = []
-        for case in cases:
-            rep = bounds_mod.min_threshold(args.a, case, horizon=args.horizon)
-            rows.append((args.a, case, rep.threshold, rep.horizon, len(rep.anomalies)))
-        _render(["a", "case", "threshold", "horizon", "anomalies"], rows, fmt, out)
-        return RunReport("bounds prime", {"a": args.a}, {"rows": len(rows)})
-    if args.bounds_command == "almost-simple":
-        return _verify_almost_simple(args.data, args.qcap, args.ncap, fmt, out)
-    pf = bounds_mod.prime_of_form(args.qmax, args.mmax)
-    rows = [(t.p, t.q, t.m) for t in pf]
-    _render(["p", "q", "m"], rows, fmt, out)
-    return RunReport("bounds prime-of-form", {"qmax": args.qmax, "mmax": args.mmax}, {"count": len(rows)})
+def cmd_bounds_prime(args, out) -> list:
+    cases = [args.case] if args.case else list(bounds_mod.CASES)
+    rows = []
+    for case in cases:
+        rep = bounds_mod.min_threshold(args.a, case, horizon=args.horizon)
+        rows.append((args.a, case, rep.threshold, rep.horizon, len(rep.anomalies)))
+    _render(["a", "case", "threshold", "horizon", "anomalies"], rows, args.format, out)
+    return []
+
+
+def cmd_prime_of_form(args, out) -> list:
+    rows = [(t.p, t.q, t.m) for t in bounds_mod.prime_of_form(args.qmax, args.mmax)]
+    _render(["p", "q", "m"], rows, args.format, out)
+    return []
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser; each (sub)command's ``run`` default is its handler."""
     ap = argparse.ArgumentParser(prog="glattice", description=__doc__)
     ap.add_argument("--format", choices=("text", "csv", "json"), default="text")
     ap.add_argument("--cap", type=int, default=10**7, help="enumeration cap")
@@ -340,36 +332,43 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rootsys-table", help="emit the Weyl symmetric-rank table")
     p.add_argument("--max-rank", type=int, default=8)
+    p.set_defaults(run=cmd_rootsys_table)
 
     p = sub.add_parser("rdim-table", help="emit the lower-bound table")
     p.add_argument("--max-n", type=int, default=10)
+    p.set_defaults(run=cmd_rdim_table)
 
     p = sub.add_parser("verify", help="run a named verification")
-    p.add_argument("--name", required=True, choices=("low-dims", "prop515", "thmA", "thmA2", "almost-simple"))
+    p.add_argument("--name", required=True, choices=tuple(VERIFY))
     p.add_argument("--qcap", type=int, default=50)
     p.add_argument("--ncap", type=int, default=10)
+    p.set_defaults(run=cmd_verify)
 
     p = sub.add_parser("symrank", help="symmetric-rank search for an ingested group")
     p.add_argument("--group", required=True)
     p.add_argument("--lattice", default="full", help="matrix JSON file of basis rows, or 'full'")
     p.add_argument("--radius", type=int, default=3)
     p.add_argument("--mode", default="exact", help="exact | orbit:v1,v2,... | diagonal-theta")
+    p.set_defaults(run=cmd_symrank)
 
     p = sub.add_parser("theta", help="theta series coefficients of a Gram form")
     p.add_argument("--gram", required=True)
     p.add_argument("--horizon", type=int, default=4)
     p.add_argument("--diagonal-bound", action="store_true")
+    p.set_defaults(run=cmd_theta)
 
     p = sub.add_parser("gf2", help="GF(2) cyclotomic tooling")
     gsub = p.add_subparsers(dest="gf2_command", required=True)
-    for name in ("factor-xp1", "subspaces"):
+    for name, run in (("factor-xp1", cmd_gf2_factor), ("subspaces", cmd_gf2_subspaces)):
         gp = gsub.add_parser(name)
         gp.add_argument("--p", type=int, required=True)
+        gp.set_defaults(run=run)
 
     p = sub.add_parser("monomial", help="monomial group tooling")
     msub = p.add_subparsers(dest="monomial_command", required=True)
     mp = msub.add_parser("classify")
     mp.add_argument("--p", type=int, required=True)
+    mp.set_defaults(run=cmd_monomial_classify)
 
     p = sub.add_parser("bounds", help="inequality engines")
     bsub = p.add_subparsers(dest="bounds_command", required=True)
@@ -377,49 +376,23 @@ def build_parser() -> argparse.ArgumentParser:
     bp.add_argument("--a", type=int, required=True)
     bp.add_argument("--case", choices=bounds_mod.CASES, default=None)
     bp.add_argument("--horizon", type=int, default=10007)
+    bp.set_defaults(run=cmd_bounds_prime)
     bp = bsub.add_parser("almost-simple")
     bp.add_argument("--qcap", type=int, default=50)
     bp.add_argument("--ncap", type=int, default=10)
+    bp.set_defaults(run=VERIFY["almost-simple"])
     bp = bsub.add_parser("prime-of-form")
     bp.add_argument("--qmax", type=int, required=True)
     bp.add_argument("--mmax", type=int, required=True)
+    bp.set_defaults(run=cmd_prime_of_form)
     return ap
 
 
 def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
     args = build_parser().parse_args(argv)
-    fmt = args.format
     try:
-        if args.command == "rootsys-table":
-            report = cmd_rootsys_table(args.max_rank, fmt, out)
-        elif args.command == "rdim-table":
-            report = cmd_rdim_table(args.max_n, fmt, out)
-        elif args.command == "verify":
-            if args.name == "prop515":
-                report = _verify_three_sublattices(fmt, out)
-            elif args.name == "thmA":
-                report = _verify_threshold_existence(fmt, out)
-            elif args.name == "thmA2":
-                report = _verify_pinned_thresholds(fmt, out)
-            elif args.name == "almost-simple":
-                report = _verify_almost_simple(args.data, args.qcap, args.ncap, fmt, out)
-            else:
-                report = _verify_low_dims(fmt, out)
-                if report.match:
-                    return EXIT_MISSING_DATA
-        elif args.command == "symrank":
-            report = cmd_symrank(args, fmt, out)
-        elif args.command == "theta":
-            report = cmd_theta(args, fmt, out)
-        elif args.command == "gf2":
-            report = cmd_gf2(args, fmt, out)
-        elif args.command == "monomial":
-            report = cmd_monomial_classify(args, fmt, out)
-        elif args.command == "bounds":
-            report = cmd_bounds(args, fmt, out)
-        else:  # pragma: no cover
-            raise ValueError(args.command)
+        mismatches = args.run(args, out)
     except CapExceeded as e:
         print(f"cap exceeded: {e}", file=sys.stderr)
         return EXIT_CAP_EXCEEDED
@@ -432,8 +405,8 @@ def main(argv=None, out=None) -> int:
     except (OSError, ValueError, NonUnimodularGenerator) as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    if not report.match:
-        print(f"fixture mismatch: {report.fixture_comparison['mismatches']}", file=sys.stderr)
+    if mismatches:
+        print(f"fixture mismatch: {mismatches}", file=sys.stderr)
         return EXIT_FIXTURE_MISMATCH
     return EXIT_OK
 

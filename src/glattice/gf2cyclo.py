@@ -365,14 +365,11 @@ def _cyclic_shifts(v: IntVector) -> list[tuple[int, ...]]:
     return [tuple(e[(j - k) % n] for j in range(n)) for k in range(n)]
 
 
-def binary_sublattice(p: int, subset, include_doubles: bool = True) -> LatticeBasis:
-    """Sublattice of Z^p spanned by shifts of the v_i, i in subset.
+def binary_sublattice(p: int, subset) -> LatticeBasis:
+    """Sublattice of Z^p spanned by shifts of the v_i, i in subset, and 2 Z^p.
 
-    With include_doubles (the default) the lattice 2 Z^p is added, matching
-    the primitive sublattices of a monomial group containing all sign
-    matrices and a p-cycle.  Without it, only the shift span is returned
-    (the all-ones case differs between the two conventions when the
-    ambient group has no sign part).
+    These are the primitive sublattices of a monomial group containing all
+    sign matrices and a p-cycle.
     """
     subset = frozenset(subset)
     fact = factor_xp_minus_1(p)
@@ -383,9 +380,8 @@ def binary_sublattice(p: int, subset, include_doubles: bool = True) -> LatticeBa
     rows: list[tuple[int, ...]] = []
     for i in sorted(subset):
         rows.extend(_cyclic_shifts(binary_coefficient_vector(p, i)))
-    if include_doubles:
-        for j in range(p):
-            rows.append(tuple(2 if k == j else 0 for k in range(p)))
+    for j in range(p):
+        rows.append(tuple(2 if k == j else 0 for k in range(p)))
     return hnf_from_rows(rows, p)
 
 

@@ -336,10 +336,14 @@ def _hnf_rows(rows) -> list[tuple[int, ...]]:
     return list(basis)
 
 
+def _lattice(rows, ambient_dim: int) -> LatticeBasis:
+    """The lattice whose canonical HNF rows are ``rows`` (possibly none)."""
+    return LatticeBasis(ambient_dim, IntMatrix.from_rows(rows) if rows else IntMatrix.zero(0, ambient_dim))
+
+
 def hnf(m: IntMatrix) -> LatticeBasis:
     """Canonical HNF basis of the row span of m (zero matrix -> rank 0)."""
-    rows = _hnf_rows(m.to_rows())
-    return LatticeBasis(m.cols, IntMatrix.from_rows(rows) if rows else IntMatrix.zero(0, m.cols))
+    return _lattice(_hnf_rows(m.to_rows()), m.cols)
 
 
 def hnf_from_rows(rows, ambient_dim: int) -> LatticeBasis:
@@ -348,8 +352,7 @@ def hnf_from_rows(rows, ambient_dim: int) -> LatticeBasis:
     for r in rows:
         if len(r) != ambient_dim:
             raise ValueError("row dimension mismatch")
-    out = _hnf_rows(rows)
-    return LatticeBasis(ambient_dim, IntMatrix.from_rows(out) if out else IntMatrix.zero(0, ambient_dim))
+    return _lattice(_hnf_rows(rows), ambient_dim)
 
 
 def zero_lattice(ambient_dim: int) -> LatticeBasis:

@@ -18,6 +18,8 @@ from .intmat import (
     IntMatrix,
     IntVector,
     LatticeBasis,
+    _hnf_insert,
+    _lattice,
     as_vector,
     coordinates_in,
     hnf,
@@ -172,26 +174,29 @@ def orbit(g: MatGroup, v, cap: int = DEFAULT_ORBIT_CAP) -> Orbit:
     return Orbit(IntVector(min(seen)), frozenset(seen), len(seen))
 
 
-def stable_span(g: MatGroup, v, max_rounds: int = 10_000) -> LatticeBasis:
-    """Smallest g-stable lattice containing v, by basis-level fixpoint.
+def stable_span(g: MatGroup, v) -> LatticeBasis:
+    """Smallest g-stable lattice containing v, by HNF row insertion.
 
-    Equals the span of the orbit of v but runs in time polynomial in the
-    dimension rather than the orbit size: each round closes the current
-    basis under the generators and re-normalizes.
+    Equals the span of the orbit of v without listing the orbit: a worklist
+    starts at v, each vector is inserted into the HNF, and the generator
+    images of every vector that grows the span are queued.  A vector that
+    does not grow the span lies in the span of earlier vectors that did,
+    whose images are already queued, so the result is g-stable; every
+    queued vector lies in the orbit, so the result is exactly its span.
+    Every growth is a strict step up an ascending chain of sublattices of
+    Z^n, and such chains are finite, so the worklist runs out.
     """
     vv = as_vector(v)
-    lat = hnf_from_rows([vv.entries], g.dim) if not vv.is_zero() else hnf_from_rows([], g.dim)
-    for _ in range(max_rounds):
-        rows = lat.rows()
-        new_rows = list(rows)
-        for h in g.generators:
-            for r in rows:
-                new_rows.append(h.apply(r).entries)
-        nxt = hnf_from_rows(new_rows, g.dim)
-        if nxt == lat:
-            return lat
-        lat = nxt
-    raise AssertionError("stable span failed to converge")
+    if vv.dim != g.dim:
+        raise ValueError("vector dimension does not match group dimension")
+    span: tuple = ()
+    todo = [vv.entries]
+    for w in todo:
+        grown = _hnf_insert(span, w)
+        if grown is not span:
+            span = grown
+            todo.extend(h.apply(w).entries for h in g.generators)
+    return _lattice(span, g.dim)
 
 
 def stabilizer_order(g: MatGroup, v, cap: int = DEFAULT_GROUP_CAP) -> int:

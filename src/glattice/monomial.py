@@ -1,10 +1,11 @@
 """Monomial (signed permutation) groups and the prime-dimension sublattice analysis.
 
-Elements are stored structurally as (signs, permutation) pairs, never as
-dense matrices.  Vector orbits, which for binary vectors in dimension p can
-reach size 2^p, run through the orbit kernel of :mod:`matgroup`, which
-touches only the one nonzero entry in each moved row of a signed
-permutation.  Dense matrices are available on demand.
+Elements are stored structurally as (signs, permutation) pairs.  Vector
+orbits, which for binary vectors in dimension p can reach size 2^p, and the
+two closures -- the permutation image and the group whose diagonal part is
+read off -- run on the orbit kernel of :mod:`matgroup`, which touches only
+the one nonzero entry in each moved row of a signed permutation.  Dense
+matrices are available on demand.
 
 The composition law is verified against matrix multiplication in the test
 suite; the convention is that ``(signs, perm)`` denotes D(signs) P(perm)
@@ -27,7 +28,7 @@ from .intmat import (
     ones_vector,
     unit_vector,
 )
-from .matgroup import MatGroup, _moved_rows, _orbit_bfs
+from .matgroup import MatGroup, _moved_rows, _orbit_bfs, closure
 
 DEFAULT_CAP = 10**7
 
@@ -138,24 +139,6 @@ def full_monomial_group(n: int) -> MonomialGroup:
     return MonomialGroup(n, tuple(gens), label=f"Mon_{n}")
 
 
-def closure_elements(g: MonomialGroup, cap: int = DEFAULT_CAP) -> frozenset:
-    ident = MonomialElement.identity(g.n)
-    seen = {ident}
-    queue = [ident]
-    qi = 0
-    while qi < len(queue):
-        cur = queue[qi]
-        qi += 1
-        for gen in g.generators:
-            nxt = cur.compose(gen)
-            if nxt not in seen:
-                if len(seen) >= cap:
-                    raise CapExceeded("monomial closure", cap)
-                seen.add(nxt)
-                queue.append(nxt)
-    return frozenset(seen)
-
-
 def vector_orbit(g: MonomialGroup, v, cap: int = DEFAULT_CAP) -> frozenset:
     """Orbit of a vector (deterministic BFS through the matrix orbit kernel)."""
     seen, complete = _orbit_bfs(_moved_rows(g.matgroup().generators), as_vector(v).entries, cap)
@@ -174,20 +157,18 @@ class PiSummary:
 
 
 def project_pi(g: MonomialGroup, cap: int = DEFAULT_CAP) -> PiSummary:
-    """Closure of the permutation parts, with n-cycle detection."""
-    ident = tuple(range(g.n))
-    seen = {ident}
-    queue = [ident]
+    """Closure of the permutation parts, with n-cycle detection.
+
+    Runs on the orbit kernel: the identity permutation is moved by the
+    matrices with row i equal to e_{perm[i]}, which send cur to the
+    composite with entries cur[perm[i]].
+    """
+    n = g.n
     gens = [e.perm for e in g.generators]
-    while queue:
-        cur = queue.pop(0)
-        for gen in gens:
-            nxt = tuple(cur[gen[i]] for i in range(g.n))
-            if nxt not in seen:
-                if len(seen) >= cap:
-                    raise CapExceeded("permutation closure", cap)
-                seen.add(nxt)
-                queue.append(nxt)
+    mats = [IntMatrix.from_rows([[int(j == p[i]) for j in range(n)] for i in range(n)]) for p in gens]
+    seen, complete = _orbit_bfs(_moved_rows(mats), tuple(range(n)), cap)
+    if not complete:
+        raise CapExceeded("permutation closure", cap)
     has_cycle = any(_is_n_cycle(p) for p in seen)
     return PiSummary(len(seen), has_cycle, tuple(gens))
 
@@ -210,16 +191,20 @@ def o2_diagonal_part(g: MonomialGroup, cap: int = DEFAULT_CAP) -> tuple[int, ...
     Requires n odd and an n-cycle in the permutation image; under those
     hypotheses the maximal normal 2-subgroup consists exactly of the
     diagonal elements, so its sign patterns form the returned subspace.
+    Those are the elements of the matrix closure with no zero on the
+    diagonal.
     """
     if g.n % 2 == 0:
         raise HypothesisNotMet("dimension must be odd")
     if not project_pi(g, cap).has_n_cycle:
         raise HypothesisNotMet("permutation image contains no n-cycle")
-    masks = [e.sign_mask() for e in closure_elements(g, cap) if e.is_diagonal()]
+    n = g.n
+    diagonals = (e[:: n + 1] for e in closure(g.matgroup(), cap)[0])
+    masks = [sum(1 << i for i, s in enumerate(d) if s == -1) for d in diagonals if all(d)]
     return tuple(_rref_masks(masks))
 
 
-def support_reduce(l: LatticeBasis, n: int, max_support: int | None = None) -> IntVector:
+def support_reduce(l: LatticeBasis, n: int) -> IntVector:
     """A binary vector of l with support at most floor(2n/3).
 
     Preconditions (checked): l is primitive of positive rank, contains
@@ -228,7 +213,7 @@ def support_reduce(l: LatticeBasis, n: int, max_support: int | None = None) -> I
     XORs a vector with a cyclic shift of itself (their sum minus twice the
     overlap), which strictly shrinks support while it exceeds 2n/3.
     """
-    target = max_support if max_support is not None else (2 * n) // 3
+    target = (2 * n) // 3
     if l.ambient_dim != n or l.rank == 0:
         raise HypothesisNotMet("lattice must have positive rank in Z^n")
     for j in range(n):
@@ -267,13 +252,13 @@ def support_reduce(l: LatticeBasis, n: int, max_support: int | None = None) -> I
     raise AssertionError("support reduction made no progress")
 
 
-def monomial_orbit_bound(v, pi_order: int, pi_orbit_size: int | None = None) -> int:
-    """2^{support length} times the permutation-orbit bound, exact."""
+def monomial_orbit_bound(v, pi_order: int) -> int:
+    """2^{support length} times pi_order, which bounds the permutation orbit; exact."""
     vv = as_vector(v)
     if not vv.is_binary():
         raise ValueError("bound applies to binary vectors")
     s = len(vv.support())
-    return 2**s * (pi_orbit_size if pi_orbit_size is not None else pi_order)
+    return 2**s * pi_order
 
 
 def full_monomial_orbit_size_binary(n: int, support: int) -> int:

@@ -36,7 +36,6 @@ from .intmat import (
     hnf,
     hnf_from_rows,
     index,
-    snf,
     unit_vector,
 )
 from .matgroup import MatGroup
@@ -549,71 +548,3 @@ def rdim_lower_bound(n: int) -> RdimBound:
         v, fam, r, kind = small[n]
         return RdimBound(n, v, fam, r, kind)
     return RdimBound(n, 2**n, "B", n, "weight")
-
-
-# ---------------------------------------------------------------------------
-# Regression fixtures for the membership matrices P^-1 D.
-#
-# The published bottom-row matrices are one valid choice among many (the
-# transforms in a Smith decomposition are not canonical), so they are
-# compared modulo unimodular equivalence: the lattice generated by the
-# matrix columns must equal the root lattice.
-# ---------------------------------------------------------------------------
-
-
-def published_pinv_d(spec: RootSystemSpec) -> IntMatrix | None:
-    """Published membership matrix (identity rows + special bottom rows)."""
-    n = spec.rank
-    fam = spec.family
-
-    def with_bottom(bottom_rows: list[list[int]]) -> IntMatrix:
-        k = len(bottom_rows)
-        rows = [[int(i == j) for j in range(n)] for i in range(n - k)] + bottom_rows
-        return IntMatrix.from_rows(rows)
-
-    if fam == "A":
-        return with_bottom([[*range(1, n), n + 1]]) if n >= 1 else None
-    if fam == "B":
-        return with_bottom([[0] * (n - 1) + [2]])
-    if fam == "C":
-        if n % 2 == 1:
-            return with_bottom([[1, 0] * ((n - 1) // 2) + [2]])
-        return with_bottom(
-            [[1, 0] * ((n - 2) // 2) + [0, -2], [0] * (n - 2) + [1, 2]]
-        )
-    if fam == "D":
-        if n % 2 == 0:
-            return with_bottom(
-                [[1, 0] * ((n - 2) // 2) + [2, 0], [1, 0] * ((n - 2) // 2) + [0, 2]]
-            )
-        return with_bottom([[2, 0] * ((n - 3) // 2) + [2, 1, 4]])
-    if fam == "E" and n == 6:
-        return with_bottom([[1, 0, 2, 0, 1, 3]])
-    if fam == "E" and n == 7:
-        return with_bottom([[0, 1, 0, 0, 1, 0, 2]])
-    return None  # E_8, F_4, G_2: root lattice equals weight lattice
-
-
-def column_span(m: IntMatrix) -> LatticeBasis:
-    return hnf(m.transpose())
-
-
-def membership_matrix_from_snf(model: WeylModel) -> IntMatrix:
-    """P^-1 D computed from this package's own Smith decomposition.
-
-    Solvability of (P^-1 D) u = v over Z characterizes membership in the
-    root lattice written in weight coordinates; equivalently the column
-    span of P^-1 D is the root lattice.
-    """
-    dec = snf(model.cartan.transpose())
-    return dec.P.inverse_unimodular().mul(dec.D)
-
-
-def root_membership_by_snf(model: WeylModel, v) -> bool:
-    """Membership test for the root lattice via the Smith decomposition."""
-    dec = snf(model.cartan.transpose())
-    pv = dec.P.apply(as_vector(v))
-    return all(
-        (pv[i] % dec.D[i, i] == 0) if dec.D[i, i] != 0 else (pv[i] == 0)
-        for i in range(model.rank)
-    )

@@ -7,11 +7,26 @@ from hypothesis import strategies as st  # noqa: E402
 
 from glattice.intmat import IntMatrix, LatticeBasis, hnf_from_rows  # noqa: E402
 from glattice.matgroup import MatGroup, orbit  # noqa: E402
+from glattice.monomial import MonomialElement, MonomialGroup  # noqa: E402
 
 
 def orbit_span(g: MatGroup, v) -> LatticeBasis:
     """Oracle for ``stable_span``: HNF basis of the span of the listed orbit of v."""
     return hnf_from_rows(sorted(orbit(g, v).elements), g.dim)
+
+
+def closure_elements(g: MonomialGroup) -> frozenset:
+    """Oracle for the monomial closures: every element, by BFS over compositions."""
+    ident = MonomialElement.identity(g.n)
+    seen = {ident}
+    queue = [ident]
+    for cur in queue:
+        for gen in g.generators:
+            nxt = cur.compose(gen)
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return frozenset(seen)
 
 
 def unimodular_matrices(n: int):

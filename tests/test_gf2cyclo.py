@@ -5,6 +5,7 @@ from glattice._primes import primes_upto
 from glattice.errors import NotOddPrime
 from glattice.gf2cyclo import (
     GF2Poly,
+    _cyclic_shifts,
     _rref_masks,
     binary_coefficient_vector,
     binary_sublattice,
@@ -14,7 +15,7 @@ from glattice.gf2cyclo import (
     factor_xp_minus_1,
     ord2,
 )
-from glattice.intmat import full_lattice, index, is_primitive, member
+from glattice.intmat import full_lattice, hnf_from_rows, index, is_primitive, member
 
 ODD_PRIMES_200 = [p for p in primes_upto(200) if p > 2]
 
@@ -93,7 +94,9 @@ def test_diag_generators_p3():
 
 def test_diag_generator_closure_matches_subspace():
     # closing D_1 under conjugation by the 3-cycle gives the even-sign group
-    from glattice.monomial import MonomialGroup, closure_elements, cycle_element, diagonal_element
+    from conftest import closure_elements
+
+    from glattice.monomial import MonomialGroup, cycle_element, diagonal_element
 
     d1 = diagonal_element(diag_generators(3)[1])
     shift = cycle_element(3)
@@ -153,6 +156,6 @@ def test_binary_vector_weights_even_for_nontrivial_components():
 
 def test_l1_with_and_without_doubles():
     with_doubles = binary_sublattice(7, {0})
-    bare = binary_sublattice(7, {0}, include_doubles=False)
+    bare = hnf_from_rows(_cyclic_shifts(binary_coefficient_vector(7, 0)), 7)
     assert bare.rank == 1 and with_doubles.rank == 7
     assert member((1,) * 7, bare)

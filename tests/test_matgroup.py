@@ -4,7 +4,7 @@ import random
 
 import pytest
 from conftest import orbit_span, unimodular_matrices
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from glattice.errors import CapExceeded, NonUnimodularConjugator, NonUnimodularGenerator, NotGStable
@@ -19,6 +19,7 @@ from glattice.matgroup import (
     orbit,
     restrict_lattice,
     stabilizer_order,
+    stable_span,
 )
 from glattice.rootsys import RootSystemSpec, build
 
@@ -195,10 +196,6 @@ def test_irreducibility_certificate_language():
 
 def test_stable_span_agrees_with_orbit_span():
     """Dual route: fixpoint span must equal the enumerated orbit span."""
-    import random
-
-    from glattice.matgroup import stable_span
-
     rng = random.Random(17)
     groups = [wgroup("A", 2), wgroup("B", 3), wgroup("D", 4), wgroup("G", 2)]
     for g in groups:
@@ -319,3 +316,29 @@ def test_closure_equals_matrix_product_oracle(case):
         with pytest.raises(CapExceeded) as err:
             closure(MatGroup(dim, gens), cap=order - 1)
         assert (err.value.what, err.value.cap) == ("group closure", order - 1)
+
+
+# Here the span reaches full rank before it is the orbit span, so generator
+# images must be queued after growth that keeps the rank.
+FULL_RANK_TOO_EARLY = (
+    4,
+    [
+        IntMatrix.from_rows([(0, 0, -1, 0), (0, 1, 0, 0), (0, 0, 0, 1), (-1, 0, 0, 0)]),
+        IntMatrix.from_rows([(0, 0, -1, 0), (1, 0, 0, 0), (0, -1, 0, 0), (0, 0, 0, 1)]),
+    ],
+)
+
+
+@settings(max_examples=200, deadline=None)
+@example((FULL_RANK_TOO_EARLY, [1, 0, 1, -1]))
+@given(
+    st.one_of(SIGNED_PERMUTATION_GENERATORS, CONJUGATED_WEYL_GENERATORS).flatmap(
+        lambda case: st.tuples(st.just(case), st.lists(st.integers(-3, 3), min_size=case[0], max_size=case[0]))
+    )
+)
+def test_stable_span_equals_orbit_span_oracle(case):
+    (dim, gens), v = case
+    g = MatGroup(dim, gens)
+    assert stable_span(g, v) == orbit_span(g, v)
+    zero = (0,) * dim
+    assert stable_span(g, zero) == orbit_span(g, zero)

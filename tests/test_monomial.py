@@ -2,14 +2,14 @@
 import random
 
 import pytest
+from conftest import closure_elements
 
 from glattice.errors import CapExceeded, HypothesisNotMet
-from glattice.gf2cyclo import binary_sublattice, binary_sublattices, cp_stable_subspaces, diag_generators
+from glattice.gf2cyclo import _rref_masks, binary_sublattice, binary_sublattices, cp_stable_subspaces, diag_generators
 from glattice.intmat import full_lattice, member
 from glattice.monomial import (
     MonomialElement,
     MonomialGroup,
-    closure_elements,
     cycle_element,
     diagonal_element,
     full_monomial_group,
@@ -62,6 +62,57 @@ def test_project_pi_cyclic():
     g = MonomialGroup(5, (cycle_element(5), MonomialElement((-1,) * 5, tuple(range(5)))))
     pi = project_pi(g)
     assert pi.order == 5 and pi.has_n_cycle
+
+
+def _permutation_closure(perms, n):
+    """Oracle for project_pi: products of generator permutations to a fixpoint."""
+    group = {tuple(range(n))}
+    while True:
+        bigger = group | {tuple(a[b[i]] for i in range(n)) for a in group for b in perms}
+        if bigger == group:
+            return group
+        group = bigger
+
+
+def _moves_0_through_all(p):
+    """Whether the cycle of p through 0 has length n (p is an n-cycle)."""
+    cycle, i = {0}, p[0]
+    while i not in cycle:
+        cycle.add(i)
+        i = p[i]
+    return len(cycle) == len(p)
+
+
+def test_project_pi_equals_permutation_closure_oracle():
+    rng = random.Random(41)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        g = MonomialGroup(n, tuple(random_element(rng, n) for _ in range(rng.randint(0, 3))))
+        group = _permutation_closure([e.perm for e in g.generators], n)
+        order = len(group)
+        pi = project_pi(g, cap=order)
+        assert (pi.order, pi.has_n_cycle) == (order, any(_moves_0_through_all(p) for p in group))
+        if order > 1:  # the trivial group meets no new element, so no cap is hit
+            with pytest.raises(CapExceeded) as err:
+                project_pi(g, cap=order - 1)
+            assert (err.value.what, err.value.cap) == ("permutation closure", order - 1)
+
+
+def test_o2_diagonal_part_equals_closure_oracle():
+    rng = random.Random(43)
+    for _ in range(30):
+        n = rng.choice((3, 5, 7))
+        shift = MonomialElement(tuple(rng.choice((1, -1)) for _ in range(n)), cycle_element(n).perm)
+        extra = []
+        for _ in range(rng.randint(0, 2)):
+            e = random_element(rng, n)
+            if n == 7:  # keep the group small: permutation part a power of the cycle
+                k = rng.randrange(n)
+                e = MonomialElement(e.signs, tuple((i + k) % n for i in range(n)))
+            extra.append(e)
+        g = MonomialGroup(n, (shift, *extra))
+        masks = [e.sign_mask() for e in closure_elements(g) if e.is_diagonal()]
+        assert o2_diagonal_part(g) == tuple(_rref_masks(masks))
 
 
 def test_o2_full_diagonal():

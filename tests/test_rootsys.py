@@ -5,25 +5,90 @@ import pytest
 from conftest import orbit_span
 
 from glattice.errors import InvalidRank, KindUnavailable
-from glattice.intmat import IntMatrix, full_lattice, index, member, unit_vector
+from glattice.intmat import IntMatrix, LatticeBasis, as_vector, full_lattice, hnf, index, member, snf, unit_vector
 from glattice.matgroup import closure, orbit
 from glattice.rootsys import (
     RootSystemSpec,
+    WeylModel,
     build,
     cartan_matrix,
-    column_span,
     dominant_representative,
     expected_symrank,
     lattice,
-    membership_matrix_from_snf,
-    published_pinv_d,
     rdim_lower_bound,
-    root_membership_by_snf,
     short_root_count,
     stabilizer_order_dominant,
     weyl_symrank_table,
     weyl_orbit_size,
 )
+
+# ---------------------------------------------------------------------------
+# Regression fixtures for the membership matrices P^-1 D.
+#
+# The published bottom-row matrices are one valid choice among many (the
+# transforms in a Smith decomposition are not canonical), so they are
+# compared modulo unimodular equivalence: the lattice generated by the
+# matrix columns must equal the root lattice.
+# ---------------------------------------------------------------------------
+
+
+def published_pinv_d(spec: RootSystemSpec) -> IntMatrix | None:
+    """Published membership matrix (identity rows + special bottom rows)."""
+    n = spec.rank
+    fam = spec.family
+
+    def with_bottom(bottom_rows: list[list[int]]) -> IntMatrix:
+        k = len(bottom_rows)
+        rows = [[int(i == j) for j in range(n)] for i in range(n - k)] + bottom_rows
+        return IntMatrix.from_rows(rows)
+
+    if fam == "A":
+        return with_bottom([[*range(1, n), n + 1]]) if n >= 1 else None
+    if fam == "B":
+        return with_bottom([[0] * (n - 1) + [2]])
+    if fam == "C":
+        if n % 2 == 1:
+            return with_bottom([[1, 0] * ((n - 1) // 2) + [2]])
+        return with_bottom(
+            [[1, 0] * ((n - 2) // 2) + [0, -2], [0] * (n - 2) + [1, 2]]
+        )
+    if fam == "D":
+        if n % 2 == 0:
+            return with_bottom(
+                [[1, 0] * ((n - 2) // 2) + [2, 0], [1, 0] * ((n - 2) // 2) + [0, 2]]
+            )
+        return with_bottom([[2, 0] * ((n - 3) // 2) + [2, 1, 4]])
+    if fam == "E" and n == 6:
+        return with_bottom([[1, 0, 2, 0, 1, 3]])
+    if fam == "E" and n == 7:
+        return with_bottom([[0, 1, 0, 0, 1, 0, 2]])
+    return None  # E_8, F_4, G_2: root lattice equals weight lattice
+
+
+def column_span(m: IntMatrix) -> LatticeBasis:
+    return hnf(m.transpose())
+
+
+def membership_matrix_from_snf(model: WeylModel) -> IntMatrix:
+    """P^-1 D computed from this package's own Smith decomposition.
+
+    Solvability of (P^-1 D) u = v over Z characterizes membership in the
+    root lattice written in weight coordinates; equivalently the column
+    span of P^-1 D is the root lattice.
+    """
+    dec = snf(model.cartan.transpose())
+    return dec.P.inverse_unimodular().mul(dec.D)
+
+
+def root_membership_by_snf(model: WeylModel, v) -> bool:
+    """Membership test for the root lattice via the Smith decomposition."""
+    dec = snf(model.cartan.transpose())
+    pv = dec.P.apply(as_vector(v))
+    return all(
+        (pv[i] % dec.D[i, i] == 0) if dec.D[i, i] != 0 else (pv[i] == 0)
+        for i in range(model.rank)
+    )
+
 
 ALL_SMALL = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4),
