@@ -108,13 +108,6 @@ def ceil_log2(x: int) -> int:
     return (x - 1).bit_length()
 
 
-def floor_log2(x: int) -> int:
-    """Largest k with 2^k <= x, for x >= 1."""
-    if x < 1:
-        raise ValueError("floor_log2 wants a positive integer")
-    return x.bit_length() - 1
-
-
 def pow2_at_least(exponent: int, value: int) -> bool:
     """Whether 2^exponent >= value, without forming 2^exponent."""
     if value < 1:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple
 
-from ._primes import ceil_log2, floor_log2, is_prime, pow2_at_least, prime_power, prime_powers_upto, primes_upto
+from ._primes import ceil_log2, is_prime, pow2_at_least, prime_power, prime_powers_upto, primes_upto
 from .errors import HorizonTooSmall, InvalidCase, NotOddPrime, NotPrimePower
 
 LOG_FRAC_BITS = 12
@@ -29,13 +29,6 @@ def log2_fixed_upper(x: int) -> int:
     if x == 1:
         return 0
     return ceil_log2(x ** (1 << LOG_FRAC_BITS))
-
-
-def log2_fixed_lower(x: int) -> int:
-    """Largest k with k / 2^LOG_FRAC_BITS <= log2(x), for x >= 1."""
-    if x < 1:
-        raise ValueError("log2 of a nonpositive integer")
-    return floor_log2(x ** (1 << LOG_FRAC_BITS))
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from . import groupdata, monomial, rootsys, search, theta
 from . import gf2cyclo
 from .errors import CapExceeded, FixtureMismatch, GLatticeError, MissingExternalData, NonUnimodularGenerator
 from .intmat import full_lattice, hnf
-from .matgroup import MatGroup
+from .matgroup import DEFAULT_CAP, MatGroup
 from .serialize import load_group_file, load_matrix_file, vector_to_json
 
 EXIT_OK = 0
@@ -263,8 +263,8 @@ def cmd_gf2_factor(args, out) -> list:
 def cmd_gf2_subspaces(args, out) -> list:
     subs = gf2cyclo.cp_stable_subspaces(args.p)
     m = subs.component_count
-    if 2**m > 4096:
-        raise CapExceeded("subset enumeration", 4096)
+    if 2**m > gf2cyclo.SUBSET_CAP:
+        raise CapExceeded("subset enumeration", gf2cyclo.SUBSET_CAP)
     rows = []
     for bits in range(2**m):
         subset = sorted(i for i in range(m) if bits >> i & 1)
@@ -326,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The argument parser; each (sub)command's ``run`` default is its handler."""
     ap = argparse.ArgumentParser(prog="glattice", description=__doc__)
     ap.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    ap.add_argument("--cap", type=int, default=10**7, help="enumeration cap")
+    ap.add_argument("--cap", type=int, default=DEFAULT_CAP, help="enumeration cap")
     ap.add_argument("--data", default=None, help="override data directory file path")
     sub = ap.add_subparsers(dest="command", required=True)
 

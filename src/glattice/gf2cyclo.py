@@ -20,6 +20,8 @@ from ._primes import is_prime, multiplicative_order
 from .errors import CapExceeded, NotOddPrime
 from .intmat import IntMatrix, IntVector, LatticeBasis, hnf_from_rows, zero_lattice
 
+SUBSET_CAP = 4096  # most component subsets enumerated by one call
+
 
 @dataclass(frozen=True)
 class GF2Poly:
@@ -30,18 +32,6 @@ class GF2Poly:
     def __post_init__(self):
         if self.bits < 0:
             raise ValueError("negative bit pattern")
-
-    @classmethod
-    def from_coeffs(cls, coeffs) -> "GF2Poly":
-        bits = 0
-        for k, c in enumerate(coeffs):
-            if c & 1:
-                bits |= 1 << k
-        return cls(bits)
-
-    @classmethod
-    def x_pow(cls, k: int) -> "GF2Poly":
-        return cls(1 << k)
 
     @property
     def degree(self) -> int:
@@ -57,9 +47,6 @@ class GF2Poly:
     def coeffs(self, length: int | None = None) -> tuple[int, ...]:
         n = self.bits.bit_length() if length is None else length
         return tuple((self.bits >> k) & 1 for k in range(max(n, 1)))
-
-    def weight(self) -> int:
-        return bin(self.bits).count("1")
 
     def __add__(self, other: "GF2Poly") -> "GF2Poly":
         return GF2Poly(self.bits ^ other.bits)
@@ -225,10 +212,6 @@ class CyclotomicFactorization:
     factors: tuple[GF2Poly, ...]
     cosets: tuple[frozenset, ...]
 
-    @property
-    def nontrivial_count(self) -> int:
-        return len(self.factors) - 1
-
     def complementary_product(self, i: int) -> GF2Poly:
         """g_i = product of all factors except the i-th."""
         out = ONE
@@ -385,12 +368,12 @@ def binary_sublattice(p: int, subset) -> LatticeBasis:
     return hnf_from_rows(rows, p)
 
 
-def binary_sublattices(p: int, cap: int = 4096) -> dict[frozenset, LatticeBasis]:
+def binary_sublattices(p: int) -> dict[frozenset, LatticeBasis]:
     """All sublattices indexed by subsets (guarded: 2^(m+1) can be large)."""
     fact = factor_xp_minus_1(p)
     m = len(fact.factors)
-    if 2**m > cap:
-        raise CapExceeded("subset enumeration", cap)
+    if 2**m > SUBSET_CAP:
+        raise CapExceeded("subset enumeration", SUBSET_CAP)
     out = {}
     for bits in range(2**m):
         subset = frozenset(i for i in range(m) if bits >> i & 1)

@@ -49,9 +49,6 @@ class IntVector:
     def __neg__(self) -> "IntVector":
         return IntVector(tuple(-a for a in self.entries))
 
-    def scale(self, c: int) -> "IntVector":
-        return IntVector(tuple(c * a for a in self.entries))
-
     def is_zero(self) -> bool:
         return not any(self.entries)
 
@@ -167,9 +164,6 @@ class IntMatrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("dimension mismatch in matrix sum")
         return IntMatrix(self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries)))
-
-    def neg(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, tuple(-a for a in self.entries))
 
     def is_symmetric(self) -> bool:
         return self.rows == self.cols and all(
@@ -445,13 +439,6 @@ def is_primitive(lattice: LatticeBasis) -> bool:
         if g == 1:
             return True
     return g == 1
-
-
-def lattice_sum(a: LatticeBasis, b: LatticeBasis) -> LatticeBasis:
-    """Smallest lattice containing both arguments."""
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    return hnf_from_rows(a.rows() + b.rows(), a.ambient_dim)
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,7 @@ from .intmat import (
     hnf_from_rows,
 )
 
-DEFAULT_GROUP_CAP = 10**7
-DEFAULT_ORBIT_CAP = 10**7
+DEFAULT_CAP = 10**7  # every enumeration cap: orbits, closures, short vectors
 
 
 @dataclass
@@ -64,16 +63,6 @@ class MatGroup:
     def trivial(cls, dim: int) -> "MatGroup":
         return cls(dim, ())
 
-    def order(self, cap: int = DEFAULT_GROUP_CAP) -> int:
-        if self._order is None:
-            closure(self, cap)
-        return self._order
-
-    def elements(self, cap: int = DEFAULT_GROUP_CAP) -> frozenset:
-        if self._elements is None:
-            closure(self, cap)
-        return self._elements
-
 
 @dataclass(frozen=True)
 class Orbit:
@@ -83,11 +72,8 @@ class Orbit:
     elements: frozenset
     size: int
 
-    def vectors(self) -> list[IntVector]:
-        return [IntVector(t) for t in sorted(self.elements)]
 
-
-def closure(g: MatGroup, cap: int = DEFAULT_GROUP_CAP) -> tuple[frozenset, int]:
+def closure(g: MatGroup, cap: int = DEFAULT_CAP) -> tuple[frozenset, int]:
     """Full element set (as row-major entry tuples) and exact order.
 
     The element set is the orbit of the identity's entries under right
@@ -114,12 +100,6 @@ def closure(g: MatGroup, cap: int = DEFAULT_GROUP_CAP) -> tuple[frozenset, int]:
     g._order = len(seen)
     g._elements = frozenset(seen)
     return g._elements, g._order
-
-
-def element_matrices(g: MatGroup, cap: int = DEFAULT_GROUP_CAP) -> list[IntMatrix]:
-    """All elements as matrices, sorted by entry tuple for determinism."""
-    elems, _ = closure(g, cap)
-    return [IntMatrix(g.dim, g.dim, t) for t in sorted(elems)]
 
 
 def _moved_rows(mats) -> tuple:
@@ -163,7 +143,7 @@ def _orbit_bfs(moved: tuple, start: tuple, cap: int, stop=frozenset()) -> tuple[
     return seen, True
 
 
-def orbit(g: MatGroup, v, cap: int = DEFAULT_ORBIT_CAP) -> Orbit:
+def orbit(g: MatGroup, v, cap: int = DEFAULT_CAP) -> Orbit:
     """BFS closure of {v} under the generators."""
     vv = as_vector(v)
     if vv.dim != g.dim:
@@ -199,7 +179,7 @@ def stable_span(g: MatGroup, v) -> LatticeBasis:
     return _lattice(span, g.dim)
 
 
-def stabilizer_order(g: MatGroup, v, cap: int = DEFAULT_GROUP_CAP) -> int:
+def stabilizer_order(g: MatGroup, v, cap: int = DEFAULT_CAP) -> int:
     """|G| / |orbit(v)|, exact; asserts divisibility (orbit-stabilizer)."""
     _, order = closure(g, cap)
     orb = orbit(g, v, cap)
@@ -214,14 +194,6 @@ def conjugate(g: MatGroup, a: IntMatrix) -> MatGroup:
         raise NonUnimodularConjugator(f"conjugator has determinant {a.det()}")
     a_inv = a.inverse_unimodular()
     return MatGroup(g.dim, tuple(a.mul(h).mul(a_inv) for h in g.generators), label=g.label)
-
-
-def restrict_lattice(l: LatticeBasis, a: IntMatrix) -> LatticeBasis:
-    """Image lattice a . l = {a x : x in l}; pairs with :func:`conjugate`."""
-    if not a.is_unimodular():
-        raise NonUnimodularConjugator(f"conjugator has determinant {a.det()}")
-    rows = [a.apply(r).entries for r in l.rows()]
-    return hnf_from_rows(rows, l.ambient_dim)
 
 
 def commutant_dimension(g: MatGroup) -> int:

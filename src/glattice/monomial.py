@@ -7,9 +7,9 @@ read off -- run on the orbit kernel of :mod:`matgroup`, which touches only
 the one nonzero entry in each moved row of a signed permutation.  Dense
 matrices are available on demand.
 
-The composition law is verified against matrix multiplication in the test
-suite; the convention is that ``(signs, perm)`` denotes D(signs) P(perm)
-with P e_i = e_{perm[i]}, acting on column vectors.
+The convention is that ``(signs, perm)`` denotes D(signs) P(perm) with
+P e_i = e_{perm[i]}, acting on column vectors; the test suite checks
+:meth:`MonomialElement.matrix` and composition against it.
 """
 from __future__ import annotations
 
@@ -28,9 +28,7 @@ from .intmat import (
     ones_vector,
     unit_vector,
 )
-from .matgroup import MatGroup, _moved_rows, _orbit_bfs, closure
-
-DEFAULT_CAP = 10**7
+from .matgroup import DEFAULT_CAP, MatGroup, _moved_rows, _orbit_bfs, closure
 
 
 @dataclass(frozen=True)
@@ -67,31 +65,12 @@ class MonomialElement:
         inv = self.inverse_perm()
         return IntVector(tuple(self.signs[j] * vv[inv[j]] for j in range(self.n)))
 
-    def compose(self, other: "MonomialElement") -> "MonomialElement":
-        """Matrix product self * other."""
-        inv = self.inverse_perm()
-        signs = tuple(self.signs[j] * other.signs[inv[j]] for j in range(self.n))
-        perm = tuple(self.perm[other.perm[i]] for i in range(self.n))
-        return MonomialElement(signs, perm)
-
-    def inverse(self) -> "MonomialElement":
-        inv = self.inverse_perm()
-        signs = tuple(self.signs[self.perm[i]] for i in range(self.n))
-        return MonomialElement(signs, inv)
-
     def matrix(self) -> IntMatrix:
         n = self.n
         rows = [[0] * n for _ in range(n)]
         for i in range(n):
             rows[self.perm[i]][i] = self.signs[self.perm[i]]
         return IntMatrix.from_rows(rows)
-
-    def is_diagonal(self) -> bool:
-        return self.perm == tuple(range(self.n))
-
-    def sign_mask(self) -> int:
-        """Bitmask with bit i set where signs[i] = -1."""
-        return sum(1 << i for i, s in enumerate(self.signs) if s == -1)
 
 
 @dataclass(frozen=True)
@@ -250,15 +229,6 @@ def support_reduce(l: LatticeBasis, n: int) -> IntVector:
             raise AssertionError("shift-invariant vector in reduction loop")
         cur = cur ^ shifted
     raise AssertionError("support reduction made no progress")
-
-
-def monomial_orbit_bound(v, pi_order: int) -> int:
-    """2^{support length} times pi_order, which bounds the permutation orbit; exact."""
-    vv = as_vector(v)
-    if not vv.is_binary():
-        raise ValueError("bound applies to binary vectors")
-    s = len(vv.support())
-    return 2**s * pi_order
 
 
 def full_monomial_orbit_size_binary(n: int, support: int) -> int:

@@ -8,6 +8,12 @@ box*: a generating orbit of a farther vector could in principle be
 smaller, so unconditional minimality is only claimed when the bound
 meets the certified lower bound (the rank).
 
+The box is generated already in canonical niceness order (sup-norm, then
+absolute values, then positive signs first), so it is never sorted.  One
+``seen`` set of box vectors, those whose orbit was built or abandoned as
+too large, decides which vectors still start a BFS and stops a BFS that
+reaches an abandoned orbit.
+
 Orbits are ordered by (size, canonical representative) and the search
 returns the first minimum it finds in that record order, so results are
 reproducible run to run.  Only strictly smaller selections replace the
@@ -31,7 +37,7 @@ from dataclasses import dataclass
 from .errors import CapExceeded, NotGStable, NotInLattice
 from .intmat import IntVector, LatticeBasis, _hnf_insert, as_vector, full_lattice, hnf_from_rows
 from .matgroup import (
-    DEFAULT_ORBIT_CAP,
+    DEFAULT_CAP,
     MatGroup,
     _moved_rows,
     _orbit_bfs,
@@ -70,6 +76,19 @@ def _rep_key(t: tuple[int, ...]):
     return (max(map(abs, t)), tuple(map(abs, t)), tuple(-x for x in t))
 
 
+def _box(r: int, radius: int):
+    """The nonzero vectors of [-radius, radius]^r in ``_rep_key`` order.
+
+    By sup-norm m, then by the tuple of absolute values (every tuple with
+    maximum m, in lexicographic order), then by signs, with x before -x at
+    each nonzero entry from the left.
+    """
+    for m in range(1, radius + 1):
+        for a in itertools.product(range(m + 1), repeat=r):
+            if max(a) == m:
+                yield from itertools.product(*[(x, -x) if x else (0,) for x in a])
+
+
 def _orbit_records(gl: MatGroup, radius: int, orbit_cap: int) -> list[_OrbitRecord]:
     """Group the coefficient box into orbits under the restricted action.
 
@@ -77,61 +96,48 @@ def _orbit_records(gl: MatGroup, radius: int, orbit_cap: int) -> list[_OrbitReco
     the canonical HNF rows of its span (from ``stable_span``), which the
     search inserts into a partial span one row at a time.
 
-    Each orbit is built at most once.  BFS of a new orbit is capped at the
-    incumbent bound once one is known: an orbit strictly larger than an
+    The basis vectors are visited first, then the box in ``_box`` order,
+    and ``seen`` holds the box vectors whose orbit was built or abandoned,
+    so each orbit is built at most once.  BFS of a new orbit is capped at
+    the incumbent bound once one is known: an orbit strictly larger than an
     already-found spanning configuration can never occur in a minimal
-    solution, so abandoning it is sound.  Generator BFS in a finite group
-    reaches only vectors of the start's orbit, so every box vector an
-    abandoned BFS reached lies in that oversized orbit and is marked
-    ``big`` at once.  The incumbent only falls, so the cap in force when a
-    vector was marked is never below a later cap: a later BFS that reaches
-    a marked vector is in an orbit over its own cap and stops there.
-    Vectors outside the box are not marked, which keeps memory at the size
-    of the box.
+    solution, so abandoning it is sound.  The first incumbent is the size
+    of a single spanning orbit or, once the basis vectors are visited, the
+    total size of their distinct orbits, whose union spans.
+
+    Generator BFS in a finite group reaches only vectors of the start's
+    orbit, and orbits are disjoint, so a BFS never reaches a vector of an
+    orbit that was built: a vector in ``seen`` that it reaches lies in an
+    abandoned orbit, and ``seen`` is its stop set.  The incumbent only
+    falls, so the cap in force when that orbit was abandoned is never below
+    a later cap: the later BFS is in an orbit over its own cap and stops
+    there.  Vectors outside the box are not kept, which keeps memory at the
+    size of the box.
     """
     r = gl.dim
-    box = [c for c in itertools.product(range(-radius, radius + 1), repeat=r) if any(c)]
-    box.sort(key=_rep_key)
     full_rows = tuple(full_lattice(r).rows())
-    box_set = set(box)
+    box_set = set(_box(r, radius))
     moved = _moved_rows(gl.generators)
-    big: set[tuple[int, ...]] = set()  # box vectors known to be in oversized orbits
+    seen: set[tuple[int, ...]] = set()
     records: list[_OrbitRecord] = []
-    vector_record: dict[tuple[int, ...], int] = {}  # box vector -> index of its orbit
     incumbent: int | None = None
     basis_vectors = [tuple(int(i == j) for j in range(r)) for i in range(r)]
-
-    def union_incumbent() -> int | None:
-        idxs = []
-        for e in basis_vectors:
-            if e not in vector_record:
-                return None
-            if vector_record[e] not in idxs:
-                idxs.append(vector_record[e])
-        return sum(records[i].size for i in idxs)
-
-    for coeffs in basis_vectors + box:
-        if coeffs in vector_record or coeffs in big:
+    for k, coeffs in enumerate(itertools.chain(basis_vectors, _box(r, radius))):
+        if k == r and incumbent is None:
+            incumbent = sum(rec.size for rec in records)
+        if coeffs in seen:
             continue
         cap = orbit_cap if incumbent is None else min(orbit_cap, incumbent)
-        orb, complete = _orbit_bfs(moved, coeffs, cap, big)
+        orb, complete = _orbit_bfs(moved, coeffs, cap, seen)
+        seen.update(box_set.intersection(orb))
         if not complete:
             if incumbent is None:
                 raise CapExceeded("orbit", cap)
-            big.update(box_set.intersection(orb))
             continue
-        idx, size = len(records), len(orb)
         span = stable_span(gl, coeffs)
-        rep = min(orb, key=_rep_key)
-        records.append(_OrbitRecord(size, rep, tuple(span.rows())))
-        for e in box_set.intersection(orb):
-            vector_record[e] = idx
-        if span.rows() == list(full_rows) and (incumbent is None or size < incumbent):
-            incumbent = size
-        if incumbent is None:
-            u = union_incumbent()
-            if u is not None:
-                incumbent = u
+        records.append(_OrbitRecord(len(orb), min(orb, key=_rep_key), tuple(span.rows())))
+        if span.rows() == list(full_rows) and (incumbent is None or len(orb) < incumbent):
+            incumbent = len(orb)
     records.sort(key=lambda rec: (rec.size, _rep_key(rec.rep)))
     return records
 
@@ -140,7 +146,7 @@ def symrank_search(
     g: MatGroup,
     l: LatticeBasis,
     radius: int = 3,
-    orbit_cap: int = DEFAULT_ORBIT_CAP,
+    orbit_cap: int = DEFAULT_CAP,
 ) -> SymrankResult:
     """Minimal total size of a spanning union of orbits within the box."""
     if radius < 1:
@@ -237,7 +243,7 @@ def symrank_search(
 
 
 def verify_orbit_generates(
-    g: MatGroup, l: LatticeBasis, v, cap: int = DEFAULT_ORBIT_CAP
+    g: MatGroup, l: LatticeBasis, v, cap: int = DEFAULT_CAP
 ) -> tuple[bool, int]:
     """Whether the orbit of v spans l, along with the orbit size.
 
@@ -277,7 +283,7 @@ def table_dimension_maximum(
     n: int,
     candidates,
     radius: int = 3,
-    orbit_cap: int = DEFAULT_ORBIT_CAP,
+    orbit_cap: int = DEFAULT_CAP,
 ) -> TableMaxReport:
     """Per-candidate search results and their maximum.
 

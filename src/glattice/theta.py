@@ -13,9 +13,7 @@ from math import isqrt
 
 from .errors import CapExceeded, FormNotPreserved
 from .intmat import IntMatrix, IntVector, LatticeBasis, as_vector, hnf_from_rows, leading_principal_minors
-from .matgroup import MatGroup, Orbit, orbit
-
-DEFAULT_VECTOR_CAP = 10**7
+from .matgroup import DEFAULT_CAP, MatGroup, Orbit, orbit
 
 
 @dataclass(frozen=True)
@@ -89,7 +87,7 @@ def _coordinate_range(budget: Fraction, d: Fraction, center: Fraction) -> range:
     return range(lo, hi + 1)
 
 
-def short_vectors(form: GramForm, bound: int, cap: int = DEFAULT_VECTOR_CAP) -> list[tuple[IntVector, int]]:
+def short_vectors(form: GramForm, bound: int, cap: int = DEFAULT_CAP) -> list[tuple[IntVector, int]]:
     """Complete list of (v, v^T X v) with norm <= bound, lexicographic order.
 
     Both v and -v appear (and the zero vector, whenever bound >= 0).
@@ -130,7 +128,7 @@ class ThetaPrefix:
         return len(self.coefficients) - 1
 
 
-def theta_prefix(form: GramForm, horizon: int, cap: int = DEFAULT_VECTOR_CAP) -> ThetaPrefix:
+def theta_prefix(form: GramForm, horizon: int, cap: int = DEFAULT_CAP) -> ThetaPrefix:
     """N_i = #{v : v^T X v = i} for 0 <= i <= horizon."""
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
@@ -154,7 +152,7 @@ class DiagonalBound:
     witnesses: tuple[IntVector, ...]
 
 
-def diagonal_bound(form: GramForm, cap: int = DEFAULT_VECTOR_CAP) -> DiagonalBound:
+def diagonal_bound(form: GramForm, cap: int = DEFAULT_CAP) -> DiagonalBound:
     norms = form.diagonal_norms()
     top = max(norms)
     witnesses = [v for v, nm in short_vectors(form, top, cap) if nm in norms]
@@ -171,7 +169,7 @@ class NormClassOrbit:
 
 
 def orbit_within_norm_class(
-    g: MatGroup, form: GramForm, v, cap: int = DEFAULT_VECTOR_CAP
+    g: MatGroup, form: GramForm, v, cap: int = DEFAULT_CAP
 ) -> NormClassOrbit:
     """Orbit of v under a form-preserving group, checked against its norm class.
 

@@ -15,6 +15,20 @@ def orbit_span(g: MatGroup, v) -> LatticeBasis:
     return hnf_from_rows(sorted(orbit(g, v).elements), g.dim)
 
 
+def compose(a: MonomialElement, b: MonomialElement) -> MonomialElement:
+    """Matrix product a * b of two signed permutations."""
+    inv = a.inverse_perm()
+    signs = tuple(a.signs[j] * b.signs[inv[j]] for j in range(a.n))
+    perm = tuple(a.perm[b.perm[i]] for i in range(a.n))
+    return MonomialElement(signs, perm)
+
+
+def inverse(a: MonomialElement) -> MonomialElement:
+    inv = a.inverse_perm()
+    signs = tuple(a.signs[a.perm[i]] for i in range(a.n))
+    return MonomialElement(signs, inv)
+
+
 def closure_elements(g: MonomialGroup) -> frozenset:
     """Oracle for the monomial closures: every element, by BFS over compositions."""
     ident = MonomialElement.identity(g.n)
@@ -22,7 +36,7 @@ def closure_elements(g: MonomialGroup) -> frozenset:
     queue = [ident]
     for cur in queue:
         for gen in g.generators:
-            nxt = cur.compose(gen)
+            nxt = compose(cur, gen)
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)

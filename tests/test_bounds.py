@@ -1,14 +1,13 @@
 """Inequality engine: orders, thresholds, conservative log rounding."""
 import random
 
-from glattice._primes import floor_log2, primes_upto
+from glattice._primes import primes_upto
 
 import pytest
 
 from glattice.bounds import (
     BoundVerdict,
     check_numerical_lemma,
-    log2_fixed_lower,
     log2_fixed_upper,
     min_threshold,
     mon_metacyclic_bound,
@@ -17,6 +16,11 @@ from glattice.bounds import (
     prime_case_check,
 )
 from glattice.errors import HorizonTooSmall, InvalidCase, NotOddPrime, NotPrimePower
+
+
+def floor_log2(x: int) -> int:
+    """Largest k with 2^k <= x, for x >= 1 (oracle for the rounded logs)."""
+    return x.bit_length() - 1
 
 
 def test_psl_orders():
@@ -127,10 +131,8 @@ def test_log_bounds_are_outward_and_tight():
     for _ in range(100):
         x = rng.randint(2, 10**9)
         up = log2_fixed_upper(x)
-        lo = log2_fixed_lower(x)
-        # sandwich: 2^lo <= x^4096 <= 2^up with at most one step of slack
-        assert (1 << lo) <= x**4096 <= (1 << up)
-        assert up - lo <= 1
+        # up is the least k with 2^k >= x^4096
+        assert (1 << (up - 1)) < x**4096 <= (1 << up)
 
 
 def test_case_III_verdicts_are_sound():

@@ -16,7 +16,6 @@ from glattice.intmat import (
     hnf_from_rows,
     index,
     is_primitive,
-    lattice_sum,
     member,
     snf,
     zero_lattice,
@@ -184,12 +183,6 @@ def test_is_primitive():
     even_sum = hnf_from_rows([(1, 1, 0), (0, 1, 1)], 3)
     assert is_primitive(even_sum)
     assert not is_primitive(zero_lattice(3))
-
-
-def test_lattice_sum():
-    a = hnf_from_rows([(2, 0)], 2)
-    b = hnf_from_rows([(0, 3)], 2)
-    assert lattice_sum(a, b).rows() == [(2, 0), (0, 3)]
 
 
 def test_unimodular_inverse():

@@ -9,7 +9,7 @@ from glattice.errors import CapExceeded, NotGStable, NotInLattice
 from glattice.intmat import IntMatrix, full_lattice, hnf_from_rows, unit_vector
 from glattice.matgroup import MatGroup, orbit
 from glattice.rootsys import RootSystemSpec, build, expected_symrank, lattice, weyl_symrank_table
-from glattice.search import symrank_search, table_dimension_maximum, verify_orbit_generates
+from glattice.search import _box, _rep_key, symrank_search, table_dimension_maximum, verify_orbit_generates
 
 
 def test_a1_root_lattice():
@@ -224,8 +224,24 @@ def test_rank5_radius2_witnesses_are_pinned(row):
     ],
 )
 def test_minus_identity_searches_are_pinned(n, radius, expected):
-    res = symrank_search(MatGroup(n, [IntMatrix.identity(n).neg()]), full_lattice(n), radius=radius)
+    res = symrank_search(MatGroup(n, [IntMatrix.diagonal([-1] * n)]), full_lattice(n), radius=radius)
     assert (res.upper_bound, [w.entries for w in res.witness], res.orbit_count) == expected
+
+
+@pytest.mark.parametrize("r, radius", [(r, radius) for r in range(1, 5) for radius in range(1, 4)])
+def test_box_is_generated_in_rep_key_order(r, radius):
+    box = [c for c in itertools.product(range(-radius, radius + 1), repeat=r) if any(c)]
+    assert list(_box(r, radius)) == sorted(box, key=_rep_key)
+
+
+# (upper bound, orbits materialized) at radius 2 for weight lattices that
+# no single orbit spans: the first incumbent is the total size of the
+# basis vectors' orbits, and without it every box orbit is built.
+@pytest.mark.parametrize("rank, expected", [(4, (16, 32)), (6, (44, 52))])
+def test_basis_union_incumbent_caps_the_box_orbits(rank, expected):
+    model = build(RootSystemSpec("D", rank))
+    res = symrank_search(model.matgroup(), lattice(model, "weight").basis, radius=2)
+    assert (res.upper_bound, res.orbit_count) == expected
 
 
 def test_orbit_matches_plain_bfs_and_raises_at_the_cap():
