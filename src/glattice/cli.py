@@ -22,7 +22,7 @@ from . import bounds as bounds_mod
 from . import groupdata, monomial, rootsys, search, theta
 from . import gf2cyclo
 from .errors import CapExceeded, FixtureMismatch, GLatticeError, MissingExternalData, NonUnimodularGenerator
-from .intmat import full_lattice, hnf
+from .intmat import full_lattice, hnf, index
 from .matgroup import DEFAULT_CAP, MatGroup
 from .serialize import load_group_file, load_matrix_file, vector_to_json
 
@@ -262,12 +262,8 @@ def cmd_gf2_factor(args, out) -> list:
 
 def cmd_gf2_subspaces(args, out) -> list:
     subs = gf2cyclo.cp_stable_subspaces(args.p)
-    m = subs.component_count
-    if 2**m > gf2cyclo.SUBSET_CAP:
-        raise CapExceeded("subset enumeration", gf2cyclo.SUBSET_CAP)
     rows = []
-    for bits in range(2**m):
-        subset = sorted(i for i in range(m) if bits >> i & 1)
+    for subset in gf2cyclo._component_subsets(subs.component_count):
         basis = subs.subspace(subset)
         rows.append(
             ("{" + ",".join(map(str, subset)) + "}", len(basis), ";".join(format(b, f"0{args.p}b") for b in basis))
@@ -285,9 +281,7 @@ def cmd_monomial_classify(args, out) -> list:
         basis = subs.subspace(subset)
         lat = lattices[subset]
         if lat.rank == p:
-            from .intmat import index as lat_index
-
-            idx = str(lat_index(lat, full_lattice(p)))
+            idx = str(index(lat, full_lattice(p)))
         else:
             idx = "-"
         rows.append(

@@ -129,7 +129,6 @@ def _berlekamp_factor(g: GF2Poly) -> list[GF2Poly]:
     # null space of (Q - I) over GF(2), bitmask Gaussian elimination
     rows = [q_rows[i] ^ (1 << i) for i in range(n)]
     # eliminate: work over columns; track transposed combination
-    basis: list[tuple[int, int]] = []  # (row bits, combo bits over original rows)
     combos = [(rows[i], 1 << i) for i in range(n)]
     pivots = {}
     null_combos = []
@@ -371,11 +370,16 @@ def binary_sublattice(p: int, subset) -> LatticeBasis:
 def binary_sublattices(p: int) -> dict[frozenset, LatticeBasis]:
     """All sublattices indexed by subsets (guarded: 2^(m+1) can be large)."""
     fact = factor_xp_minus_1(p)
-    m = len(fact.factors)
+    return {frozenset(s): binary_sublattice(p, s) for s in _component_subsets(len(fact.factors))}
+
+
+def _component_subsets(m: int):
+    """Every subset of range(m) as a sorted tuple, in the bit order of its mask.
+
+    Raises CapExceeded, before yielding any, when there are more than
+    SUBSET_CAP subsets.
+    """
     if 2**m > SUBSET_CAP:
         raise CapExceeded("subset enumeration", SUBSET_CAP)
-    out = {}
     for bits in range(2**m):
-        subset = frozenset(i for i in range(m) if bits >> i & 1)
-        out[subset] = binary_sublattice(p, subset)
-    return out
+        yield tuple(i for i in range(m) if bits >> i & 1)

@@ -3,11 +3,15 @@
 All arithmetic is arbitrary precision (plain Python ints); no floating
 point appears anywhere in this module. Every public object is immutable
 after construction and every operation is a pure function, so values can
-be shared freely between threads.
+be shared freely between threads.  Hermite normal form by row insertion
+is the only elimination: rank, membership, index, inverse and the
+unimodularity test all go through it.
 
 Conventions fixed here and relied on everywhere else:
 
-* vectors are column vectors; a matrix acts on the left (``m.apply(v)``);
+* vectors are column vectors and a matrix acts on the left; group
+  generators act through their moved rows (``MatGroup.moves`` in
+  :mod:`matgroup`), not through a matrix-vector product here;
 * a lattice is stored as the rows of a basis matrix in row-style Hermite
   normal form: pivots positive, zeros below each pivot, entries above a
   pivot reduced into ``[0, pivot)``.  The HNF basis is a unique canonical
@@ -16,7 +20,7 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
 from .errors import NotASublattice
 
@@ -34,23 +38,8 @@ class IntVector:
     def dim(self) -> int:
         return len(self.entries)
 
-    def __iter__(self):
-        return iter(self.entries)
-
     def __getitem__(self, i: int) -> int:
         return self.entries[i]
-
-    def __add__(self, other: "IntVector") -> "IntVector":
-        return IntVector(tuple(a + b for a, b in zip(self.entries, other.entries)))
-
-    def __sub__(self, other: "IntVector") -> "IntVector":
-        return IntVector(tuple(a - b for a, b in zip(self.entries, other.entries)))
-
-    def __neg__(self) -> "IntVector":
-        return IntVector(tuple(-a for a in self.entries))
-
-    def is_zero(self) -> bool:
-        return not any(self.entries)
 
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, e in enumerate(self.entries) if e)
@@ -146,37 +135,13 @@ class IntMatrix:
                         out[base + j] += c * brow[j]
         return IntMatrix(n, m, tuple(out))
 
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        return self.mul(other)
-
-    def apply(self, v) -> IntVector:
-        """Matrix-vector product m @ v for a column vector v."""
-        vv = as_vector(v)
-        if vv.dim != self.cols:
-            raise ValueError("dimension mismatch in matrix-vector product")
-        ent = self.entries
-        m = self.cols
-        return IntVector(
-            tuple(sum(ent[i * m + j] * vv.entries[j] for j in range(m)) for i in range(self.rows))
-        )
-
-    def add(self, other: "IntMatrix") -> "IntMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("dimension mismatch in matrix sum")
-        return IntMatrix(self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries)))
-
     def is_symmetric(self) -> bool:
         return self.rows == self.cols and all(
             self[i, j] == self[j, i] for i in range(self.rows) for j in range(i)
         )
 
-    def det(self) -> int:
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        return _bareiss_det([list(r) for r in self.to_rows()])
-
     def is_unimodular(self) -> bool:
-        return self.rows == self.cols and self.det() in (1, -1)
+        return self.rows == self.cols and hnf(self).is_full()
 
     def inverse_unimodular(self) -> "IntMatrix":
         """Exact inverse of a matrix with determinant +-1.
@@ -191,41 +156,6 @@ class IntMatrix:
         if [r[:n] for r in rows] != IntMatrix.identity(n).to_rows():
             raise ValueError("matrix is not unimodular")
         return IntMatrix(n, n, tuple(e for r in rows for e in r[n:]))
-
-
-def _bareiss_det(a: list[list[int]]) -> int:
-    """Fraction-free determinant (Bareiss)."""
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pk = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            rowi = a[i]
-            rowk = a[k]
-            for j in range(k + 1, n):
-                rowi[j] = (rowi[j] * pk - aik * rowk[j]) // prev
-            rowi[k] = 0
-        prev = pk
-    return sign * a[n - 1][n - 1]
-
-
-def leading_principal_minors(m: IntMatrix) -> list[int]:
-    """Exact determinants of the leading principal submatrices."""
-    return [
-        _bareiss_det([list(m.row(i)[: k + 1]) for i in range(k + 1)]) for k in range(m.rows)
-    ]
 
 
 @dataclass(frozen=True)
@@ -392,41 +322,25 @@ def member(v, lattice: LatticeBasis) -> bool:
     return coordinates_in(v, lattice) is not None
 
 
-class _Infinite:
-    """Marker for an infinite lattice index."""
+def index(sub: LatticeBasis, sup: LatticeBasis) -> int:
+    """|sup/sub| as an exact integer, for sub inside sup and of the same rank.
 
-    __slots__ = ()
-
-    def __repr__(self):
-        return "infinite"
-
-    def __eq__(self, other):
-        return isinstance(other, _Infinite)
-
-    def __hash__(self):
-        return hash("glattice-infinite")
-
-
-INFINITE = _Infinite()
-
-
-def index(sub: LatticeBasis, sup: LatticeBasis):
-    """|sup/sub| as an exact integer, or INFINITE when ranks differ.
-
-    Raises NotASublattice when sub is not contained in sup.
+    Raises NotASublattice when sub is not contained in sup, and ValueError
+    when the ranks differ (the index is then infinite).  Nested lattices of
+    equal rank span the same rational space, so their HNF bases share
+    pivot columns and the coordinate matrix of sub in sup is triangular:
+    the index is the product over i of sub's pivot i over sup's pivot i.
     """
     if sub.ambient_dim != sup.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    coeff_rows = []
     for r in sub.rows():
-        c = coordinates_in(r, sup)
-        if c is None:
+        if coordinates_in(r, sup) is None:
             raise NotASublattice(f"row {r} is not in the claimed superlattice")
-        coeff_rows.append(c)
-    if sub.rank < sup.rank:
-        return INFINITE
-    d = _bareiss_det([list(r) for r in coeff_rows])
-    return abs(d)
+    if sub.rank != sup.rank:
+        raise ValueError("a lattice of lower rank has infinite index")
+    return prod(
+        sub.basis[i, c] // sup.basis[i, c] for i, c in enumerate(_pivot_columns(sup.basis))
+    )
 
 
 def is_primitive(lattice: LatticeBasis) -> bool:
@@ -439,95 +353,3 @@ def is_primitive(lattice: LatticeBasis) -> bool:
         if g == 1:
             return True
     return g == 1
-
-
-@dataclass(frozen=True)
-class SmithDecomposition:
-    """P @ C @ Q = D with P, Q unimodular and D diagonal, d_i | d_{i+1}."""
-
-    P: IntMatrix
-    D: IntMatrix
-    Q: IntMatrix
-
-    def diagonal(self) -> tuple[int, ...]:
-        return tuple(self.D[i, i] for i in range(self.D.rows))
-
-
-def snf(m: IntMatrix) -> SmithDecomposition:
-    """Smith normal form of a square matrix, with transforms accumulated."""
-    if m.rows != m.cols:
-        raise ValueError("snf wants a square matrix")
-    n = m.rows
-    a = [list(r) for r in m.to_rows()]
-    p = [list(r) for r in IntMatrix.identity(n).to_rows()]
-    q = [list(r) for r in IntMatrix.identity(n).to_rows()]
-
-    def row_op(i, j, x, y, z, w):
-        # rows (i, j) <- (x*row_i + y*row_j, z*row_i + w*row_j); same on p
-        for arr in (a, p):
-            ri, rj = arr[i], arr[j]
-            for t in range(len(ri)):
-                ri[t], rj[t] = x * ri[t] + y * rj[t], z * ri[t] + w * rj[t]
-
-    def col_op(i, j, x, y, z, w):
-        # cols (i, j) <- (x*col_i + y*col_j, z*col_i + w*col_j); same on q
-        for arr in (a, q):
-            for row in arr:
-                row[i], row[j] = x * row[i] + y * row[j], z * row[i] + w * row[j]
-
-    def clear_cross(t: int):
-        """Zero out column t below and row t right of the pivot at (t, t)."""
-        while True:
-            for i in range(t + 1, n):
-                if a[i][t] != 0:
-                    x, y = a[t][t], a[i][t]
-                    if y % x == 0:
-                        row_op(t, i, 1, 0, -(y // x), 1)
-                    else:
-                        g, s, u = _xgcd(x, y)
-                        row_op(t, i, s, u, -(y // g), x // g)
-            for j in range(t + 1, n):
-                if a[t][j] != 0:
-                    x, y = a[t][t], a[t][j]
-                    if y % x == 0:
-                        col_op(t, j, 1, 0, -(y // x), 1)
-                    else:
-                        g, s, u = _xgcd(x, y)
-                        col_op(t, j, s, u, -(y // g), x // g)
-            if all(a[i][t] == 0 for i in range(t + 1, n)) and all(
-                a[t][j] == 0 for j in range(t + 1, n)
-            ):
-                return
-
-    for t in range(n):
-        best = None
-        for i in range(t, n):
-            for j in range(t, n):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        bi, bj = best
-        if bi != t:
-            row_op(t, bi, 0, 1, 1, 0)
-        if bj != t:
-            col_op(t, bj, 0, 1, 1, 0)
-        while True:
-            clear_cross(t)
-            offender = None
-            for i in range(t + 1, n):
-                if any(a[i][j] % a[t][t] != 0 for j in range(t + 1, n)):
-                    offender = i
-                    break
-            if offender is None:
-                break
-            # fold the offending row into row t so the next pass shrinks the pivot
-            row_op(t, offender, 1, 1, 0, 1)
-        if a[t][t] < 0:
-            for arr in (a, p):
-                arr[t] = [-x for x in arr[t]]
-
-    P = IntMatrix.from_rows(p)
-    Q = IntMatrix.from_rows(q)
-    D = IntMatrix.from_rows(a)
-    return SmithDecomposition(P, D, Q)

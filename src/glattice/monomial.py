@@ -23,12 +23,13 @@ from .intmat import (
     IntVector,
     LatticeBasis,
     as_vector,
+    full_lattice,
     hnf_from_rows,
     member,
     ones_vector,
     unit_vector,
 )
-from .matgroup import DEFAULT_CAP, MatGroup, _moved_rows, _orbit_bfs, closure
+from .matgroup import DEFAULT_CAP, MatGroup, _orbit_bfs, closure
 
 
 @dataclass(frozen=True)
@@ -120,7 +121,7 @@ def full_monomial_group(n: int) -> MonomialGroup:
 
 def vector_orbit(g: MonomialGroup, v, cap: int = DEFAULT_CAP) -> frozenset:
     """Orbit of a vector (deterministic BFS through the matrix orbit kernel)."""
-    seen, complete = _orbit_bfs(_moved_rows(g.matgroup().generators), as_vector(v).entries, cap)
+    seen, complete = _orbit_bfs(g.matgroup().moves, as_vector(v).entries, cap)
     if not complete:
         raise CapExceeded("monomial orbit", cap)
     return frozenset(seen)
@@ -145,7 +146,7 @@ def project_pi(g: MonomialGroup, cap: int = DEFAULT_CAP) -> PiSummary:
     n = g.n
     gens = [e.perm for e in g.generators]
     mats = [IntMatrix.from_rows([[int(j == p[i]) for j in range(n)] for i in range(n)]) for p in gens]
-    seen, complete = _orbit_bfs(_moved_rows(mats), tuple(range(n)), cap)
+    seen, complete = _orbit_bfs(MatGroup(n, mats).moves, tuple(range(n)), cap)
     if not complete:
         raise CapExceeded("permutation closure", cap)
     has_cycle = any(_is_n_cycle(p) for p in seen)
@@ -274,23 +275,21 @@ def three_sublattice_report(p: int) -> ThreeSublatticeReport:
     spans are certified by explicit small generating subsets of each
     orbit, so no 2^p enumeration is needed.
     """
-    from .intmat import full_lattice, hnf_from_rows as _hnf
-
     if p < 2:
         raise ValueError("p must be at least 2")
     e1 = unit_vector(p, 0)
     e12 = IntVector(tuple(1 if k < 2 else 0 for k in range(p)))
     ones = ones_vector(p)
     # span certificates from canonical orbit members
-    span_full = _hnf([unit_vector(p, i).entries for i in range(p)], p)
+    span_full = hnf_from_rows([unit_vector(p, i).entries for i in range(p)], p)
     le = _lattice_e(p)
-    span_e = _hnf(
+    span_e = hnf_from_rows(
         [tuple(1 if k in (j, j + 1) else 0 for k in range(p)) for j in range(p - 1)]
         + [(1, -1) + (0,) * (p - 2)],
         p,
     )
     lo = _lattice_ones(p)
-    span_ones = _hnf(
+    span_ones = hnf_from_rows(
         [ones.entries] + [tuple(1 if k != j else -1 for k in range(p)) for j in range(p)], p
     )
     rows = (

@@ -4,9 +4,10 @@ Coordinates: the weight lattice is identified with Z^n by sending the
 fundamental weight lambda_i to the standard basis vector e_i.  The simple
 reflection sigma_i then fixes every e_j except e_i and sends e_i to
 e_i - alpha_i, where alpha_i expands in the lambda-basis as row i of the
-Cartan matrix (Humphreys ordering and conventions).  Build-time assertions
-check that every reflection is an involution, that the braid relations
-hold, and that the Weyl order matches its closed form.
+Cartan matrix (Humphreys ordering and conventions).  Build-time checks
+confirm that every reflection is an involution and that the braid
+relations hold; the Weyl order is stored from its closed form, which the
+tests check against ``matgroup.closure``.
 
 Two cells of the classical symmetric-rank table need care and are handled
 explicitly here:
@@ -310,12 +311,6 @@ def short_simple_root_index(model: WeylModel) -> int:
     return lengths.index(min(lengths))
 
 
-def short_root_count(model: WeylModel) -> int:
-    """Number of short roots (all roots, when simply laced)."""
-    i = short_simple_root_index(model)
-    return weyl_orbit_size(model, model.simple_root(i))
-
-
 @dataclass(frozen=True)
 class NamedLattice:
     """One of the W-stable lattices between the root and weight lattices."""
@@ -357,12 +352,12 @@ def lattice(model: WeylModel, kind: str, d: int | None = None) -> NamedLattice:
         return NamedLattice("weight", None, weight, hint, 1)
     if kind == "root":
         i = short_simple_root_index(model)
-        return NamedLattice("root", None, root, model.simple_root(i), int(index(root, weight)))
+        return NamedLattice("root", None, root, model.simple_root(i), index(root, weight))
     if kind == "intermediate":
         if fam != "A" or d is None or d < 1 or d > n or (n + 1) % d != 0:
             raise KindUnavailable(f"intermediate({d}) is not available for {model.spec}")
         basis = hnf_from_rows(root.rows() + [unit_vector(n, d - 1).entries], n)
-        return NamedLattice("intermediate", d, basis, unit_vector(n, d - 1), int(index(basis, weight)))
+        return NamedLattice("intermediate", d, basis, unit_vector(n, d - 1), index(basis, weight))
     if kind == "intermediate_D":
         if fam != "D" or d is None:
             raise KindUnavailable(f"intermediate_D is not available for {model.spec}")
@@ -371,7 +366,7 @@ def lattice(model: WeylModel, kind: str, d: int | None = None) -> NamedLattice:
         if d in (n - 1, n) and n % 2 != 0:
             raise KindUnavailable("the two spin intermediates need even rank")
         basis = hnf_from_rows(root.rows() + [unit_vector(n, d - 1).entries], n)
-        return NamedLattice("intermediate_D", d, basis, unit_vector(n, d - 1), int(index(basis, weight)))
+        return NamedLattice("intermediate_D", d, basis, unit_vector(n, d - 1), index(basis, weight))
     raise KindUnavailable(f"unknown lattice kind {kind!r}")
 
 

@@ -35,11 +35,10 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import CapExceeded, NotGStable, NotInLattice
-from .intmat import IntVector, LatticeBasis, _hnf_insert, as_vector, full_lattice, hnf_from_rows
+from .intmat import IntVector, LatticeBasis, _hnf_insert, as_vector, full_lattice, hnf_from_rows, member
 from .matgroup import (
     DEFAULT_CAP,
     MatGroup,
-    _moved_rows,
     _orbit_bfs,
     in_lattice_coordinates,
     is_lattice_stable,
@@ -117,7 +116,6 @@ def _orbit_records(gl: MatGroup, radius: int, orbit_cap: int) -> list[_OrbitReco
     r = gl.dim
     full_rows = tuple(full_lattice(r).rows())
     box_set = set(_box(r, radius))
-    moved = _moved_rows(gl.generators)
     seen: set[tuple[int, ...]] = set()
     records: list[_OrbitRecord] = []
     incumbent: int | None = None
@@ -128,7 +126,7 @@ def _orbit_records(gl: MatGroup, radius: int, orbit_cap: int) -> list[_OrbitReco
         if coeffs in seen:
             continue
         cap = orbit_cap if incumbent is None else min(orbit_cap, incumbent)
-        orb, complete = _orbit_bfs(moved, coeffs, cap, seen)
+        orb, complete = _orbit_bfs(gl.moves, coeffs, cap, seen)
         seen.update(box_set.intersection(orb))
         if not complete:
             if incumbent is None:
@@ -250,8 +248,6 @@ def verify_orbit_generates(
     v must lie in l (otherwise its orbit cannot even be a subset).
     """
     vv = as_vector(v)
-    from .intmat import member
-
     if not member(vv, l):
         raise NotInLattice(f"{vv.entries} is not in the target lattice")
     orb = orbit(g, vv, cap)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 
-from .intmat import IntMatrix, IntVector, as_vector
+from .intmat import IntMatrix, as_vector
 
 
 def matrix_to_json(m: IntMatrix) -> dict:
@@ -32,13 +32,6 @@ def matrix_from_json(obj: dict) -> IntMatrix:
 def vector_to_json(v) -> dict:
     vv = as_vector(v)
     return {"dim": vv.dim, "entries": [str(e) for e in vv.entries]}
-
-
-def vector_from_json(obj: dict) -> IntVector:
-    v = IntVector(tuple(int(e) for e in obj["entries"]))
-    if v.dim != int(obj["dim"]):
-        raise ValueError("vector dim field disagrees with entry count")
-    return v
 
 
 def group_to_json(dim: int, generators, gram: IntMatrix | None = None, label: str | None = None) -> dict:

@@ -1,9 +1,11 @@
 """Positive definite integral forms, short-vector enumeration, theta coefficients.
 
-Positive definiteness is certified exactly (fraction-free leading minors),
-and the enumeration uses exact rational interval bounds derived from an
-LDL^T decomposition over Fractions, so the vector lists and coefficient
-counts are complete by construction -- no pruning heuristic, no floats.
+Positive definiteness is certified exactly by the pivots of an LDL^T
+decomposition over Fractions (Sylvester's criterion: they are all positive
+exactly when every leading principal minor is), and the enumeration uses
+exact rational interval bounds derived from the same decomposition, so the
+vector lists and coefficient counts are complete by construction -- no
+pruning heuristic, no floats.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .errors import CapExceeded, FormNotPreserved
-from .intmat import IntMatrix, IntVector, LatticeBasis, as_vector, hnf_from_rows, leading_principal_minors
+from .intmat import IntMatrix, IntVector, LatticeBasis, as_vector, hnf_from_rows
 from .matgroup import DEFAULT_CAP, MatGroup, Orbit, orbit
 
 
@@ -23,11 +25,9 @@ class GramForm:
     matrix: IntMatrix
 
     def __post_init__(self):
-        m = self.matrix
-        if not m.is_symmetric():
+        if not self.matrix.is_symmetric():
             raise ValueError("Gram matrix must be symmetric")
-        if any(d <= 0 for d in leading_principal_minors(m)):
-            raise ValueError("Gram matrix must be positive definite")
+        _ldl(self)  # raises ValueError unless every pivot is positive
 
     @property
     def dim(self) -> int:
@@ -49,13 +49,20 @@ def identity_form(n: int) -> GramForm:
 
 
 def _ldl(form: GramForm) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """X = U^T diag(d) U with U unit upper triangular; both exact rationals."""
+    """X = U^T diag(d) U with U unit upper triangular; both exact rationals.
+
+    Raises ValueError at the first pivot d[i] <= 0, before dividing by it:
+    the pivots are ratios of consecutive leading principal minors, so they
+    are all positive exactly when X is positive definite.
+    """
     n = form.dim
     a = [[Fraction(form.matrix[i, j]) for j in range(n)] for i in range(n)]
     d = [Fraction(0)] * n
     u = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     for i in range(n):
         d[i] = a[i][i]
+        if d[i] <= 0:
+            raise ValueError("Gram matrix must be positive definite")
         for j in range(i + 1, n):
             u[i][j] = a[i][j] / d[i]
         for r in range(i + 1, n):

@@ -3,9 +3,11 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from dataclasses import dataclass  # noqa: E402
+
 from hypothesis import strategies as st  # noqa: E402
 
-from glattice.intmat import IntMatrix, LatticeBasis, hnf_from_rows  # noqa: E402
+from glattice.intmat import IntMatrix, IntVector, LatticeBasis, _xgcd, as_vector, hnf_from_rows  # noqa: E402
 from glattice.matgroup import MatGroup, orbit  # noqa: E402
 from glattice.monomial import MonomialElement, MonomialGroup  # noqa: E402
 
@@ -57,3 +59,131 @@ def unimodular_matrices(n: int):
         return IntMatrix.from_rows(rows)
 
     return st.lists(op, max_size=12).map(product)
+
+
+def apply(m: IntMatrix, v) -> IntVector:
+    """Matrix-vector product m v for a column vector v (oracle for the moved-row action)."""
+    vv = as_vector(v)
+    if vv.dim != m.cols:
+        raise ValueError("dimension mismatch in matrix-vector product")
+    return IntVector(tuple(sum(m[i, j] * vv[j] for j in range(m.cols)) for i in range(m.rows)))
+
+
+def det(m: IntMatrix) -> int:
+    """Fraction-free (Bareiss) determinant of a square matrix (oracle)."""
+    if m.rows != m.cols:
+        raise ValueError("determinant of a non-square matrix")
+    a = [list(r) for r in m.to_rows()]
+    n = len(a)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pk = a[k][k]
+        for i in range(k + 1, n):
+            aik = a[i][k]
+            rowi = a[i]
+            rowk = a[k]
+            for j in range(k + 1, n):
+                rowi[j] = (rowi[j] * pk - aik * rowk[j]) // prev
+            rowi[k] = 0
+        prev = pk
+    return sign * a[n - 1][n - 1]
+
+
+@dataclass(frozen=True)
+class SmithDecomposition:
+    """P @ C @ Q = D with P, Q unimodular and D diagonal, d_i | d_{i+1}."""
+
+    P: IntMatrix
+    D: IntMatrix
+    Q: IntMatrix
+
+    def diagonal(self) -> tuple[int, ...]:
+        return tuple(self.D[i, i] for i in range(self.D.rows))
+
+
+def snf(m: IntMatrix) -> SmithDecomposition:
+    """Smith normal form of a square matrix, with transforms accumulated (oracle)."""
+    if m.rows != m.cols:
+        raise ValueError("snf wants a square matrix")
+    n = m.rows
+    a = [list(r) for r in m.to_rows()]
+    p = [list(r) for r in IntMatrix.identity(n).to_rows()]
+    q = [list(r) for r in IntMatrix.identity(n).to_rows()]
+
+    def row_op(i, j, x, y, z, w):
+        # rows (i, j) <- (x*row_i + y*row_j, z*row_i + w*row_j); same on p
+        for arr in (a, p):
+            ri, rj = arr[i], arr[j]
+            for t in range(len(ri)):
+                ri[t], rj[t] = x * ri[t] + y * rj[t], z * ri[t] + w * rj[t]
+
+    def col_op(i, j, x, y, z, w):
+        # cols (i, j) <- (x*col_i + y*col_j, z*col_i + w*col_j); same on q
+        for arr in (a, q):
+            for row in arr:
+                row[i], row[j] = x * row[i] + y * row[j], z * row[i] + w * row[j]
+
+    def clear_cross(t: int):
+        """Zero out column t below and row t right of the pivot at (t, t)."""
+        while True:
+            for i in range(t + 1, n):
+                if a[i][t] != 0:
+                    x, y = a[t][t], a[i][t]
+                    if y % x == 0:
+                        row_op(t, i, 1, 0, -(y // x), 1)
+                    else:
+                        g, s, u = _xgcd(x, y)
+                        row_op(t, i, s, u, -(y // g), x // g)
+            for j in range(t + 1, n):
+                if a[t][j] != 0:
+                    x, y = a[t][t], a[t][j]
+                    if y % x == 0:
+                        col_op(t, j, 1, 0, -(y // x), 1)
+                    else:
+                        g, s, u = _xgcd(x, y)
+                        col_op(t, j, s, u, -(y // g), x // g)
+            if all(a[i][t] == 0 for i in range(t + 1, n)) and all(
+                a[t][j] == 0 for j in range(t + 1, n)
+            ):
+                return
+
+    for t in range(n):
+        best = None
+        for i in range(t, n):
+            for j in range(t, n):
+                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        bi, bj = best
+        if bi != t:
+            row_op(t, bi, 0, 1, 1, 0)
+        if bj != t:
+            col_op(t, bj, 0, 1, 1, 0)
+        while True:
+            clear_cross(t)
+            offender = None
+            for i in range(t + 1, n):
+                if any(a[i][j] % a[t][t] != 0 for j in range(t + 1, n)):
+                    offender = i
+                    break
+            if offender is None:
+                break
+            # fold the offending row into row t so the next pass shrinks the pivot
+            row_op(t, offender, 1, 1, 0, 1)
+        if a[t][t] < 0:
+            for arr in (a, p):
+                arr[t] = [-x for x in arr[t]]
+
+    return SmithDecomposition(IntMatrix.from_rows(p), IntMatrix.from_rows(a), IntMatrix.from_rows(q))

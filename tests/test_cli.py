@@ -158,6 +158,16 @@ def test_cap_exceeded_exit_code(tmp_path):
     assert rc == EXIT_CAP_EXCEEDED
 
 
+@pytest.mark.parametrize("argv", [["gf2", "subspaces", "--p", "127"], ["monomial", "classify", "--p", "127"]],
+                         ids=["gf2 subspaces", "monomial classify"])
+def test_subset_cap_is_one_line_and_exit_4(argv, capsys):
+    """x^127 - 1 has 19 factors over GF(2): 2^19 subsets exceed the cap."""
+    rc, out = run(argv)
+    assert rc == EXIT_CAP_EXCEEDED == 4
+    assert out == ""
+    assert capsys.readouterr().err.splitlines() == ["cap exceeded: subset enumeration exceeded cap 4096"]
+
+
 def test_byte_stable_output():
     outs = {run(["rootsys-table", "--max-rank", "8"])[1] for _ in range(3)}
     assert len(outs) == 1
@@ -206,6 +216,10 @@ BAD_INPUTS = {
     "malformed json": lambda d: ["symrank", "--group", _write(d / "bad.json", '{"dim": 2, "generators": [')],
     "group file as gram": lambda d: ["theta", "--gram", _write(d / "g.json", ONE_GENERATOR)],
     "radius 0": lambda d: ["symrank", "--group", _write(d / "g.json", ONE_GENERATOR), "--radius", "0"],
+    "lattice of another dimension": lambda d: [
+        "symrank", "--group", _write(d / "g.json", ONE_GENERATOR),
+        "--lattice", _write(d / "l.json", matrix_to_json(IntMatrix.identity(2))),
+    ],
     "max rank 0": lambda d: ["rootsys-table", "--max-rank", "0"],
     "non-unimodular generator": lambda d: [
         "symrank", "--group", _write(d / "g2.json", group_to_json(1, [IntMatrix.from_rows([(2,)])]))

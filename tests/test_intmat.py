@@ -2,22 +2,21 @@
 import random
 
 import pytest
-from conftest import unimodular_matrices
-from hypothesis import given, settings
+from conftest import det, snf, unimodular_matrices
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from glattice.errors import NotASublattice
 from glattice.intmat import (
-    INFINITE,
     IntMatrix,
     _hnf_insert,
+    coordinates_in,
     full_lattice,
     hnf,
     hnf_from_rows,
     index,
     is_primitive,
     member,
-    snf,
     zero_lattice,
 )
 
@@ -96,7 +95,7 @@ def test_snf_small_exhaustive_unimodular_oracle():
     candidates = []
     for ents in product(range(-1, 2), repeat=4):
         m = IntMatrix(2, 2, ents)
-        if m.det() in (1, -1):
+        if det(m) in (1, -1):
             candidates.append(m)
     best = min(
         abs(p.mul(c).mul(q)[0, 0])
@@ -114,14 +113,14 @@ def test_snf_roundtrip_random():
         m = IntMatrix.from_rows([[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)])
         dec = snf(m)
         assert dec.P.mul(m).mul(dec.Q) == dec.D
-        assert abs(dec.P.det()) == 1 and abs(dec.Q.det()) == 1
+        assert abs(det(dec.P)) == 1 and abs(det(dec.Q)) == 1
         d = dec.diagonal()
         for i in range(n - 1):
             if d[i] == 0:
                 assert d[i + 1] == 0
             else:
                 assert d[i + 1] % d[i] == 0
-        assert abs(dec.D.det()) == abs(m.det())
+        assert abs(det(dec.D)) == abs(det(m))
 
 
 def test_member_examples():
@@ -146,9 +145,62 @@ def test_index_examples():
 
 def test_index_infinite_and_not_sublattice():
     line = hnf_from_rows([(1, 0)], 2)
-    assert index(line, full_lattice(2)) is INFINITE
+    with pytest.raises(ValueError):
+        index(line, full_lattice(2))
     with pytest.raises(NotASublattice):
         index(full_lattice(2), hnf_from_rows([(2, 0), (0, 2)], 2))
+
+
+@st.composite
+def _nested_lattices(draw):
+    """(sup, M, rows): sup of dimension <= 5 and any rank, rows = M times sup's basis, M nonsingular."""
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(1, n))
+    entry = st.integers(-3, 3)
+    sup = hnf_from_rows([draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(k)], n)
+    r = sup.rank
+    assume(r > 0)
+    m = IntMatrix.from_rows([draw(st.lists(entry, min_size=r, max_size=r)) for _ in range(r)])
+    assume(det(m) != 0)
+    sub_rows = [tuple(sum(c * b[j] for c, b in zip(m.row(i), sup.rows())) for j in range(n)) for i in range(r)]
+    return sup, m, sub_rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_nested_lattices())
+def test_index_equals_determinant_of_coordinate_matrix(case):
+    sup, m, sub_rows = case
+    n = sup.ambient_dim
+    sub = hnf_from_rows(sub_rows, n)
+    coords = IntMatrix.from_rows([coordinates_in(r, sup) for r in sub.rows()])
+    assert index(sub, sup) == abs(det(coords)) == abs(det(m))
+    assert index(sup, sup) == 1
+    if sub.rank > 1:
+        with pytest.raises(ValueError):
+            index(hnf_from_rows(sub_rows[1:], n), sup)
+    if abs(det(m)) > 1:
+        with pytest.raises(NotASublattice):
+            index(sup, sub)
+    if sup.rank < n:
+        with pytest.raises(NotASublattice):
+            index(full_lattice(n), sup)
+
+
+def _square_matrices(n):
+    return st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n).map(
+        IntMatrix.from_rows
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.one_of(_square_matrices(n), unimodular_matrices(n))))
+def test_is_unimodular_equals_determinant_oracle(m):
+    assert m.is_unimodular() == (det(m) in (1, -1))
+
+
+def test_non_square_is_not_unimodular():
+    assert not IntMatrix.from_rows([(1, 0, 0), (0, 1, 0)]).is_unimodular()
+    assert not IntMatrix.from_rows([(1,), (0,)]).is_unimodular()
 
 
 def test_index_multiplicative_on_random_chains():

@@ -2,10 +2,10 @@
 import random
 
 import pytest
-from conftest import orbit_span
+from conftest import apply, det, orbit_span, snf
 
 from glattice.errors import InvalidRank, KindUnavailable
-from glattice.intmat import IntMatrix, LatticeBasis, as_vector, full_lattice, hnf, index, member, snf, unit_vector
+from glattice.intmat import IntMatrix, LatticeBasis, full_lattice, hnf, index, member, unit_vector
 from glattice.matgroup import closure, orbit
 from glattice.rootsys import (
     RootSystemSpec,
@@ -16,7 +16,7 @@ from glattice.rootsys import (
     expected_symrank,
     lattice,
     rdim_lower_bound,
-    short_root_count,
+    short_simple_root_index,
     stabilizer_order_dominant,
     weyl_symrank_table,
     weyl_orbit_size,
@@ -70,7 +70,7 @@ def column_span(m: IntMatrix) -> LatticeBasis:
 
 
 def membership_matrix_from_snf(model: WeylModel) -> IntMatrix:
-    """P^-1 D computed from this package's own Smith decomposition.
+    """P^-1 D computed from the Smith decomposition oracle.
 
     Solvability of (P^-1 D) u = v over Z characterizes membership in the
     root lattice written in weight coordinates; equivalently the column
@@ -83,7 +83,7 @@ def membership_matrix_from_snf(model: WeylModel) -> IntMatrix:
 def root_membership_by_snf(model: WeylModel, v) -> bool:
     """Membership test for the root lattice via the Smith decomposition."""
     dec = snf(model.cartan.transpose())
-    pv = dec.P.apply(as_vector(v))
+    pv = apply(dec.P, v)
     return all(
         (pv[i] % dec.D[i, i] == 0) if dec.D[i, i] != 0 else (pv[i] == 0)
         for i in range(model.rank)
@@ -110,7 +110,7 @@ def test_rank_validation():
 def test_cartan_determinants():
     dets = {("A", 4): 5, ("B", 5): 2, ("C", 5): 2, ("D", 6): 4, ("E", 6): 3, ("E", 7): 2, ("E", 8): 1, ("F", 4): 1, ("G", 2): 1}
     for (fam, n), want in dets.items():
-        assert cartan_matrix(RootSystemSpec(fam, n)).det() == want
+        assert det(cartan_matrix(RootSystemSpec(fam, n))) == want
 
 
 def test_build_a1():
@@ -180,11 +180,9 @@ def test_dominance_reduction():
 
 
 def test_short_root_counts():
-    assert short_root_count(build(RootSystemSpec("G", 2))) == 6
-    assert short_root_count(build(RootSystemSpec("F", 4))) == 24
-    assert short_root_count(build(RootSystemSpec("E", 8))) == 240
-    assert short_root_count(build(RootSystemSpec("B", 5))) == 10
-    assert short_root_count(build(RootSystemSpec("C", 5))) == 40
+    for fam, n, want in [("G", 2, 6), ("F", 4, 24), ("E", 8, 240), ("B", 5, 10), ("C", 5, 40)]:
+        model = build(RootSystemSpec(fam, n))
+        assert weyl_orbit_size(model, model.simple_root(short_simple_root_index(model))) == want
 
 
 def test_lattice_examples():
@@ -328,7 +326,7 @@ def test_snf_membership_agrees_with_hnf_membership():
 def test_root_index_equals_cartan_determinant():
     for fam, n in [("A", 5), ("B", 4), ("C", 4), ("D", 5), ("D", 6), ("E", 6), ("E", 7)]:
         model = build(RootSystemSpec(fam, n))
-        assert lattice(model, "root").index_in_weight == abs(model.cartan.det())
+        assert lattice(model, "root").index_in_weight == abs(det(model.cartan))
 
 
 def test_weyl_order_closure_minimal_rank_per_family():

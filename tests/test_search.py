@@ -2,6 +2,7 @@
 import itertools
 
 import pytest
+from conftest import apply
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -56,7 +57,7 @@ def test_witness_union_is_g_stable_and_spans():
     # G-stability: applying any generator permutes the union
     union_set = set(union)
     for h in g.generators:
-        assert {h.apply(v).entries for v in union_set} == union_set
+        assert {apply(h, v).entries for v in union_set} == union_set
 
 
 def test_radius_monotonicity():
@@ -136,7 +137,7 @@ def _bfs_orbit(gens, v):
     queue = [v]
     for cur in queue:
         for h in gens:
-            nxt = h.apply(cur).entries
+            nxt = apply(h, cur).entries
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
@@ -259,7 +260,6 @@ def test_orbit_matches_plain_bfs_and_raises_at_the_cap():
         want = _bfs_orbit(g.generators, v)
         orb = orbit(g, v, cap=len(want))
         assert orb.elements == want and orb.size == len(want)
-        assert orb.representative.entries == min(want)
         if len(want) > 1:
             with pytest.raises(CapExceeded) as exc:
                 orbit(g, v, cap=len(want) - 1)

@@ -3,6 +3,9 @@ import itertools
 import random
 
 import pytest
+from conftest import apply, det
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glattice.errors import CapExceeded, FormNotPreserved
 from glattice.intmat import IntMatrix
@@ -37,6 +40,37 @@ def test_rejects_non_positive_definite():
         GramForm(IntMatrix.from_rows([(0, 1), (1, 0)]))
     with pytest.raises(ValueError):
         GramForm(IntMatrix.from_rows([(1, 2), (3, 4)]))  # not symmetric
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[(1, 1), (1, 1)], [(1, 1, 0), (1, 1, 0), (0, 0, 1)], [(2, 1, 1), (1, 2, 1), (1, 1, 0)], [(1, 0, 0), (0, 1, 0), (0, 0, 0)]],
+    ids=["singular 2x2", "zero middle pivot", "third minor negative", "third minor zero"],
+)
+def test_rejects_a_zero_or_negative_pivot_before_dividing(rows):
+    """ValueError, not ZeroDivisionError, at the first pivot <= 0."""
+    with pytest.raises(ValueError):
+        GramForm(IntMatrix.from_rows(rows))
+
+
+@st.composite
+def _symmetric_matrices(draw):
+    n = draw(st.integers(1, 4))
+    upper = {(i, j): draw(st.integers(-3, 3)) for i in range(n) for j in range(i, n)}
+    return IntMatrix.from_rows([[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_symmetric_matrices())
+def test_positive_definite_iff_leading_minors_positive(m):
+    """Sylvester's criterion, with the minors from the Bareiss oracle."""
+    minors = [det(IntMatrix.from_rows([m.row(i)[: k + 1] for i in range(k + 1)])) for k in range(m.rows)]
+    try:
+        GramForm(m)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == all(d > 0 for d in minors)
 
 
 def test_short_vectors_identity_bound_one():
@@ -116,7 +150,7 @@ def test_diagonal_bound_witnesses_contain_basis_and_are_stable():
     g = action_in_row_basis(a2.matgroup(), a2.cartan)
     for h in g.generators:
         for w in db.witnesses:
-            assert h.apply(w).entries in ents
+            assert apply(h, w).entries in ents
 
 
 def test_orbit_within_norm_class_weyl():
