@@ -3,11 +3,19 @@
 Every check is integer arithmetic.  The two inequality cases that involve
 log2 terms (the projective-linear socle cases) are evaluated in the
 exponent domain with fixed-point dyadic upper bounds on the logarithms:
-``log2 x <= ceil(2^f log2 x) / 2^f``, computed exactly via one big-integer
-power.  Rounding is always outward, so whenever a verdict says "holds"
-the underlying real inequality holds; the reported thresholds can exceed
-the true crossover by at most the rounding granularity (2^-12 here keeps
-them within a few primes).
+``log2 x <= ceil(2^f log2 x) / 2^f``.  The bound is computed by Knuth's
+binary-logarithm squaring (TAOCP Vol. 1, 1.2.2): write x = 2^e m with
+1 <= m < 2; each squaring of the mantissa yields the next bit of log2 m
+(m^2 >= 2 gives a one, and m is halved).  The mantissa is carried as a
+fixed-point interval [lo, hi] / 2^96, rounded down and up, so a bit is
+taken only when the whole interval lies on one side of 2; if it straddles
+2 the routine falls back to the exact ``ceil_log2(x ** 2^f)``.  When x is
+not a power of two, 2^f log2 x is not an integer (x^b = 2^a forces x to be
+a power of two), so the ceiling is the floor the bits give, plus one.  The
+result is therefore always exact, and rounding is outward: whenever a
+verdict says "holds" the underlying real inequality holds; the reported
+thresholds can exceed the true crossover by at most the rounding
+granularity (2^-12 here keeps them within a few primes).
 """
 from __future__ import annotations
 
@@ -19,16 +27,42 @@ from ._primes import ceil_log2, is_prime, pow2_at_least, prime_power, prime_powe
 from .errors import HorizonTooSmall, InvalidCase, NotOddPrime, NotPrimePower
 
 LOG_FRAC_BITS = 12
+_WORK_BITS = 96  # fixed-point bits of the mantissa interval in log2_fixed_upper
 CASES = ("II.i", "II.ii", "III.i", "III.ii")
+
+
+def _log2_interval(x: int, bits: int) -> int | None:
+    """ceil(2^LOG_FRAC_BITS log2 x) for x >= 1, from a ``bits``-bit interval on the
+    mantissa; None when the interval straddles 2 at some squaring."""
+    e = x.bit_length() - 1
+    if x & (x - 1) == 0:
+        return e << LOG_FRAC_BITS
+    two = 2 << bits
+    if e <= bits:
+        lo = hi = x << (bits - e)
+    else:
+        lo = x >> (e - bits)
+        hi = lo + (lo << (e - bits) != x)
+    k = e
+    for _ in range(LOG_FRAC_BITS):
+        lo = (lo * lo) >> bits
+        hi = -((-hi * hi) >> bits)
+        k <<= 1
+        if lo >= two:
+            k |= 1
+            lo >>= 1
+            hi = (hi + 1) >> 1
+        elif hi >= two:
+            return None
+    return k + 1
 
 
 def log2_fixed_upper(x: int) -> int:
     """Smallest k with k / 2^LOG_FRAC_BITS >= log2(x), for x >= 1."""
     if x < 1:
         raise ValueError("log2 of a nonpositive integer")
-    if x == 1:
-        return 0
-    return ceil_log2(x ** (1 << LOG_FRAC_BITS))
+    k = _log2_interval(x, _WORK_BITS)
+    return ceil_log2(x ** (1 << LOG_FRAC_BITS)) if k is None else k
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,23 @@
 
 Positive definiteness is certified exactly by the pivots of an LDL^T
 decomposition over Fractions (Sylvester's criterion: they are all positive
-exactly when every leading principal minor is), and the enumeration uses
-exact rational interval bounds derived from the same decomposition, so the
+exactly when every leading principal minor is).  The enumeration is
+Fincke-Pohst (Fincke and Pohst 1985; Cohen, *A Course in Computational
+Algebraic Number Theory*, 2.7.3) in integers only.  With X = U^T diag(d) U,
+
+    v^T X v = sum_i d_i (v_i + sum_{j>i} u_ij v_j)^2.
+
+Let L_i be the lcm of the denominators in row i of U and M the common
+denominator of the d_i / L_i^2.  Then C_i = sum_{j>i} L_i u_ij v_j and
+e_i = M d_i / L_i^2 are integers, and
+
+    M v^T X v = sum_i e_i (L_i v_i + C_i)^2,
+
+so the remaining budget B = M bound - (terms above i) is an integer too.
+The coordinate v_i runs over exactly the integers with
+|L_i v_i + C_i| <= isqrt(B // e_i) (for integer t, e t^2 <= B iff
+t^2 <= B // e), and the norm of a leaf is (M bound - B) / M.  Scaling the
+decomposition is the only rational arithmetic, done once per call, so the
 vector lists and coefficient counts are complete by construction -- no
 pruning heuristic, no floats.
 """
@@ -11,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 from .errors import CapExceeded, FormNotPreserved
 from .intmat import IntMatrix, IntVector, LatticeBasis, as_vector, hnf_from_rows
@@ -71,27 +86,16 @@ def _ldl(form: GramForm) -> tuple[list[Fraction], list[list[Fraction]]]:
     return d, u
 
 
-def _floor_sqrt(q: Fraction) -> int:
-    """floor(sqrt(q)) for a nonnegative rational, exactly."""
-    if q < 0:
-        raise ValueError("negative radicand")
-    return isqrt(q.numerator * q.denominator) // q.denominator
-
-
-def _coordinate_range(budget: Fraction, d: Fraction, center: Fraction) -> range:
-    """Integers x with d*(x + center)^2 <= budget (d > 0, budget >= 0)."""
-    s = budget / d
-    r = _floor_sqrt(s)
-    lo = -r - 1 - (center.numerator // center.denominator if center else 0)
-    hi = r + 1 - (center.numerator // center.denominator if center else 0)
-    # tighten the float-free bracket by exact comparison
-    while d * (Fraction(lo) + center) ** 2 > budget:
-        lo += 1
-        if lo > hi:
-            return range(0, 0)
-    while d * (Fraction(hi) + center) ** 2 > budget:
-        hi -= 1
-    return range(lo, hi + 1)
+def _scaled_ldl(form: GramForm) -> tuple[int, list[int], list[int], list[list[tuple[int, int]]]]:
+    """(M, e, L, rows) with M v^T X v = sum_i e_i (L_i v_i + sum_{(j, c) in rows[i]} c v_j)^2."""
+    d, u = _ldl(form)
+    n = form.dim
+    scale = [lcm(*(u[i][j].denominator for j in range(i + 1, n))) for i in range(n)]
+    weights = [d[i] / (scale[i] * scale[i]) for i in range(n)]
+    m = lcm(*(w.denominator for w in weights))
+    e = [int(w * m) for w in weights]
+    rows = [[(j, int(u[i][j] * scale[i])) for j in range(i + 1, n) if u[i][j]] for i in range(n)]
+    return m, e, scale, rows
 
 
 def short_vectors(form: GramForm, bound: int, cap: int = DEFAULT_CAP) -> list[tuple[IntVector, int]]:
@@ -102,24 +106,31 @@ def short_vectors(form: GramForm, bound: int, cap: int = DEFAULT_CAP) -> list[tu
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     n = form.dim
-    d, u = _ldl(form)
+    m, e, scale, rows = _scaled_ldl(form)
+    total = m * bound
     out: list[tuple[tuple[int, ...], int]] = []
     coords = [0] * n
 
-    def descend(i: int, budget: Fraction):
+    def descend(i: int, budget: int):
         if i < 0:
-            v = tuple(coords)
-            out.append((v, form.norm(v)))
+            norm, rest = divmod(total - budget, m)
+            if rest:
+                raise AssertionError("scaled norm is not a multiple of the scale")
+            out.append((tuple(coords), norm))
             if len(out) > cap:
                 raise CapExceeded("short vector enumeration", cap)
             return
-        center = sum(u[i][j] * coords[j] for j in range(i + 1, n)) or Fraction(0)
-        for x in _coordinate_range(budget, d[i], center):
+        center = sum(c * coords[j] for j, c in rows[i])
+        ei, li = e[i], scale[i]
+        r = isqrt(budget // ei)
+        # |li x + center| <= r: x from ceil((-r - center) / li) to floor((r - center) / li)
+        for x in range(-((r + center) // li), (r - center) // li + 1):
+            t = li * x + center
             coords[i] = x
-            descend(i - 1, budget - d[i] * (Fraction(x) + center) ** 2)
+            descend(i - 1, budget - ei * t * t)
         coords[i] = 0
 
-    descend(n - 1, Fraction(bound))
+    descend(n - 1, total)
     out.sort()
     return [(IntVector(v), norm) for v, norm in out]
 

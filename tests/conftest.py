@@ -7,9 +7,16 @@ from dataclasses import dataclass  # noqa: E402
 
 from hypothesis import strategies as st  # noqa: E402
 
+from glattice._primes import ceil_log2  # noqa: E402
+from glattice.bounds import LOG_FRAC_BITS  # noqa: E402
 from glattice.intmat import IntMatrix, IntVector, LatticeBasis, _xgcd, as_vector, hnf_from_rows  # noqa: E402
 from glattice.matgroup import MatGroup, orbit  # noqa: E402
 from glattice.monomial import MonomialElement, MonomialGroup  # noqa: E402
+
+
+def log2_upper(x: int) -> int:
+    """Oracle for ``log2_fixed_upper``: the least k with 2^k >= x^(2^LOG_FRAC_BITS), from the power itself."""
+    return ceil_log2(x ** (1 << LOG_FRAC_BITS))
 
 
 def orbit_span(g: MatGroup, v) -> LatticeBasis:

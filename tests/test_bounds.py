@@ -4,7 +4,11 @@ import random
 from glattice._primes import primes_upto
 
 import pytest
+from conftest import log2_upper
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from glattice import bounds
 from glattice.bounds import (
     BoundVerdict,
     check_numerical_lemma,
@@ -133,6 +137,36 @@ def test_log_bounds_are_outward_and_tight():
         up = log2_fixed_upper(x)
         # up is the least k with 2^k >= x^4096
         assert (1 << (up - 1)) < x**4096 <= (1 << up)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, (1 << 64) - 1))
+@example(3)
+@example((1 << 64) - 1)
+def test_log2_fixed_upper_matches_the_exact_power(x):
+    assert log2_fixed_upper(x) == log2_upper(x)
+
+
+def test_log2_fixed_upper_around_powers_of_two():
+    for k in range(1, 64):
+        assert log2_fixed_upper(1 << k) == k << bounds.LOG_FRAC_BITS
+        for x in ((1 << k) - 1, (1 << k) + 1):
+            if x >= 2:
+                assert log2_fixed_upper(x) == log2_upper(x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, (1 << 64) - 1), st.integers(1, 24))
+def test_log2_interval_is_exact_or_undecided(x, bits):
+    """At any working precision the interval either decides every bit or gives up."""
+    assert bounds._log2_interval(x, bits) in (None, log2_upper(x))
+
+
+def test_log2_fixed_upper_falls_back_when_the_interval_straddles(monkeypatch):
+    assert bounds._log2_interval(3, 8) is None
+    monkeypatch.setattr(bounds, "_WORK_BITS", 8)
+    for x in (3, 5, 1000, 1 << 40, (1 << 40) + 1):
+        assert log2_fixed_upper(x) == log2_upper(x)
 
 
 def test_case_III_verdicts_are_sound():

@@ -1,6 +1,10 @@
 """CLI: exit-code contract, fixture comparison, file ingestion, determinism."""
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,14 +17,49 @@ from glattice.cli import (
     main,
 )
 from glattice.intmat import IntMatrix
-from glattice.rootsys import RootSystemSpec, build
+from glattice.rootsys import RootSystemSpec, build, cartan_matrix
 from glattice.serialize import group_to_json, matrix_to_json
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(argv):
     buf = io.StringIO()
     rc = main(argv, out=buf)
     return rc, buf.getvalue()
+
+
+def _e8_gram(directory) -> str:
+    path = directory / "e8.json"
+    path.write_text(json.dumps(matrix_to_json(cartan_matrix(RootSystemSpec("E", 8)))))
+    return str(path)
+
+
+# JSON stdout recorded before the logarithms and the short-vector enumeration
+# moved to integer-only arithmetic; both must reproduce it byte for byte.
+GOLDEN_JSON = {
+    "thmA": (
+        '[{"a": 1, "case": "II.i", "threshold": 13, "anomalies": 0, "status": "pass"}, '
+        '{"a": 1, "case": "II.ii", "threshold": 29, "anomalies": 0, "status": "pass"}, '
+        '{"a": 2, "case": "II.i", "threshold": 31, "anomalies": 0, "status": "pass"}, '
+        '{"a": 2, "case": "II.ii", "threshold": 31, "anomalies": 0, "status": "pass"}, '
+        '{"a": 3, "case": "II.i", "threshold": 61, "anomalies": 0, "status": "pass"}, '
+        '{"a": 3, "case": "II.ii", "threshold": 37, "anomalies": 0, "status": "pass"}]\n'
+    ),
+    "thmA2": (
+        '[{"a": 2, "case": "II.i", "threshold": 31, "expected": "31", "status": "pass"}, '
+        '{"a": 2, "case": "II.ii", "threshold": 31, "expected": "31", "status": "pass"}, '
+        '{"a": 2, "case": "III.i", "threshold": 761, "expected": "[760, 768]", "status": "pass"}, '
+        '{"a": 2, "case": "III.ii", "threshold": 1297, "expected": "[1297, 1305]", "status": "pass"}, '
+        '{"a": 2, "case": "II.i @ p=29", "threshold": "fails", "expected": "fails", "status": "pass"}]\n'
+    ),
+    "theta E8": (
+        '[{"norm": 0, "count": 1}, {"norm": 1, "count": 0}, {"norm": 2, "count": 240}, '
+        '{"norm": 3, "count": 0}, {"norm": 4, "count": 2160}, {"norm": 5, "count": 0}, '
+        '{"norm": 6, "count": 6720}]\n'
+    ),
+}
 
 
 def test_rootsys_table_ok_and_filtered():
@@ -62,8 +101,22 @@ def test_verify_three_sublattice_table():
 
 
 def test_verify_pinned_thresholds():
-    rc, out = run(["verify", "--name", "thmA2"])
+    rc, out = run(["--format", "json", "verify", "--name", "thmA2"])
     assert rc == EXIT_OK
+    assert out == GOLDEN_JSON["thmA2"]
+
+
+def test_verify_threshold_existence_golden():
+    rc, out = run(["--format", "json", "verify", "--name", "thmA"])
+    assert rc == EXIT_OK
+    assert out == GOLDEN_JSON["thmA"]
+
+
+def test_theta_e8_golden(tmp_path):
+    rc, out = run(["--format", "json", "theta", "--gram", _e8_gram(tmp_path), "--horizon", "6"])
+    assert rc == EXIT_OK
+    assert out == GOLDEN_JSON["theta E8"]
+    assert tuple(r["count"] for r in json.loads(out)) == (1, 0, 240, 0, 2160, 0, 6720)
 
 
 def test_verify_almost_simple():
@@ -247,3 +300,15 @@ def test_assertion_error_is_not_an_input_error(monkeypatch):
     monkeypatch.setattr(cli, "cmd_rootsys_table", broken)
     with pytest.raises(AssertionError):
         run(["rootsys-table", "--max-rank", "2"])
+
+
+def _cli_stdout(flags, argv) -> bytes:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, *flags, "-m", "glattice", *argv], env=env, capture_output=True, check=True)
+    return proc.stdout
+
+
+def test_optimized_run_prints_the_same(tmp_path):
+    """Under ``python -O`` the integer checks still run and stdout is unchanged."""
+    for argv in (["theta", "--gram", _e8_gram(tmp_path), "--horizon", "6"], ["verify", "--name", "thmA2"]):
+        assert _cli_stdout(["-O"], argv) == _cli_stdout([], argv)

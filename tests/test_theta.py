@@ -1,10 +1,11 @@
 """Theta series: enumeration completeness, counts, diagonal bounds."""
 import itertools
 import random
+from math import isqrt, prod
 
 import pytest
 from conftest import apply, det
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from glattice.errors import CapExceeded, FormNotPreserved
@@ -23,10 +24,12 @@ from glattice.theta import (
 GRAM_A2 = GramForm(IntMatrix.from_rows([(2, -1), (-1, 2)]))
 
 
-def brute_force(form, bound):
+def brute_force(form, bound, radii=None):
+    """Every (v, norm) with norm <= bound in the box |v_i| <= radii[i] (default bound + 1)."""
     n = form.dim
+    radii = radii or [bound + 1] * n
     out = []
-    for v in itertools.product(range(-bound - 1, bound + 2), repeat=n):
+    for v in itertools.product(*(range(-r, r + 1) for r in radii)):
         nm = form.norm(v)
         if nm <= bound:
             out.append((v, nm))
@@ -111,6 +114,40 @@ def test_completeness_random_small_forms():
         bound = rng.randint(0, 6)
         got = [(v.entries, nm) for v, nm in short_vectors(form, bound)]
         assert got == brute_force(form, bound)
+
+
+def _box_radii(m: IntMatrix, bound: int) -> list[int]:
+    """|v_i| <= sqrt(bound (X^-1)_ii) on the ellipsoid v^T X v <= bound; (X^-1)_ii = minor_ii / det X."""
+    n = m.rows
+    rows = m.to_rows()
+    whole = det(m)
+    if n == 1:
+        return [isqrt(bound // whole)]
+    minors = [det(IntMatrix.from_rows([[x for c, x in enumerate(r) if c != i] for k, r in enumerate(rows) if k != i]))
+              for i in range(n)]
+    return [isqrt(bound * minor // whole) for minor in minors]
+
+
+def _shifted_to_positive_definite(m: IntMatrix) -> GramForm:
+    """m + sI for the least s >= 0 that makes it positive definite."""
+    rows = m.to_rows()
+    for s in itertools.count():
+        try:
+            return GramForm(IntMatrix.from_rows([[x + s * (i == j) for j, x in enumerate(r)] for i, r in enumerate(rows)]))
+        except ValueError:
+            continue
+
+
+@settings(max_examples=300, deadline=None)
+@given(_symmetric_matrices().map(_shifted_to_positive_definite), st.integers(0, 6))
+def test_short_vectors_match_brute_force(form, bound):
+    """Complete against the box that contains the whole ellipsoid; every carried norm is v^T X v."""
+    m = form.matrix
+    radii = _box_radii(m, bound)
+    assume(prod(2 * r + 1 for r in radii) <= 20000)
+    got = [(v.entries, nm) for v, nm in short_vectors(form, bound)]
+    assert got == brute_force(form, bound, radii)
+    assert all(nm == form.norm(v) for v, nm in got)
 
 
 def test_theta_prefix_examples():
