@@ -11,15 +11,13 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from glattice.gf2cyclo import diag_generators
+from glattice.matgroup import MatGroup, orbit
 from glattice.monomial import (
-    MonomialGroup,
-    cycle_element,
-    diagonal_element,
+    cycle_matrix,
     full_monomial_group,
     o2_diagonal_part,
     project_pi,
     three_sublattice_report,
-    vector_orbit,
 )
 
 for p in (5, 7, 11, 13):
@@ -33,13 +31,13 @@ print()
 print("BFS cross-check at p = 7:")
 mon7 = full_monomial_group(7)
 for v in [(1, 0, 0, 0, 0, 0, 0), (1, 1, 0, 0, 0, 0, 0), (1,) * 7]:
-    print(f"    |orbit{v}| = {len(vector_orbit(mon7, v))}")
+    print(f"    |orbit{v}| = {orbit(mon7, v).size}")
 
 print()
 print("Maximal normal 2-subgroups as sign subspaces (p = 7):")
 examples = [
-    ("<7-cycle, -I>", MonomialGroup(7, (cycle_element(7), diagonal_element(diag_generators(7)[0])))),
-    ("<7-cycle, D_1>", MonomialGroup(7, (cycle_element(7), diagonal_element(diag_generators(7)[1])))),
+    ("<7-cycle, -I>", MatGroup(7, (cycle_matrix(7), diag_generators(7)[0]))),
+    ("<7-cycle, D_1>", MatGroup(7, (cycle_matrix(7), diag_generators(7)[1]))),
 ]
 for label, g in examples:
     pi = project_pi(g)

@@ -123,10 +123,19 @@ def prime_case_check(p: int, a: int, ell: int, case: str) -> BoundVerdict:
     subcase .ii takes ell = a.  Cases II.i and III.i require a | p - 1.
     """
     _require_odd_prime(p)
+    _require_case(a, case)
+    return _case_verdict(p, a, ell, case)
+
+
+def _require_case(a: int, case: str):
     if case not in CASES:
         raise InvalidCase(f"unknown case {case!r}")
     if a < 1:
         raise ValueError("a must be positive")
+
+
+def _case_verdict(p: int, a: int, ell: int, case: str) -> BoundVerdict:
+    """The body of :func:`prime_case_check`, for an odd prime p and a checked case and a."""
     params = {"p": p, "a": a, "ell": ell}
     if case == "II.i":
         if not 0 <= ell <= a - 1:
@@ -181,8 +190,7 @@ def min_threshold(a: int, case: str, horizon: int = 10007) -> ThresholdReport:
     """Smallest prime P such that the case inequality holds for every prime
     in [P, horizon]; primes below P that hold anyway are reported, not hidden.
     """
-    if case not in CASES:
-        raise InvalidCase(f"unknown case {case!r}")
+    _require_case(a, case)
     ell = _default_ell(a, case)
     verdicts = []
     for p in primes_upto(horizon):
@@ -190,7 +198,7 @@ def min_threshold(a: int, case: str, horizon: int = 10007) -> ThresholdReport:
             continue
         if case.endswith(".i") and (p - 1) % a != 0:
             continue
-        verdicts.append((p, prime_case_check(p, a, ell, case).holds))
+        verdicts.append((p, _case_verdict(p, a, ell, case).holds))
     if not verdicts or not verdicts[-1][1]:
         raise HorizonTooSmall(f"inequality does not hold at the horizon {horizon}")
     threshold = None

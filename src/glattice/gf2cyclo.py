@@ -334,43 +334,29 @@ def diag_generators(p: int) -> tuple[IntMatrix, ...]:
     return tuple(out)
 
 
-def binary_coefficient_vector(p: int, i: int) -> IntVector:
-    """v_i: the 0/1 coefficient vector of g_i, as an integer vector."""
-    fact = factor_xp_minus_1(p)
-    g = fact.complementary_product(i)
-    return IntVector(g.coeffs(p))
-
-
 def _cyclic_shifts(v: IntVector) -> list[tuple[int, ...]]:
     n = v.dim
     e = v.entries
     return [tuple(e[(j - k) % n] for j in range(n)) for k in range(n)]
 
 
-def binary_sublattice(p: int, subset) -> LatticeBasis:
-    """Sublattice of Z^p spanned by shifts of the v_i, i in subset, and 2 Z^p.
-
-    These are the primitive sublattices of a monomial group containing all
-    sign matrices and a p-cycle.
-    """
-    subset = frozenset(subset)
-    fact = factor_xp_minus_1(p)
-    if any(i < 0 or i >= len(fact.factors) for i in subset):
-        raise ValueError("component index out of range")
-    if not subset:
-        return zero_lattice(p)
-    rows: list[tuple[int, ...]] = []
-    for i in sorted(subset):
-        rows.extend(_cyclic_shifts(binary_coefficient_vector(p, i)))
-    for j in range(p):
-        rows.append(tuple(2 if k == j else 0 for k in range(p)))
-    return hnf_from_rows(rows, p)
-
-
 def binary_sublattices(p: int) -> dict[frozenset, LatticeBasis]:
-    """All sublattices indexed by subsets (guarded: 2^(m+1) can be large)."""
+    """The sublattice for each subset S of the components, indexed by S.
+
+    It is spanned by 2 Z^p and the cyclic shifts of v_i, the 0/1 coefficient
+    vector of g_i, for i in S.  These are the primitive sublattices of a
+    monomial group containing all sign matrices and a p-cycle.  Guarded:
+    m components have 2^m subsets.  x^p - 1 is factored once per call.
+    """
     fact = factor_xp_minus_1(p)
-    return {frozenset(s): binary_sublattice(p, s) for s in _component_subsets(len(fact.factors))}
+    m = len(fact.factors)
+    subsets = _component_subsets(m)
+    shifts = [_cyclic_shifts(IntVector(fact.complementary_product(i).coeffs(p))) for i in range(m)]
+    doubles = [tuple(2 if k == j else 0 for k in range(p)) for j in range(p)]
+    return {
+        frozenset(s): hnf_from_rows([r for i in s for r in shifts[i]] + doubles, p) if s else zero_lattice(p)
+        for s in subsets
+    }
 
 
 def _component_subsets(m: int):

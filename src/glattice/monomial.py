@@ -1,15 +1,12 @@
 """Monomial (signed permutation) groups and the prime-dimension sublattice analysis.
 
-Elements are stored structurally as (signs, permutation) pairs.  Vector
-orbits, which for binary vectors in dimension p can reach size 2^p, and the
-two closures -- the permutation image and the group whose diagonal part is
-read off -- run on the orbit kernel of :mod:`matgroup`, which touches only
-the one nonzero entry in each moved row of a signed permutation.  Dense
-matrices are available on demand.
-
-The convention is that ``(signs, perm)`` denotes D(signs) P(perm) with
-P e_i = e_{perm[i]}, acting on column vectors; the test suite checks
-:meth:`MonomialElement.matrix` and composition against it.
+A monomial group is a :class:`~glattice.matgroup.MatGroup` whose
+generators are signed-permutation matrices D(signs) P(perm), with
+P e_i = e_{perm[i]}, acting on column vectors.  Vector orbits, which for
+binary vectors in dimension p can reach size 2^p, and the two closures --
+the permutation image and the group whose diagonal part is read off -- run
+on the orbit kernel of :mod:`matgroup`, which touches only the one nonzero
+entry in each moved row of a signed permutation.
 """
 from __future__ import annotations
 
@@ -22,7 +19,6 @@ from .intmat import (
     IntMatrix,
     IntVector,
     LatticeBasis,
-    as_vector,
     full_lattice,
     hnf_from_rows,
     member,
@@ -32,99 +28,31 @@ from .intmat import (
 from .matgroup import DEFAULT_CAP, MatGroup, _orbit_bfs, closure
 
 
-@dataclass(frozen=True)
-class MonomialElement:
-    """Signed permutation: the matrix D(signs) P(perm)."""
-
-    signs: tuple[int, ...]
-    perm: tuple[int, ...]
-
-    def __post_init__(self):
-        n = len(self.signs)
-        if any(s not in (1, -1) for s in self.signs):
-            raise ValueError("signs must be +-1")
-        if sorted(self.perm) != list(range(n)):
-            raise ValueError("perm must be a permutation of 0..n-1")
-
-    @property
-    def n(self) -> int:
-        return len(self.signs)
-
-    @classmethod
-    def identity(cls, n: int) -> "MonomialElement":
-        return cls((1,) * n, tuple(range(n)))
-
-    def inverse_perm(self) -> tuple[int, ...]:
-        inv = [0] * self.n
-        for i, j in enumerate(self.perm):
-            inv[j] = i
-        return tuple(inv)
-
-    def apply(self, v) -> IntVector:
-        """(D P) v: coordinate j receives signs[j] * v[perm^-1(j)]."""
-        vv = as_vector(v)
-        inv = self.inverse_perm()
-        return IntVector(tuple(self.signs[j] * vv[inv[j]] for j in range(self.n)))
-
-    def matrix(self) -> IntMatrix:
-        n = self.n
-        rows = [[0] * n for _ in range(n)]
-        for i in range(n):
-            rows[self.perm[i]][i] = self.signs[self.perm[i]]
-        return IntMatrix.from_rows(rows)
+def signed_permutation(signs, perm) -> IntMatrix:
+    """The matrix D(signs) P(perm): column i is signs[perm[i]] e_{perm[i]}."""
+    n = len(signs)
+    if any(s not in (1, -1) for s in signs):
+        raise ValueError("signs must be +-1")
+    if sorted(perm) != list(range(n)):
+        raise ValueError("perm must be a permutation of 0..n-1")
+    rows = [[0] * n for _ in range(n)]
+    for i, j in enumerate(perm):
+        rows[j][i] = signs[j]
+    return IntMatrix.from_rows(rows)
 
 
-@dataclass(frozen=True)
-class MonomialGroup:
-    """Subgroup of the monomial group given by structural generators."""
-
-    n: int
-    generators: tuple[MonomialElement, ...]
-    label: str | None = None
-
-    def __post_init__(self):
-        for g in self.generators:
-            if g.n != self.n:
-                raise ValueError("generator size mismatch")
-
-    def matgroup(self) -> MatGroup:
-        return MatGroup(self.n, tuple(g.matrix() for g in self.generators), label=self.label)
+def cycle_matrix(n: int) -> IntMatrix:
+    """The n-cycle e_i -> e_{i+1 mod n} with all signs positive."""
+    return signed_permutation((1,) * n, tuple((i + 1) % n for i in range(n)))
 
 
-def cycle_element(n: int) -> MonomialElement:
-    """The n-cycle i -> i+1 (mod n) with all signs positive."""
-    return MonomialElement((1,) * n, tuple((i + 1) % n for i in range(n)))
-
-
-def transposition_element(n: int, i: int = 0, j: int = 1) -> MonomialElement:
-    perm = list(range(n))
-    perm[i], perm[j] = perm[j], perm[i]
-    return MonomialElement((1,) * n, tuple(perm))
-
-
-def sign_flip_element(n: int, i: int = 0) -> MonomialElement:
-    return MonomialElement(tuple(-1 if k == i else 1 for k in range(n)), tuple(range(n)))
-
-
-def diagonal_element(diag: IntMatrix) -> MonomialElement:
-    n = diag.rows
-    return MonomialElement(tuple(diag[i, i] for i in range(n)), tuple(range(n)))
-
-
-def full_monomial_group(n: int) -> MonomialGroup:
-    """Generators of the full monomial group (order 2^n n!)."""
-    gens = [cycle_element(n), sign_flip_element(n)]
+def full_monomial_group(n: int) -> MatGroup:
+    """Generators of the full monomial group (order 2^n n!): cycle, transposition, sign flip."""
+    ident = tuple(range(n))
+    gens = [cycle_matrix(n), signed_permutation(tuple(-1 if k == 0 else 1 for k in ident), ident)]
     if n >= 2:
-        gens.insert(1, transposition_element(n))
-    return MonomialGroup(n, tuple(gens), label=f"Mon_{n}")
-
-
-def vector_orbit(g: MonomialGroup, v, cap: int = DEFAULT_CAP) -> frozenset:
-    """Orbit of a vector (deterministic BFS through the matrix orbit kernel)."""
-    seen, complete = _orbit_bfs(g.matgroup().moves, as_vector(v).entries, cap)
-    if not complete:
-        raise CapExceeded("monomial orbit", cap)
-    return frozenset(seen)
+        gens.insert(1, signed_permutation((1,) * n, (1, 0) + ident[2:]))
+    return MatGroup(n, tuple(gens), label=f"Mon_{n}")
 
 
 @dataclass(frozen=True)
@@ -136,15 +64,30 @@ class PiSummary:
     generator_perms: tuple[tuple[int, ...], ...]
 
 
-def project_pi(g: MonomialGroup, cap: int = DEFAULT_CAP) -> PiSummary:
+def _permutation(h: IntMatrix) -> tuple[int, ...]:
+    """perm with h = D(signs) P(perm); HypothesisNotMet unless h is a signed permutation.
+
+    A unimodular matrix whose every column has one nonzero entry, +-1, is a
+    signed permutation, and every generator of a MatGroup is unimodular.
+    """
+    perm = []
+    for j in range(h.cols):
+        col = [i for i in range(h.rows) if h[i, j]]
+        if len(col) != 1 or h[col[0], j] not in (1, -1):
+            raise HypothesisNotMet("generator is not a signed permutation")
+        perm.append(col[0])
+    return tuple(perm)
+
+
+def project_pi(g: MatGroup, cap: int = DEFAULT_CAP) -> PiSummary:
     """Closure of the permutation parts, with n-cycle detection.
 
     Runs on the orbit kernel: the identity permutation is moved by the
     matrices with row i equal to e_{perm[i]}, which send cur to the
     composite with entries cur[perm[i]].
     """
-    n = g.n
-    gens = [e.perm for e in g.generators]
+    n = g.dim
+    gens = [_permutation(h) for h in g.generators]
     mats = [IntMatrix.from_rows([[int(j == p[i]) for j in range(n)] for i in range(n)]) for p in gens]
     seen, complete = _orbit_bfs(MatGroup(n, mats).moves, tuple(range(n)), cap)
     if not complete:
@@ -165,7 +108,7 @@ def _is_n_cycle(perm: tuple[int, ...]) -> bool:
     return count == n
 
 
-def o2_diagonal_part(g: MonomialGroup, cap: int = DEFAULT_CAP) -> tuple[int, ...]:
+def o2_diagonal_part(g: MatGroup, cap: int = DEFAULT_CAP) -> tuple[int, ...]:
     """Sign subspace of the diagonal part G /\\ D_n, as a bitmask basis.
 
     Requires n odd and an n-cycle in the permutation image; under those
@@ -174,12 +117,12 @@ def o2_diagonal_part(g: MonomialGroup, cap: int = DEFAULT_CAP) -> tuple[int, ...
     Those are the elements of the matrix closure with no zero on the
     diagonal.
     """
-    if g.n % 2 == 0:
+    if g.dim % 2 == 0:
         raise HypothesisNotMet("dimension must be odd")
     if not project_pi(g, cap).has_n_cycle:
         raise HypothesisNotMet("permutation image contains no n-cycle")
-    n = g.n
-    diagonals = (e[:: n + 1] for e in closure(g.matgroup(), cap)[0])
+    n = g.dim
+    diagonals = (e[:: n + 1] for e in closure(g, cap)[0])
     masks = [sum(1 << i for i, s in enumerate(d) if s == -1) for d in diagonals if all(d)]
     return tuple(_rref_masks(masks))
 
@@ -199,9 +142,8 @@ def support_reduce(l: LatticeBasis, n: int) -> IntVector:
     for j in range(n):
         if not member(tuple(2 if k == j else 0 for k in range(n)), l):
             raise HypothesisNotMet("lattice does not contain 2 Z^n")
-    shift = cycle_element(n)
     for r in l.rows():
-        if not member(shift.apply(r), l):
+        if not member(r[-1:] + r[:-1], l):
             raise HypothesisNotMet("lattice is not shift-stable")
     # binary vectors of l = 0/1 lifts of its mod-2 row space
     masks = _rref_masks(

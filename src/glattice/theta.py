@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 from .errors import CapExceeded, FormNotPreserved
-from .intmat import IntMatrix, IntVector, LatticeBasis, as_vector, hnf_from_rows
+from .intmat import IntMatrix, LatticeBasis, as_vector, hnf_from_rows
 from .matgroup import DEFAULT_CAP, MatGroup, Orbit, orbit
 
 
@@ -98,10 +98,11 @@ def _scaled_ldl(form: GramForm) -> tuple[int, list[int], list[int], list[list[tu
     return m, e, scale, rows
 
 
-def short_vectors(form: GramForm, bound: int, cap: int = DEFAULT_CAP) -> list[tuple[IntVector, int]]:
+def short_vectors(form: GramForm, bound: int, cap: int = DEFAULT_CAP) -> list[tuple[tuple[int, ...], int]]:
     """Complete list of (v, v^T X v) with norm <= bound, lexicographic order.
 
-    Both v and -v appear (and the zero vector, whenever bound >= 0).
+    Each v is a plain coordinate tuple.  Both v and -v appear (and the
+    zero vector, whenever bound >= 0).
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
@@ -132,7 +133,7 @@ def short_vectors(form: GramForm, bound: int, cap: int = DEFAULT_CAP) -> list[tu
 
     descend(n - 1, total)
     out.sort()
-    return [(IntVector(v), norm) for v, norm in out]
+    return out
 
 
 @dataclass(frozen=True)
@@ -167,7 +168,7 @@ class DiagonalBound:
 
     diagonal_norms: frozenset
     bound: int
-    witnesses: tuple[IntVector, ...]
+    witnesses: tuple[tuple[int, ...], ...]
 
 
 def diagonal_bound(form: GramForm, cap: int = DEFAULT_CAP) -> DiagonalBound:

@@ -9,9 +9,9 @@ from hypothesis import strategies as st  # noqa: E402
 
 from glattice._primes import ceil_log2  # noqa: E402
 from glattice.bounds import LOG_FRAC_BITS  # noqa: E402
+from glattice.gf2cyclo import binary_sublattices, factor_xp_minus_1  # noqa: E402
 from glattice.intmat import IntMatrix, IntVector, LatticeBasis, _xgcd, as_vector, hnf_from_rows  # noqa: E402
 from glattice.matgroup import MatGroup, orbit  # noqa: E402
-from glattice.monomial import MonomialElement, MonomialGroup  # noqa: E402
 
 
 def log2_upper(x: int) -> int:
@@ -19,37 +19,33 @@ def log2_upper(x: int) -> int:
     return ceil_log2(x ** (1 << LOG_FRAC_BITS))
 
 
+def binary_sublattice(p: int, subset) -> LatticeBasis:
+    """The entry of ``binary_sublattices(p)`` for one subset of components."""
+    return binary_sublattices(p)[frozenset(subset)]
+
+
+def binary_coefficient_vector(p: int, i: int) -> IntVector:
+    """v_i: the 0/1 coefficient vector of g_i, the product of every factor of x^p - 1 but the i-th."""
+    return IntVector(factor_xp_minus_1(p).complementary_product(i).coeffs(p))
+
+
 def orbit_span(g: MatGroup, v) -> LatticeBasis:
     """Oracle for ``stable_span``: HNF basis of the span of the listed orbit of v."""
     return hnf_from_rows(sorted(orbit(g, v).elements), g.dim)
 
 
-def compose(a: MonomialElement, b: MonomialElement) -> MonomialElement:
-    """Matrix product a * b of two signed permutations."""
-    inv = a.inverse_perm()
-    signs = tuple(a.signs[j] * b.signs[inv[j]] for j in range(a.n))
-    perm = tuple(a.perm[b.perm[i]] for i in range(a.n))
-    return MonomialElement(signs, perm)
-
-
-def inverse(a: MonomialElement) -> MonomialElement:
-    inv = a.inverse_perm()
-    signs = tuple(a.signs[a.perm[i]] for i in range(a.n))
-    return MonomialElement(signs, inv)
-
-
-def closure_elements(g: MonomialGroup) -> frozenset:
-    """Oracle for the monomial closures: every element, by BFS over compositions."""
-    ident = MonomialElement.identity(g.n)
-    seen = {ident}
+def closure_oracle(g: MatGroup) -> tuple[frozenset, int]:
+    """Oracle for ``closure``: element entry tuples and order, by BFS over matrix products."""
+    ident = IntMatrix.identity(g.dim)
+    seen = {ident.entries}
     queue = [ident]
     for cur in queue:
         for gen in g.generators:
-            nxt = compose(cur, gen)
-            if nxt not in seen:
-                seen.add(nxt)
+            nxt = cur.mul(gen)
+            if nxt.entries not in seen:
+                seen.add(nxt.entries)
                 queue.append(nxt)
-    return frozenset(seen)
+    return frozenset(seen), len(seen)
 
 
 def unimodular_matrices(n: int):

@@ -26,7 +26,6 @@ from glattice.monomial import (
     full_monomial_group,
     three_sublattice_report,
     support_reduce,
-    vector_orbit,
 )
 from glattice.rootsys import (
     RootSystemSpec,
@@ -131,9 +130,9 @@ def test_criterion_06_monomial_orbit_sizes():
         ok &= [r.orbit_size for r in rep.rows] == [2 * p, 2 * p * (p - 1), 2**p]
         ok &= all(r.spans for r in rep.rows)
     mon7 = full_monomial_group(7)
-    ok &= len(vector_orbit(mon7, (1,) + (0,) * 6)) == 14
-    ok &= len(vector_orbit(mon7, (1, 1) + (0,) * 5)) == 84
-    ok &= len(vector_orbit(mon7, (1,) * 7)) == 128
+    ok &= orbit(mon7, (1,) + (0,) * 6).size == 14
+    ok &= orbit(mon7, (1, 1) + (0,) * 5).size == 84
+    ok &= orbit(mon7, (1,) * 7).size == 128
     verdict(6, ok, "monomial orbit sizes (2p, 2p(p-1), 2^p) for p=7,11,13; p=7 BFS-verified")
 
 

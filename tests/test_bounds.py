@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from glattice import bounds
 from glattice.bounds import (
+    CASES,
     BoundVerdict,
     check_numerical_lemma,
     log2_fixed_upper,
@@ -82,6 +83,11 @@ def test_case_checks_validate_input():
         prime_case_check(31, 2, 2, "II.i")  # ell must be < a
     with pytest.raises(NotOddPrime):
         prime_case_check(10, 2, 1, "II.i")
+    with pytest.raises(InvalidCase):
+        min_threshold(2, "IV")
+    for case in CASES:  # checked before any a | p-1 test
+        with pytest.raises(ValueError, match="a must be positive"):
+            min_threshold(0, case)
 
 
 def test_thresholds_a2():

@@ -274,6 +274,7 @@ BAD_INPUTS = {
         "--lattice", _write(d / "l.json", matrix_to_json(IntMatrix.identity(2))),
     ],
     "max rank 0": lambda d: ["rootsys-table", "--max-rank", "0"],
+    "threshold a 0": lambda d: ["bounds", "prime", "--a", "0", "--case", "II.i"],
     "non-unimodular generator": lambda d: [
         "symrank", "--group", _write(d / "g2.json", group_to_json(1, [IntMatrix.from_rows([(2,)])]))
     ],

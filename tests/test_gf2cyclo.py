@@ -1,5 +1,6 @@
 """GF(2) polynomials, cyclotomic factorizations, and binary sublattices."""
 import pytest
+from conftest import binary_coefficient_vector, binary_sublattice, closure_oracle
 
 from glattice._primes import primes_upto
 from glattice.errors import NotOddPrime
@@ -7,15 +8,15 @@ from glattice.gf2cyclo import (
     GF2Poly,
     _cyclic_shifts,
     _rref_masks,
-    binary_coefficient_vector,
-    binary_sublattice,
     binary_sublattices,
     cp_stable_subspaces,
     diag_generators,
     factor_xp_minus_1,
     ord2,
 )
-from glattice.intmat import full_lattice, hnf_from_rows, index, is_primitive, member
+from glattice.intmat import IntMatrix, full_lattice, hnf_from_rows, index, is_primitive, member
+from glattice.matgroup import MatGroup
+from glattice.monomial import cycle_matrix
 
 ODD_PRIMES_200 = [p for p in primes_upto(200) if p > 2]
 
@@ -94,21 +95,16 @@ def test_diag_generators_p3():
 
 def test_diag_generator_closure_matches_subspace():
     # closing D_1 under conjugation by the 3-cycle gives the even-sign group
-    from conftest import closure_elements, compose, inverse
-
-    from glattice.monomial import MonomialGroup, cycle_element, diagonal_element
-
-    d1 = diagonal_element(diag_generators(3)[1])
-    shift = cycle_element(3)
+    d1 = diag_generators(3)[1]
+    shift = cycle_matrix(3)
     conj = [d1]
     cur = d1
     for _ in range(2):
-        cur = compose(compose(shift, cur), inverse(shift))
+        cur = shift.mul(cur).mul(shift.inverse_unimodular())
         conj.append(cur)
-    group = MonomialGroup(3, tuple(conj))
-    elems = closure_elements(group)
-    assert len(elems) == 4  # even-sign diagonal group
-    assert all(e.perm == (0, 1, 2) and e.signs.count(-1) % 2 == 0 for e in elems)
+    elems, order = closure_oracle(MatGroup(3, conj))
+    assert order == 4  # even-sign diagonal group
+    assert all(IntMatrix.diagonal(e[::4]).entries == e and e[::4].count(-1) % 2 == 0 for e in elems)
 
 
 def test_binary_sublattices_p3():

@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from conftest import apply, orbit_span, unimodular_matrices
+from conftest import apply, closure_oracle, orbit_span, unimodular_matrices
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -28,20 +28,6 @@ NEG = IntMatrix.from_rows([(-1,)])
 
 def wgroup(fam, n):
     return build(RootSystemSpec(fam, n)).matgroup()
-
-
-def _closure_oracle(g):
-    """Element set and order by BFS over matrix products (oracle for closure)."""
-    ident = IntMatrix.identity(g.dim)
-    seen = {ident.entries}
-    queue = [ident]
-    for cur in queue:
-        for gen in g.generators:
-            nxt = cur.mul(gen)
-            if nxt.entries not in seen:
-                seen.add(nxt.entries)
-                queue.append(nxt)
-    return frozenset(seen), len(seen)
 
 
 def element_matrices(g):
@@ -287,7 +273,7 @@ CONJUGATED_WEYL_GENERATORS = st.sampled_from([s for s in WEYL_UP_TO_RANK_8 if s[
 @given(st.one_of(SIGNED_PERMUTATION_GENERATORS, CONJUGATED_WEYL_GENERATORS))
 def test_closure_equals_matrix_product_oracle(case):
     dim, gens = case
-    elements, order = _closure_oracle(MatGroup(dim, gens))
+    elements, order = closure_oracle(MatGroup(dim, gens))
     assert closure(MatGroup(dim, gens), cap=order) == (elements, order)
     if order > 1:  # the trivial group meets no new element, so no cap is hit
         with pytest.raises(CapExceeded) as err:

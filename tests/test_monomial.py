@@ -1,50 +1,62 @@
-"""Monomial groups: structural action, projections, support reduction."""
+"""Monomial groups: signed-permutation matrices, projections, support reduction."""
 import random
 
 import pytest
-from conftest import apply, closure_elements, compose, inverse
+from conftest import apply, binary_sublattice, closure_oracle
 
 from glattice.errors import CapExceeded, HypothesisNotMet
-from glattice.gf2cyclo import _rref_masks, binary_sublattice, binary_sublattices, cp_stable_subspaces, diag_generators
-from glattice.intmat import full_lattice, member
+from glattice.gf2cyclo import _rref_masks, binary_sublattices, cp_stable_subspaces, diag_generators
+from glattice.intmat import IntMatrix, full_lattice, hnf_from_rows, member
+from glattice.matgroup import MatGroup, orbit
 from glattice.monomial import (
-    MonomialElement,
-    MonomialGroup,
-    cycle_element,
-    diagonal_element,
+    cycle_matrix,
     full_monomial_group,
     full_monomial_orbit_size_binary,
     o2_diagonal_part,
     project_pi,
-    three_sublattice_report,
-    sign_flip_element,
+    signed_permutation,
     support_reduce,
-    vector_orbit,
+    three_sublattice_report,
 )
 
 
-def random_element(rng, n):
+def random_signs_perm(rng, n):
     perm = list(range(n))
     rng.shuffle(perm)
-    return MonomialElement(tuple(rng.choice((1, -1)) for _ in range(n)), tuple(perm))
+    return tuple(rng.choice((1, -1)) for _ in range(n)), tuple(perm)
 
 
-def test_composition_matches_matrix_product():
-    rng = random.Random(13)
-    for _ in range(1000):
-        n = rng.randint(1, 9)
-        a, b = random_element(rng, n), random_element(rng, n)
-        assert compose(a, b).matrix() == a.matrix().mul(b.matrix())
+def random_element(rng, n):
+    return signed_permutation(*random_signs_perm(rng, n))
 
 
-def test_inverse_and_apply():
+def sign_flip(n, i):
+    return IntMatrix.diagonal(tuple(-1 if k == i else 1 for k in range(n)))
+
+
+def permutation_of(entries, n):
+    """perm of a signed-permutation matrix given by its row-major entries."""
+    return tuple(next(i for i in range(n) if entries[i * n + j]) for j in range(n))
+
+
+SHEAR = IntMatrix.from_rows([(1, 1, 0), (0, 1, 0), (0, 0, 1)])
+
+
+def test_signed_permutation_convention():
     rng = random.Random(14)
     for _ in range(200):
         n = rng.randint(1, 7)
-        a = random_element(rng, n)
-        assert compose(a, inverse(a)) == MonomialElement.identity(n)
+        signs, perm = random_signs_perm(rng, n)
         v = tuple(rng.randint(-3, 3) for _ in range(n))
-        assert a.apply(v) == apply(a.matrix(), v)
+        w = apply(signed_permutation(signs, perm), v)
+        assert all(w[perm[i]] == signs[perm[i]] * v[i] for i in range(n))
+
+
+def test_signed_permutation_rejects_bad_input():
+    with pytest.raises(ValueError, match="signs"):
+        signed_permutation((1, 2, 1), (0, 1, 2))
+    with pytest.raises(ValueError, match="perm"):
+        signed_permutation((1, 1, 1), (0, 1, 1))
 
 
 def test_project_pi_full_monomial():
@@ -53,24 +65,22 @@ def test_project_pi_full_monomial():
 
 
 def test_project_pi_signs_only():
-    g = MonomialGroup(3, (sign_flip_element(3, 0), sign_flip_element(3, 2)))
+    g = MatGroup(3, (sign_flip(3, 0), sign_flip(3, 2)))
     assert project_pi(g).order == 1
 
 
 def test_project_pi_cyclic():
-    g = MonomialGroup(5, (cycle_element(5), MonomialElement((-1,) * 5, tuple(range(5)))))
+    g = MatGroup(5, (cycle_matrix(5), IntMatrix.diagonal((-1,) * 5)))
     pi = project_pi(g)
     assert pi.order == 5 and pi.has_n_cycle
 
 
-def _permutation_closure(perms, n):
-    """Oracle for project_pi: products of generator permutations to a fixpoint."""
-    group = {tuple(range(n))}
-    while True:
-        bigger = group | {tuple(a[b[i]] for i in range(n)) for a in group for b in perms}
-        if bigger == group:
-            return group
-        group = bigger
+def test_project_pi_and_o2_reject_a_shear():
+    g = MatGroup(3, (cycle_matrix(3), SHEAR))
+    with pytest.raises(HypothesisNotMet, match="signed permutation"):
+        project_pi(g)
+    with pytest.raises(HypothesisNotMet, match="signed permutation"):
+        o2_diagonal_part(g)
 
 
 def _moves_0_through_all(p):
@@ -86,8 +96,10 @@ def test_project_pi_equals_permutation_closure_oracle():
     rng = random.Random(41)
     for _ in range(60):
         n = rng.randint(1, 6)
-        g = MonomialGroup(n, tuple(random_element(rng, n) for _ in range(rng.randint(0, 3))))
-        group = _permutation_closure([e.perm for e in g.generators], n)
+        g = MatGroup(n, tuple(random_element(rng, n) for _ in range(rng.randint(0, 3))))
+        # the permutation image is generated by the generators with their signs dropped
+        unsigned = MatGroup(n, tuple(IntMatrix(n, n, tuple(map(abs, h.entries))) for h in g.generators))
+        group = {permutation_of(e, n) for e in closure_oracle(unsigned)[0]}
         order = len(group)
         pi = project_pi(g, cap=order)
         assert (pi.order, pi.has_n_cycle) == (order, any(_moves_0_through_all(p) for p in group))
@@ -101,42 +113,44 @@ def test_o2_diagonal_part_equals_closure_oracle():
     rng = random.Random(43)
     for _ in range(30):
         n = rng.choice((3, 5, 7))
-        shift = MonomialElement(tuple(rng.choice((1, -1)) for _ in range(n)), cycle_element(n).perm)
+        shift = signed_permutation(tuple(rng.choice((1, -1)) for _ in range(n)), tuple((i + 1) % n for i in range(n)))
         extra = []
         for _ in range(rng.randint(0, 2)):
-            e = random_element(rng, n)
+            signs, perm = random_signs_perm(rng, n)
             if n == 7:  # keep the group small: permutation part a power of the cycle
                 k = rng.randrange(n)
-                e = MonomialElement(e.signs, tuple((i + k) % n for i in range(n)))
-            extra.append(e)
-        g = MonomialGroup(n, (shift, *extra))
-        diagonal = [e.signs for e in closure_elements(g) if e.perm == tuple(range(n))]
+                perm = tuple((i + k) % n for i in range(n))
+            extra.append(signed_permutation(signs, perm))
+        g = MatGroup(n, (shift, *extra))
+        elements = closure_oracle(g)[0]
+        diagonal = [e[:: n + 1] for e in elements if permutation_of(e, n) == tuple(range(n))]
         masks = [sum(1 << i for i, s in enumerate(signs) if s == -1) for signs in diagonal]
         assert o2_diagonal_part(g) == tuple(_rref_masks(masks))
+        perms = {permutation_of(e, n) for e in elements}
+        assert project_pi(g).order == len(perms)
 
 
 def test_o2_full_diagonal():
-    g = MonomialGroup(7, (cycle_element(7),) + tuple(sign_flip_element(7, i) for i in range(7)))
+    g = MatGroup(7, (cycle_matrix(7),) + tuple(sign_flip(7, i) for i in range(7)))
     assert len(o2_diagonal_part(g)) == 7
 
 
 def test_o2_minus_identity_only():
-    g = MonomialGroup(7, (cycle_element(7), MonomialElement((-1,) * 7, tuple(range(7)))))
+    g = MatGroup(7, (cycle_matrix(7), IntMatrix.diagonal((-1,) * 7)))
     basis = o2_diagonal_part(g)
     assert len(basis) == 1 and basis[0] == (1 << 7) - 1
 
 
 def test_o2_matches_component_subspace():
-    d1 = diagonal_element(diag_generators(7)[1])
-    g = MonomialGroup(7, (cycle_element(7), d1))
+    g = MatGroup(7, (cycle_matrix(7), diag_generators(7)[1]))
     assert o2_diagonal_part(g) == cp_stable_subspaces(7).subspace({1})
 
 
 def test_o2_hypothesis_violations():
     with pytest.raises(HypothesisNotMet):
-        o2_diagonal_part(MonomialGroup(4, (cycle_element(4),)))  # even n
+        o2_diagonal_part(MatGroup(4, (cycle_matrix(4),)))  # even n
     with pytest.raises(HypothesisNotMet):
-        o2_diagonal_part(MonomialGroup(5, (sign_flip_element(5, 0),)))  # no 5-cycle
+        o2_diagonal_part(MatGroup(5, (sign_flip(5, 0),)))  # no 5-cycle
 
 
 def test_support_reduce_examples():
@@ -158,6 +172,12 @@ def test_support_reduce_rejects_l1_and_zero():
         support_reduce(binary_sublattice(7, ()), 7)
 
 
+def test_support_reduce_rejects_a_lattice_that_is_not_shift_stable():
+    rows = [(1, 1, 0, 0, 0, 0, 0)] + [tuple(2 * (k == j) for k in range(7)) for j in range(7)]
+    with pytest.raises(HypothesisNotMet, match="shift-stable"):
+        support_reduce(hnf_from_rows(rows, 7), 7)
+
+
 def test_support_reduce_all_sublattices_p_le_13():
     for p in (3, 5, 7, 11, 13):
         for subset, lat in binary_sublattices(p).items():
@@ -177,8 +197,7 @@ def test_orbit_bound_vs_exact():
         mon = full_monomial_group(p)
         for support in range(1, p + 1):
             v = tuple(1 if i < support else 0 for i in range(p))
-            exact = len(vector_orbit(mon, v))
-            assert exact == full_monomial_orbit_size_binary(p, support)
+            assert orbit(mon, v).size == full_monomial_orbit_size_binary(p, support)
 
 
 def test_three_sublattice_exact_values():
@@ -198,14 +217,12 @@ def test_three_sublattice_flags_small_prime():
 
 
 def test_three_sublattice_spans_verified_by_bfs_p7():
-    from glattice.intmat import hnf_from_rows
-
     mon = full_monomial_group(7)
     rep = three_sublattice_report(7)
     for row in rep.rows:
-        orb = vector_orbit(mon, row.witness)
-        assert len(orb) == row.orbit_size
-        span = hnf_from_rows(sorted(orb), 7)
+        orb = orbit(mon, row.witness)
+        assert orb.size == row.orbit_size
+        span = hnf_from_rows(sorted(orb.elements), 7)
         ref = {
             "Z^p": full_lattice(7),
             "L_E": binary_sublattice(7, {1, 2}),
@@ -214,18 +231,19 @@ def test_three_sublattice_spans_verified_by_bfs_p7():
         assert span == ref
 
 
-def test_vector_orbit_is_the_image_under_every_element():
+def test_orbit_is_the_image_under_every_element():
     rng = random.Random(29)
     for n in (3, 4, 5):
         for _ in range(6):
-            g = MonomialGroup(n, tuple(random_element(rng, n) for _ in range(rng.randint(1, 2))))
+            g = MatGroup(n, tuple(random_element(rng, n) for _ in range(rng.randint(1, 2))))
             v = tuple(rng.randint(-2, 2) for _ in range(n))
-            assert vector_orbit(g, v) == {e.apply(v).entries for e in closure_elements(g)}
+            images = {apply(IntMatrix(n, n, e), v).entries for e in closure_oracle(g)[0]}
+            assert orbit(g, v).elements == images
 
 
-def test_vector_orbit_cap():
+def test_orbit_cap():
     mon = full_monomial_group(5)
-    assert len(vector_orbit(mon, (1,) * 5, cap=32)) == 32
+    assert orbit(mon, (1,) * 5, cap=32).size == 32
     with pytest.raises(CapExceeded) as exc:
-        vector_orbit(mon, (1,) * 5, cap=31)
-    assert (exc.value.what, exc.value.cap) == ("monomial orbit", 31)
+        orbit(mon, (1,) * 5, cap=31)
+    assert (exc.value.what, exc.value.cap) == ("orbit", 31)

@@ -77,7 +77,7 @@ def test_positive_definite_iff_leading_minors_positive(m):
 
 
 def test_short_vectors_identity_bound_one():
-    got = [(v.entries, nm) for v, nm in short_vectors(identity_form(2), 1)]
+    got = short_vectors(identity_form(2), 1)
     assert got == [((-1, 0), 1), ((0, -1), 1), ((0, 0), 0), ((0, 1), 1), ((1, 0), 1)]
 
 
@@ -87,8 +87,7 @@ def test_short_vectors_a2_roots():
 
 
 def test_short_vectors_bound_zero():
-    got = short_vectors(GRAM_A2, 0)
-    assert [(v.entries, nm) for v, nm in got] == [((0, 0), 0)]
+    assert short_vectors(GRAM_A2, 0) == [((0, 0), 0)]
 
 
 def test_short_vectors_cap():
@@ -112,7 +111,7 @@ def test_completeness_random_small_forms():
             continue
         trials += 1
         bound = rng.randint(0, 6)
-        got = [(v.entries, nm) for v, nm in short_vectors(form, bound)]
+        got = short_vectors(form, bound)
         assert got == brute_force(form, bound)
 
 
@@ -145,7 +144,7 @@ def test_short_vectors_match_brute_force(form, bound):
     m = form.matrix
     radii = _box_radii(m, bound)
     assume(prod(2 * r + 1 for r in radii) <= 20000)
-    got = [(v.entries, nm) for v, nm in short_vectors(form, bound)]
+    got = short_vectors(form, bound)
     assert got == brute_force(form, bound, radii)
     assert all(nm == form.norm(v) for v, nm in got)
 
@@ -180,7 +179,7 @@ def test_diagonal_bound_examples():
 def test_diagonal_bound_witnesses_contain_basis_and_are_stable():
     form = GRAM_A2
     db = diagonal_bound(form)
-    ents = {w.entries for w in db.witnesses}
+    ents = set(db.witnesses)
     assert (1, 0) in ents and (0, 1) in ents
     # stability under an automorphism of the form (Weyl action in root basis)
     a2 = build(RootSystemSpec("A", 2))
