@@ -6,7 +6,10 @@ Every command is deterministic (there is no randomized mode).  Exit codes:
   2  fixture mismatch
   3  missing external data
   4  cap exceeded
-  5  input error: a file is missing or malformed, or an argument is out of range
+  5  input error: a file is missing or malformed, an argument is out of range
+     or not an odd prime, a generator is not unimodular, the lattice is not
+     kept by the group, an orbit vector lies outside the lattice, or the
+     prime horizon is too small for the threshold scan
 
 Table-emitting commands compare their output against bundled fixtures of
 the published tables and fail with exit code 2 on any cell mismatch.
@@ -21,7 +24,17 @@ import sys
 from . import bounds as bounds_mod
 from . import groupdata, monomial, rootsys, search, theta
 from . import gf2cyclo
-from .errors import CapExceeded, FixtureMismatch, GLatticeError, MissingExternalData, NonUnimodularGenerator
+from .errors import (
+    CapExceeded,
+    FixtureMismatch,
+    GLatticeError,
+    HorizonTooSmall,
+    MissingExternalData,
+    NonUnimodularGenerator,
+    NotGStable,
+    NotInLattice,
+    NotOddPrime,
+)
 from .intmat import full_lattice, hnf, index
 from .matgroup import DEFAULT_CAP, MatGroup
 from .serialize import load_group_file, load_matrix_file, vector_to_json
@@ -396,7 +409,7 @@ def main(argv=None, out=None) -> int:
     except FixtureMismatch as e:
         print(f"fixture mismatch: {e}", file=sys.stderr)
         return EXIT_FIXTURE_MISMATCH
-    except (OSError, ValueError, NonUnimodularGenerator) as e:
+    except (OSError, ValueError, NonUnimodularGenerator, NotGStable, NotInLattice, NotOddPrime, HorizonTooSmall) as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     if mismatches:

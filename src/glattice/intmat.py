@@ -10,8 +10,9 @@ unimodularity test all go through it.
 Conventions fixed here and relied on everywhere else:
 
 * vectors are column vectors and a matrix acts on the left; group
-  generators act through their moved rows (``MatGroup.moves`` in
-  :mod:`matgroup`), not through a matrix-vector product here;
+  generators act through the kernel compiled from their entries
+  (``MatGroup.images`` in :mod:`matgroup`), not through a matrix-vector
+  product here;
 * a lattice is stored as the rows of a basis matrix in row-style Hermite
   normal form: pivots positive, zeros below each pivot, entries above a
   pivot reduced into ``[0, pivot)``.  The HNF basis is a unique canonical

@@ -1,18 +1,21 @@
 """Finite subgroups of GL_n(Z) given by generators.
 
-A :class:`MatGroup` is an immutable value that carries its generators'
-moved rows (:func:`_moved_rows`), the one form in which generators act on
-vectors.  Orbits and the closure run on one breadth-first orbit kernel
-with a hard cap; the closure is the orbit of the identity's entries under
-right multiplication by the generators.  Hitting a cap raises
-:class:`CapExceeded`, which callers treat as a first-class outcome (the
-inequality engines deliberately avoid materializing huge groups).
-Enumeration order is deterministic: queue order, then generator index, so
-every downstream output is reproducible.
+A :class:`MatGroup` is an immutable value that carries one compiled
+generator-action kernel, ``images`` (:func:`_compile_images`): a function
+from a vector to the tuple of its images under the generators, the one form
+in which generators act on vectors.  Orbits, stable spans, lattice checks
+and the closure run on such kernels; orbits and the closure share one
+breadth-first orbit search with a hard cap, and the closure is the orbit
+of the identity's entries under right multiplication by the generators.
+Hitting a cap raises :class:`CapExceeded`, which callers treat as a
+first-class outcome (the inequality engines deliberately avoid
+materializing huge groups).  Enumeration order is deterministic: queue
+order, then generator index, so every downstream output is reproducible.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .errors import CapExceeded, NonUnimodularConjugator, NonUnimodularGenerator, NotGStable
 from .intmat import (
@@ -33,14 +36,14 @@ DEFAULT_CAP = 10**7  # every enumeration cap: orbits, closures, short vectors
 class MatGroup:
     """Subgroup of GL_n(Z) generated by unimodular matrices.
 
-    ``moves`` holds the generators' moved rows, built once here; every
-    generator action on vectors reads them.
+    ``images`` is the generators' action on vectors, compiled once here by
+    :func:`_compile_images`; every generator action on vectors calls it.
     """
 
     dim: int
     generators: tuple[IntMatrix, ...]
     label: str | None = None
-    moves: tuple = field(init=False, compare=False, repr=False)
+    images: Callable[[tuple], tuple] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         gens = tuple(self.generators)
@@ -50,7 +53,7 @@ class MatGroup:
             if not h.is_unimodular():
                 raise NonUnimodularGenerator(f"generator {i} is not unimodular")
         object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "moves", _moved_rows(gens))
+        object.__setattr__(self, "images", _compile_images(self.dim, tuple(map(_rows_terms, gens))))
 
     @classmethod
     def trivial(cls, dim: int) -> "MatGroup":
@@ -69,60 +72,55 @@ def closure(g: MatGroup, cap: int = DEFAULT_CAP) -> tuple[frozenset, int]:
     """Full element set (as row-major entry tuples) and exact order.
 
     The element set is the orbit of the identity's entries under right
-    multiplication by the generators, run on the orbit kernel: row i of
-    x h is h^T applied to row i of x, so each generator acts on the n^2
-    entries as n copies of h^T.  A finite matrix group is closed under
-    products of generators alone (every element has finite order), so no
-    explicit inverses are needed.  Right multiplication, rather than left
-    multiplication by ``g.moves``, is kept because a simple reflection's
-    transpose has fewer nonzero moved entries: 96 terms against 156 for
-    W(D6), whose closure took 0.38 s against 0.53 s.
+    multiplication by the generators, run on a kernel over the n^2
+    entries: entry (i, b) of x h is the sum over a of x[i, a] h[a, b], so
+    each generator acts on the entries as n copies of h^T.  A finite
+    matrix group is closed under products of generators alone (every
+    element has finite order), so no explicit inverses are needed.
     """
     n = g.dim
-    moved = tuple(
-        (
-            tuple(i * n + a for i in range(n) for a in idx),
-            tuple((i * n + a, i * n + b, c) for i in range(n) for a, b, c in terms),
-        )
-        for idx, terms in _moved_rows([h.transpose() for h in g.generators])
+    gens = tuple(
+        tuple(tuple((i * n + a, c) for a, c in row) for i in range(n) for row in _rows_terms(h.transpose()))
+        for h in g.generators
     )
-    seen, complete = _orbit_bfs(moved, IntMatrix.identity(n).entries, cap)
+    seen, complete = _orbit_bfs(_compile_images(n * n, gens), IntMatrix.identity(n).entries, cap)
     if not complete:
         raise CapExceeded("group closure", cap)
     return frozenset(seen), len(seen)
 
 
-def _moved_rows(mats) -> tuple:
-    """Per square matrix, the rows unlike the identity's: (indices, terms).
+def _rows_terms(h: IntMatrix) -> tuple:
+    """Per row of h, the (column, coefficient) pairs of its nonzero entries."""
+    return tuple(tuple((j, h[i, j]) for j in range(h.cols) if h[i, j]) for i in range(h.rows))
 
-    The terms are (row, column, coefficient) triples of the nonzero entries
-    of those rows.  A simple reflection in lattice coordinates moves only a
-    few coordinates, so the orbit kernel recomputes just those and copies
-    the rest.
+
+def _compile_images(dim: int, gens: tuple) -> Callable[[tuple], tuple]:
+    """The one generator-action kernel: v -> (h_1 v, ..., h_k v) as tuples.
+
+    gens holds, per generator, per output coordinate i, the (j, c) pairs
+    with (h v)[i] = sum c v[j], as :func:`_rows_terms` builds them.  The
+    function is compiled once from generated source, so an image costs one
+    tuple display of sums instead of a loop over entries, and an identity
+    row is a plain copy of v[i].  The source holds only ``int`` literals
+    and the local names ``v``, ``v0``, ``v1``, ...: ``IntMatrix`` coerces
+    every entry with ``int()``, so a coefficient prints as decimal digits,
+    and no other input text reaches the source.
     """
-    out = []
-    for h in mats:
-        n = h.rows
-        idx = tuple(i for i in range(n) if h.row(i) != tuple(int(i == j) for j in range(n)))
-        out.append((idx, tuple((i, j, h[i, j]) for i in idx for j in range(n) if h[i, j])))
-    return tuple(out)
+    def tup(items) -> str:
+        return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
+
+    def entry(terms) -> str:
+        signed = [("-" if c < 0 else "+") + (f"v{j}" if abs(c) == 1 else f"{abs(c)}*v{j}") for j, c in terms]
+        return " ".join(signed).lstrip("+") or "0"
+
+    body = tup([tup([entry(row) for row in rows]) for rows in gens])
+    namespace: dict = {}
+    exec(f"def images(v):\n    {tup([f'v{j}' for j in range(dim)])} = v\n    return {body}\n", {}, namespace)
+    return namespace["images"]
 
 
-def _images(moves: tuple, v: tuple) -> list[tuple[int, ...]]:
-    """The image of the vector v under each generator, from its moved rows."""
-    out = []
-    for idx, terms in moves:
-        w = list(v)
-        for i in idx:
-            w[i] = 0
-        for i, j, c in terms:
-            w[i] += c * v[j]
-        out.append(tuple(w))
-    return out
-
-
-def _orbit_bfs(moved: tuple, start: tuple, cap: int, stop=frozenset()) -> tuple[set, bool]:
-    """BFS closure of {start} under generators given by :func:`_moved_rows`.
+def _orbit_bfs(images: Callable, start: tuple, cap: int, stop=frozenset()) -> tuple[set, bool]:
+    """BFS closure of {start} under a kernel from :func:`_compile_images`.
 
     Returns the set reached and whether it is the whole orbit.  The BFS stops
     early, incomplete, before a new vector would make the set larger than
@@ -131,15 +129,7 @@ def _orbit_bfs(moved: tuple, start: tuple, cap: int, stop=frozenset()) -> tuple[
     seen = {start}
     queue = [start]
     for cur in queue:
-        # :func:`_images` inlined: calling it once per vector made the 14
-        # weyl-search benchmark searches about 5% slower.
-        for idx, terms in moved:
-            nxt = list(cur)
-            for i in idx:
-                nxt[i] = 0
-            for i, j, c in terms:
-                nxt[i] += c * cur[j]
-            nxt = tuple(nxt)
+        for nxt in images(cur):
             if nxt not in seen:
                 if len(seen) >= cap or nxt in stop:
                     return seen, False
@@ -153,7 +143,7 @@ def orbit(g: MatGroup, v, cap: int = DEFAULT_CAP) -> Orbit:
     vv = as_vector(v)
     if vv.dim != g.dim:
         raise ValueError("vector dimension does not match group dimension")
-    seen, complete = _orbit_bfs(g.moves, vv.entries, cap)
+    seen, complete = _orbit_bfs(g.images, vv.entries, cap)
     if not complete:
         raise CapExceeded("orbit", cap)
     return Orbit(frozenset(seen), len(seen))
@@ -180,7 +170,7 @@ def stable_span(g: MatGroup, v) -> LatticeBasis:
         grown = _hnf_insert(span, w)
         if grown is not span:
             span = grown
-            todo.extend(_images(g.moves, w))
+            todo.extend(g.images(w))
     return _lattice(span, g.dim)
 
 
@@ -243,7 +233,7 @@ def is_lattice_stable(g: MatGroup, l: LatticeBasis) -> bool:
     """Whether every generator maps the lattice into itself."""
     if l.ambient_dim != g.dim:
         raise ValueError("lattice dimension does not match group dimension")
-    return all(coordinates_in(w, l) is not None for r in l.rows() for w in _images(g.moves, r))
+    return all(coordinates_in(w, l) is not None for r in l.rows() for w in g.images(r))
 
 
 def action_in_row_basis(g: MatGroup, basis: IntMatrix) -> MatGroup:
@@ -272,7 +262,7 @@ def in_lattice_coordinates(g: MatGroup, l: LatticeBasis) -> MatGroup:
     """
     if l.ambient_dim != g.dim:
         raise ValueError("lattice dimension does not match group dimension")
-    images = [_images(g.moves, b) for b in l.rows()]
+    images = [g.images(b) for b in l.rows()]
     gens = []
     for k in range(len(g.generators)):
         rows = [coordinates_in(imgs[k], l) for imgs in images]

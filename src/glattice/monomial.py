@@ -5,8 +5,8 @@ generators are signed-permutation matrices D(signs) P(perm), with
 P e_i = e_{perm[i]}, acting on column vectors.  Vector orbits, which for
 binary vectors in dimension p can reach size 2^p, and the two closures --
 the permutation image and the group whose diagonal part is read off -- run
-on the orbit kernel of :mod:`matgroup`, which touches only the one nonzero
-entry in each moved row of a signed permutation.
+on the compiled orbit kernel of :mod:`matgroup`, in which each coordinate
+of a signed-permutation image is one copied or negated entry.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from .intmat import (
     ones_vector,
     unit_vector,
 )
-from .matgroup import DEFAULT_CAP, MatGroup, _orbit_bfs, closure
+from .matgroup import DEFAULT_CAP, MatGroup, _compile_images, _orbit_bfs, closure
 
 
 def signed_permutation(signs, perm) -> IntMatrix:
@@ -83,13 +83,13 @@ def project_pi(g: MatGroup, cap: int = DEFAULT_CAP) -> PiSummary:
     """Closure of the permutation parts, with n-cycle detection.
 
     Runs on the orbit kernel: the identity permutation is moved by the
-    matrices with row i equal to e_{perm[i]}, which send cur to the
+    maps with entry i equal to entry perm[i], which send cur to the
     composite with entries cur[perm[i]].
     """
     n = g.dim
     gens = [_permutation(h) for h in g.generators]
-    mats = [IntMatrix.from_rows([[int(j == p[i]) for j in range(n)] for i in range(n)]) for p in gens]
-    seen, complete = _orbit_bfs(MatGroup(n, mats).moves, tuple(range(n)), cap)
+    images = _compile_images(n, [tuple(((j, 1),) for j in p) for p in gens])
+    seen, complete = _orbit_bfs(images, tuple(range(n)), cap)
     if not complete:
         raise CapExceeded("permutation closure", cap)
     has_cycle = any(_is_n_cycle(p) for p in seen)

@@ -8,11 +8,19 @@ box*: a generating orbit of a farther vector could in principle be
 smaller, so unconditional minimality is only claimed when the bound
 meets the certified lower bound (the rank).
 
-The box is generated already in canonical niceness order (sup-norm, then
-absolute values, then positive signs first), so it is never sorted.  One
-``seen`` set of box vectors, those whose orbit was built or abandoned as
-too large, decides which vectors still start a BFS and stops a BFS that
+The box is generated once, already in canonical niceness order (sup-norm,
+then absolute values, then positive signs first), so it is never sorted.
+One ``seen`` set of box vectors, those whose orbit was built or abandoned
+as too large, decides which vectors still start a BFS and stops a BFS that
 reaches an abandoned orbit.
+
+An abandoned BFS also marks the negations of the box vectors it reached.
+This is sound because -I commutes with every generator: the orbit of -v
+is minus the orbit of v and has the same size, the box is symmetric, and
+the orbit-size cap never rises, so the orbit of -v is over every later
+cap and would be abandoned too.  The records, their count and the
+witness do not change; about half the BFS starts go (32,317 to 16,183
+over the 14 Weyl lattices of rank 5 and 6 at radius 2).
 
 Orbits are ordered by (size, canonical representative) and the search
 returns the first minimum it finds in that record order, so results are
@@ -33,6 +41,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import neg
 
 from .errors import CapExceeded, NotGStable, NotInLattice
 from .intmat import IntVector, LatticeBasis, _hnf_insert, as_vector, full_lattice, hnf_from_rows, member
@@ -110,27 +119,32 @@ def _orbit_records(gl: MatGroup, radius: int, orbit_cap: int) -> list[_OrbitReco
     abandoned orbit, and ``seen`` is its stop set.  The incumbent only
     falls, so the cap in force when that orbit was abandoned is never below
     a later cap: the later BFS is in an orbit over its own cap and stops
-    there.  Vectors outside the box are not kept, which keeps memory at the
-    size of the box.
+    there.  An abandoned BFS also puts the negations of the box vectors it
+    reached in ``seen``: they lie in an orbit of the same size (see the
+    module docstring).  Vectors outside the box are not kept, which keeps
+    memory at the size of the box.
     """
     r = gl.dim
     full_rows = tuple(full_lattice(r).rows())
-    box_set = set(_box(r, radius))
+    box = list(_box(r, radius))
+    box_set = set(box)
     seen: set[tuple[int, ...]] = set()
     records: list[_OrbitRecord] = []
     incumbent: int | None = None
     basis_vectors = [tuple(int(i == j) for j in range(r)) for i in range(r)]
-    for k, coeffs in enumerate(itertools.chain(basis_vectors, _box(r, radius))):
+    for k, coeffs in enumerate(itertools.chain(basis_vectors, box)):
         if k == r and incumbent is None:
             incumbent = sum(rec.size for rec in records)
         if coeffs in seen:
             continue
         cap = orbit_cap if incumbent is None else min(orbit_cap, incumbent)
-        orb, complete = _orbit_bfs(gl.moves, coeffs, cap, seen)
-        seen.update(box_set.intersection(orb))
+        orb, complete = _orbit_bfs(gl.images, coeffs, cap, seen)
+        reached = box_set.intersection(orb)
+        seen.update(reached)
         if not complete:
             if incumbent is None:
                 raise CapExceeded("orbit", cap)
+            seen.update(tuple(map(neg, w)) for w in reached)
             continue
         span = stable_span(gl, coeffs)
         records.append(_OrbitRecord(len(orb), min(orb, key=_rep_key), tuple(span.rows())))

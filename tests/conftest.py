@@ -10,8 +10,9 @@ from hypothesis import strategies as st  # noqa: E402
 from glattice._primes import ceil_log2  # noqa: E402
 from glattice.bounds import LOG_FRAC_BITS  # noqa: E402
 from glattice.gf2cyclo import binary_sublattices, factor_xp_minus_1  # noqa: E402
-from glattice.intmat import IntMatrix, IntVector, LatticeBasis, _xgcd, as_vector, hnf_from_rows  # noqa: E402
+from glattice.intmat import IntMatrix, IntVector, LatticeBasis, _xgcd, as_vector, full_lattice, hnf_from_rows  # noqa: E402
 from glattice.matgroup import MatGroup, orbit  # noqa: E402
+from glattice.search import _box, _rep_key  # noqa: E402
 
 
 def log2_upper(x: int) -> int:
@@ -46,6 +47,51 @@ def closure_oracle(g: MatGroup) -> tuple[frozenset, int]:
                 seen.add(nxt.entries)
                 queue.append(nxt)
     return frozenset(seen), len(seen)
+
+
+def bfs_orbit(gens, v) -> frozenset:
+    """Orbit of v by plain BFS with full matrix-vector products (oracle)."""
+    seen = {v}
+    queue = [v]
+    for cur in queue:
+        for h in gens:
+            nxt = apply(h, cur).entries
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return frozenset(seen)
+
+
+def orbit_records_oracle(gl: MatGroup, radius: int) -> list[tuple]:
+    """Oracle for ``search._orbit_records``: (size, rep, span rows) of each kept orbit, sorted.
+
+    Runs a full BFS from every vector it visits: the basis vectors, then
+    the box in ``_box`` order, as the search does.  An orbit is kept exactly
+    when its size is at most the cap in force at its first vector in that
+    order; the cap is the incumbent, which starts as the total size of the
+    basis vectors' orbits (or a smaller spanning orbit among them) and falls
+    to the size of each smaller kept orbit that spans Z^r.
+    """
+    r = gl.dim
+    full = full_lattice(r)
+    basis_vectors = [tuple(int(i == j) for j in range(r)) for i in range(r)]
+    visited: set[frozenset] = set()
+    records = []
+    incumbent = None
+    for k, v in enumerate(basis_vectors + list(_box(r, radius))):
+        if k == r and incumbent is None:
+            incumbent = sum(size for size, _, _ in records)
+        orb = bfs_orbit(gl.generators, v)
+        if orb in visited:
+            continue
+        visited.add(orb)
+        if incumbent is not None and len(orb) > incumbent:
+            continue
+        span = hnf_from_rows(sorted(orb), r)
+        records.append((len(orb), min(orb, key=_rep_key), tuple(span.rows())))
+        if span == full and (incumbent is None or len(orb) < incumbent):
+            incumbent = len(orb)
+    return sorted(records, key=lambda rec: (rec[0], _rep_key(rec[1])))
 
 
 def unimodular_matrices(n: int):

@@ -17,7 +17,7 @@ from glattice.cli import (
     main,
 )
 from glattice.intmat import IntMatrix
-from glattice.rootsys import RootSystemSpec, build, cartan_matrix
+from glattice.rootsys import RootSystemSpec, build, cartan_matrix, lattice
 from glattice.serialize import group_to_json, matrix_to_json
 
 
@@ -303,13 +303,63 @@ def test_assertion_error_is_not_an_input_error(monkeypatch):
         run(["rootsys-table", "--max-rank", "2"])
 
 
-def _cli_stdout(flags, argv) -> bytes:
+def _cli(flags, argv) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, *flags, "-m", "glattice", *argv], env=env, capture_output=True, check=True)
+    return subprocess.run([sys.executable, *flags, "-m", "glattice", *argv], env=env, capture_output=True)
+
+
+def _cli_stdout(flags, argv) -> bytes:
+    proc = _cli(flags, argv)
+    proc.check_returncode()
     return proc.stdout
 
 
+def _a5_intermediate_3(directory) -> list[str]:
+    """symrank arguments for W(A5) on the lattice A5 L+3 (root lattice plus lambda_3)."""
+    model = build(RootSystemSpec("A", 5))
+    basis = IntMatrix.from_rows(lattice(model, "intermediate", 3).basis.rows())
+    return [
+        "symrank",
+        "--group", _write(directory / "a5.json", group_to_json(5, model.simple_reflections, label="A5")),
+        "--lattice", _write(directory / "a5-l3.json", matrix_to_json(basis)),
+        "--radius", "2",
+    ]
+
+
 def test_optimized_run_prints_the_same(tmp_path):
-    """Under ``python -O`` the integer checks still run and stdout is unchanged."""
-    for argv in (["theta", "--gram", _e8_gram(tmp_path), "--horizon", "6"], ["verify", "--name", "thmA2"]):
+    """Under ``python -O`` the integer checks and the generated orbit kernel still run and stdout is unchanged."""
+    for argv in (
+        ["theta", "--gram", _e8_gram(tmp_path), "--horizon", "6"],
+        ["verify", "--name", "thmA2"],
+        _a5_intermediate_3(tmp_path),
+    ):
         assert _cli_stdout(["-O"], argv) == _cli_stdout([], argv)
+
+
+SWAP = group_to_json(2, [IntMatrix.from_rows([(0, 1), (1, 0)])])
+
+# Errors raised below the CLI that used to end in a traceback with exit 1.
+RAISED_INPUT_ERRORS = {
+    "lattice not kept by the group": lambda d: [
+        "symrank", "--group", _write(d / "swap.json", SWAP),
+        "--lattice", _write(d / "l.json", matrix_to_json(IntMatrix.from_rows([(1, 0), (0, 2)]))),
+    ],
+    "orbit vector outside the lattice": lambda d: [
+        "symrank", "--group", _write(d / "swap.json", SWAP),
+        "--lattice", _write(d / "l.json", matrix_to_json(IntMatrix.diagonal([2, 2]))), "--mode", "orbit:1,0",
+    ],
+    "factor-xp1 p 4": lambda d: ["gf2", "factor-xp1", "--p", "4"],
+    "subspaces p 9": lambda d: ["gf2", "subspaces", "--p", "9"],
+    "classify p 4": lambda d: ["monomial", "classify", "--p", "4"],
+    "horizon too small": lambda d: ["bounds", "prime", "--a", "1", "--horizon", "5"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(RAISED_INPUT_ERRORS))
+def test_raised_input_errors_are_one_line_and_exit_5(case, tmp_path):
+    proc = _cli([], RAISED_INPUT_ERRORS[case](tmp_path))
+    err = proc.stderr.decode()
+    assert proc.returncode == EXIT_INPUT_ERROR == 5
+    assert proc.stdout == b""
+    assert len(err.splitlines()) == 1 and err.startswith("input error: ")
+    assert "Traceback" not in err

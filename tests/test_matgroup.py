@@ -12,11 +12,11 @@ from glattice.errors import CapExceeded, NonUnimodularConjugator, NonUnimodularG
 from glattice.intmat import IntMatrix, as_vector, full_lattice, hnf, index
 from glattice.matgroup import (
     MatGroup,
-    _images,
     action_in_row_basis,
     closure,
     commutant_dimension,
     conjugate,
+    is_lattice_stable,
     orbit,
     stabilizer_order,
     stable_span,
@@ -307,16 +307,58 @@ def test_stable_span_equals_orbit_span_oracle(case):
     assert stable_span(g, zero) == orbit_span(g, zero)
 
 
+BIG = st.one_of(st.integers(-(2**70), -(2**64) - 1), st.integers(2**64 + 1, 2**70))
+
+
+def _shear(n, c):
+    """I + c e_{0, n-1} (the identity when n = 1); conjugating by it puts multiples of c into the entries."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    if n > 1:
+        rows[0][n - 1] = c
+    return IntMatrix.from_rows(rows)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.one_of(SIGNED_PERMUTATION_GENERATORS, CONJUGATED_WEYL_GENERATORS).flatmap(
-        lambda case: st.tuples(st.just(case), st.lists(st.integers(-3, 3), min_size=case[0], max_size=case[0]))
+        lambda case: st.tuples(
+            st.just(case), BIG, st.lists(st.one_of(st.integers(-3, 3), BIG), min_size=case[0], max_size=case[0])
+        )
     )
 )
 def test_images_equal_matrix_vector_products(case):
-    (dim, gens), v = case
-    g = MatGroup(dim, gens)
-    assert _images(g.moves, tuple(v)) == [apply(h, v).entries for h in g.generators]
+    """The compiled kernel against the matrix-vector product, also with entries beyond 2^64."""
+    (dim, gens), c, v = case
+    for g in (MatGroup(dim, gens), conjugate(MatGroup(dim, gens), _shear(dim, c))):
+        assert g.images(tuple(v)) == tuple(apply(h, v).entries for h in g.generators)
+
+
+def test_kernel_of_a_group_without_generators():
+    g = MatGroup.trivial(3)
+    assert g.images((1, -2, 3)) == ()
+    assert orbit(g, (1, -2, 3)).elements == {(1, -2, 3)}
+    assert stable_span(g, (0, 2, 0)) == hnf(IntMatrix.from_rows([(0, 2, 0)]))
+    assert is_lattice_stable(g, hnf(IntMatrix.from_rows([(1, 1, 0)])))
+    assert closure(g) == ({IntMatrix.identity(3).entries}, 1)
+
+
+def test_kernel_in_dimension_zero():
+    for g in (MatGroup.trivial(0), MatGroup(0, [IntMatrix.identity(0)] * 2)):
+        assert g.images(()) == ((),) * len(g.generators)
+        assert orbit(g, ()).elements == {()}
+        assert stable_span(g, ()).rank == 0
+        assert closure(g) == ({()}, 1)
+
+
+def test_kernel_in_dimension_one():
+    g = MatGroup(1, [NEG])
+    assert g.images((5,)) == ((-5,),)
+    assert g.images((-(2**70),)) == ((2**70,),)
+    assert orbit(g, (5,)).elements == {(5,), (-5,)}
+    assert closure(g) == ({(1,), (-1,)}, 2)
+    one = MatGroup(1, [IntMatrix.identity(1), NEG])
+    assert one.images((3,)) == ((3,), (-3,))
+    assert closure(one)[1] == 2
 
 
 def test_matgroup_is_an_immutable_value():
@@ -324,7 +366,7 @@ def test_matgroup_is_an_immutable_value():
     with pytest.raises(dataclasses.FrozenInstanceError):
         g.label = "other"
     with pytest.raises(dataclasses.FrozenInstanceError):
-        g.moves = ()
+        g.images = None
     same = MatGroup(2, list(g.generators), label=g.label)
     assert same == g and hash(same) == hash(g)
     assert MatGroup(2, g.generators) != g  # the label is part of the value

@@ -2,15 +2,15 @@
 import itertools
 
 import pytest
-from conftest import apply
+from conftest import apply, bfs_orbit, orbit_records_oracle, unimodular_matrices
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glattice.errors import CapExceeded, NotGStable, NotInLattice
 from glattice.intmat import IntMatrix, full_lattice, hnf_from_rows, unit_vector
-from glattice.matgroup import MatGroup, orbit
+from glattice.matgroup import DEFAULT_CAP, MatGroup, conjugate, in_lattice_coordinates, orbit
 from glattice.rootsys import RootSystemSpec, build, expected_symrank, lattice, weyl_symrank_table
-from glattice.search import _box, _rep_key, symrank_search, table_dimension_maximum, verify_orbit_generates
+from glattice.search import _box, _orbit_records, _rep_key, symrank_search, table_dimension_maximum, verify_orbit_generates
 
 
 def test_a1_root_lattice():
@@ -131,19 +131,6 @@ def test_table_dimension_maximum_n6_e6_root():
     assert rep.maximum == 72
 
 
-def _bfs_orbit(gens, v):
-    """Orbit of v by plain BFS with full matrix-vector products (oracle)."""
-    seen = {v}
-    queue = [v]
-    for cur in queue:
-        for h in gens:
-            nxt = apply(h, cur).entries
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return frozenset(seen)
-
-
 def _brute_force_symrank(gens, n, radius):
     """Smallest total size of box orbits whose union spans Z^n (oracle).
 
@@ -151,7 +138,7 @@ def _brute_force_symrank(gens, n, radius):
     are skipped, since fewer than n vectors span a lattice of rank < n.
     """
     box = [c for c in itertools.product(range(-radius, radius + 1), repeat=n) if any(c)]
-    orbits = sorted({_bfs_orbit(gens, c) for c in box}, key=lambda o: (len(o), sorted(o)))
+    orbits = sorted({bfs_orbit(gens, c) for c in box}, key=lambda o: (len(o), sorted(o)))
     target = full_lattice(n)
 
     def subsets(i, budget, chosen):
@@ -191,7 +178,7 @@ def test_search_equals_brute_force_minimum_over_orbit_subsets(group, radius):
     n, gens = group
     res = symrank_search(MatGroup(n, gens), full_lattice(n), radius=radius)
     assert res.upper_bound == _brute_force_symrank(gens, n, radius)
-    assert sum(len(_bfs_orbit(gens, w.entries)) for w in res.witness) == res.upper_bound
+    assert sum(len(bfs_orbit(gens, w.entries)) for w in res.witness) == res.upper_bound
 
 
 # (upper bound, witness, orbits materialized) at radius 2, pinned exactly:
@@ -257,10 +244,61 @@ def test_orbit_matches_plain_bfs_and_raises_at_the_cap():
         (MatGroup.trivial(3), (0, 5, 0)),
     ]
     for g, v in cases:
-        want = _bfs_orbit(g.generators, v)
+        want = bfs_orbit(g.generators, v)
         orb = orbit(g, v, cap=len(want))
         assert orb.elements == want and orb.size == len(want)
         if len(want) > 1:
             with pytest.raises(CapExceeded) as exc:
                 orbit(g, v, cap=len(want) - 1)
             assert exc.value.cap == len(want) - 1
+
+
+def _records(gl, radius):
+    return [(rec.size, rec.rep, rec.span_rows) for rec in _orbit_records(gl, radius, DEFAULT_CAP)]
+
+
+# Groups without -I (A2, A3), where -O and O are distinct orbits, and with
+# -I (B3, G2), where every orbit is its own negation.
+ORACLE_LATTICES = [
+    ("A", 2, "weight", None), ("A", 2, "root", None),
+    ("A", 3, "weight", None), ("A", 3, "intermediate", 2), ("A", 3, "root", None),
+    ("B", 3, "weight", None), ("B", 3, "root", None),
+    ("G", 2, "root", None),
+]
+
+
+@pytest.mark.parametrize("row", ORACLE_LATTICES, ids=lambda r: f"{r[0]}{r[1]} {r[2]}{r[3] or ''}")
+def test_orbit_records_equal_the_full_bfs_oracle_on_weyl_lattices(row):
+    """Marking the negations of abandoned orbits drops exactly the orbits the cap drops."""
+    family, rank, kind, d = row
+    model = build(RootSystemSpec(family, rank))
+    gl = in_lattice_coordinates(model.matgroup(), lattice(model, kind, d).basis)
+    assert _records(gl, 2) == orbit_records_oracle(gl, 2)
+
+
+def _perm(n, *images):
+    """Permutation matrix with row i equal to e_{images[i]}, identity past the given images."""
+    p = (*images, *range(len(images), n))
+    return IntMatrix.from_rows([[int(j == p[i]) for j in range(n)] for i in range(n)])
+
+
+SMALL_GROUPS = {
+    "trivial": lambda n: [],
+    "-I": lambda n: [IntMatrix.diagonal([-1] * n)],
+    "swap": lambda n: [_perm(n, 1, 0)],
+    "n-cycle": lambda n: [_perm(n, *range(1, n), 0)],
+    "S3": lambda n: [_perm(n, 1, 0), _perm(n, 1, 2, 0)],
+    "swap and -I": lambda n: [_perm(n, 1, 0), IntMatrix.diagonal([-1] * n)],
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(sorted(SMALL_GROUPS)),
+    st.integers(3, 4).flatmap(lambda n: st.tuples(st.just(n), unimodular_matrices(n))),
+    st.integers(1, 2),
+)
+def test_orbit_records_equal_the_full_bfs_oracle_on_conjugated_small_groups(name, conj, radius):
+    n, u = conj
+    g = conjugate(MatGroup(n, SMALL_GROUPS[name](n)), u)
+    assert _records(g, radius) == orbit_records_oracle(g, radius)
