@@ -34,7 +34,7 @@ print()
 subs = cp_stable_subspaces(P)
 print("Subsets of components -> subspace dimension -> sublattice of Z^p:")
 for subset, lat in sorted(binary_sublattices(P).items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))):
-    dim = subs.dimension(subset)
+    dim = len(subs[subset])
     idx = index(lat, full_lattice(P)) if lat.rank == P else "-"
     extras = ""
     if subset and subset != frozenset({0}):

@@ -134,6 +134,11 @@ def _require_case(a: int, case: str):
         raise ValueError("a must be positive")
 
 
+def _metacyclic_sides(p: int, a: int, ell: int) -> tuple[int, int]:
+    """2^p and 2^(ell (p-1)/a + 1) p^2 (p-1), the sides of the metacyclic-image bound, for a | p - 1."""
+    return 2**p, 2 ** (ell * (p - 1) // a + 1) * p * p * (p - 1)
+
+
 def _case_verdict(p: int, a: int, ell: int, case: str) -> BoundVerdict:
     """The body of :func:`prime_case_check`, for an odd prime p and a checked case and a."""
     params = {"p": p, "a": a, "ell": ell}
@@ -142,8 +147,7 @@ def _case_verdict(p: int, a: int, ell: int, case: str) -> BoundVerdict:
             raise InvalidCase("case II.i needs 0 <= ell <= a-1")
         if (p - 1) % a != 0:
             raise InvalidCase("case II.i needs a | p-1")
-        lhs = 2**p
-        rhs = 2 ** (ell * (p - 1) // a + 1) * p * p * (p - 1)
+        lhs, rhs = _metacyclic_sides(p, a, ell)
         return BoundVerdict("II.i", params, lhs, rhs, lhs >= rhs)
     if case == "II.ii":
         if ell != a:
@@ -217,8 +221,7 @@ def mon_metacyclic_bound(p: int, ell: int, a: int) -> BoundVerdict:
         raise ValueError("a must divide p - 1")
     if not 0 <= ell <= a:
         raise ValueError("ell out of range")
-    lhs = 2**p
-    rhs = 2 ** (ell * (p - 1) // a + 1) * p * p * (p - 1)
+    lhs, rhs = _metacyclic_sides(p, a, ell)
     return BoundVerdict("metacyclic", {"p": p, "ell": ell, "a": a}, lhs, rhs, lhs >= rhs)
 
 

@@ -6,10 +6,11 @@ Every command is deterministic (there is no randomized mode).  Exit codes:
   2  fixture mismatch
   3  missing external data
   4  cap exceeded
-  5  input error: a file is missing or malformed, an argument is out of range
-     or not an odd prime, a generator is not unimodular, the lattice is not
-     kept by the group, an orbit vector lies outside the lattice, or the
-     prime horizon is too small for the threshold scan
+  5  input error: a file is missing or malformed (a data record may also
+     name a formula with no evaluator), an argument is out of range or not
+     an odd prime, a generator is not unimodular, the lattice is not kept by
+     the group, an orbit vector lies outside the lattice, or the prime
+     horizon is too small for the threshold scan
 
 Table-emitting commands compare their output against bundled fixtures of
 the published tables and fail with exit code 2 on any cell mismatch.
@@ -34,8 +35,9 @@ from .errors import (
     NotGStable,
     NotInLattice,
     NotOddPrime,
+    UnknownFormula,
 )
-from .intmat import full_lattice, hnf, index
+from .intmat import full_lattice, hnf, index, zero_lattice
 from .matgroup import DEFAULT_CAP, MatGroup
 from .serialize import load_group_file, load_matrix_file, vector_to_json
 
@@ -273,39 +275,28 @@ def cmd_gf2_factor(args, out) -> list:
     return []
 
 
+def _subset_label(subset) -> str:
+    return "{" + ",".join(map(str, sorted(subset))) + "}"
+
+
 def cmd_gf2_subspaces(args, out) -> list:
-    subs = gf2cyclo.cp_stable_subspaces(args.p)
-    rows = []
-    for subset in gf2cyclo._component_subsets(subs.component_count):
-        basis = subs.subspace(subset)
-        rows.append(
-            ("{" + ",".join(map(str, subset)) + "}", len(basis), ";".join(format(b, f"0{args.p}b") for b in basis))
-        )
+    rows = [
+        (_subset_label(subset), len(basis), ";".join(format(b, f"0{args.p}b") for b in basis))
+        for subset, basis in gf2cyclo.cp_stable_subspaces(args.p).items()
+    ]
     _render(["subset", "dimension", "basis_rows"], rows, args.format, out)
     return []
 
 
 def cmd_monomial_classify(args, out) -> list:
     p = args.p
-    lattices = gf2cyclo.binary_sublattices(p)
-    subs = gf2cyclo.cp_stable_subspaces(p)
+    subspaces = gf2cyclo.cp_stable_subspaces(p)
     rows = []
-    for subset in sorted(lattices, key=lambda s: (len(s), sorted(s))):
-        basis = subs.subspace(subset)
-        lat = lattices[subset]
-        if lat.rank == p:
-            idx = str(index(lat, full_lattice(p)))
-        else:
-            idx = "-"
-        rows.append(
-            (
-                "{" + ",".join(map(str, sorted(subset))) + "}",
-                len(basis),
-                2 ** len(basis),
-                lat.rank,
-                idx,
-            )
-        )
+    for subset in sorted(subspaces, key=lambda s: (len(s), sorted(s))):
+        basis = subspaces[subset]
+        lat = gf2cyclo.preimage(basis, p) if subset else zero_lattice(p)
+        idx = str(index(lat, full_lattice(p))) if lat.rank == p else "-"
+        rows.append((_subset_label(subset), len(basis), 2 ** len(basis), lat.rank, idx))
     _render(["subset", "subspace_dim", "diagonal_order", "lattice_rank", "index_in_Zp"], rows, args.format, out)
     rep = monomial.three_sublattice_report(p)
     rows2 = [(r.lattice_label, list(r.witness.entries), r.orbit_size, r.spans) for r in rep.rows]
@@ -409,7 +400,8 @@ def main(argv=None, out=None) -> int:
     except FixtureMismatch as e:
         print(f"fixture mismatch: {e}", file=sys.stderr)
         return EXIT_FIXTURE_MISMATCH
-    except (OSError, ValueError, NonUnimodularGenerator, NotGStable, NotInLattice, NotOddPrime, HorizonTooSmall) as e:
+    except (OSError, ValueError, NonUnimodularGenerator, NotGStable, NotInLattice, NotOddPrime, HorizonTooSmall,
+            UnknownFormula) as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     if mismatches:

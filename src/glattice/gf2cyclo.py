@@ -11,6 +11,16 @@ factor).
 The constructions downstream of the factorization -- the sign matrices
 D_i, the mod-2 stable subspaces, and the binary sublattices of Z^p --
 follow the i-th complementary product g_i = prod_{j != i} f_j.
+
+A lattice L with 2 Z^n <= L <= Z^n is fixed by its mod-2 subspace
+U = L / 2 Z^n: L is the preimage {v : v mod 2 in U}, of index 2^(n - dim U)
+in Z^n.  The lattices here are held as U and written out by
+:func:`preimage` with no integer elimination.  The preimage is spanned by
+2 Z^n and the 0/1 lifts of a basis of U.  Take the reduced echelon basis
+whose pivots are lowest bits.  The lift b_j pivoted at column j makes
+2 e_j redundant (2 e_j is 2 b_j minus the 2 e_k at the later bits k of b_j),
+so one row per column spans it: that lift, or 2 e_j where no basis vector
+pivots.
 """
 from __future__ import annotations
 
@@ -18,7 +28,7 @@ from dataclasses import dataclass
 
 from ._primes import is_prime, multiplicative_order
 from .errors import CapExceeded, NotOddPrime
-from .intmat import IntMatrix, IntVector, LatticeBasis, hnf_from_rows, zero_lattice
+from .intmat import IntMatrix, LatticeBasis, _lattice, zero_lattice
 
 SUBSET_CAP = 4096  # most component subsets enumerated by one call
 
@@ -277,50 +287,52 @@ def _rref_masks(masks: list[int]) -> list[int]:
     return basis
 
 
-class CpStableSubspaces:
+def preimage(masks, n: int) -> LatticeBasis:
+    """The lattice {v in Z^n : v mod 2 in span(masks)}, in canonical HNF.
+
+    Row j is the 0/1 lift of the reduced echelon basis vector whose lowest
+    set bit is j, or 2 e_j when no basis vector pivots at j.  This is
+    already the canonical HNF: the rows are upper triangular with pivots 1
+    and 2, and every entry above a pivot lies in [0, pivot) -- it is 0 above
+    a pivot 1, as the echelon basis is reduced, and 0 or 1 above a pivot 2.
+    """
+    if any(m < 0 or m >> n for m in masks):
+        raise ValueError(f"mask wider than {n} bits")
+
+    def flip(m: int) -> int:  # bit k <-> bit n - 1 - k, so _rref_masks pivots on the lowest bit
+        return int(format(m, f"0{n}b")[::-1], 2)
+
+    by_pivot = {(m & -m).bit_length() - 1: m for m in map(flip, _rref_masks([flip(m) for m in masks]))}
+    rows = [
+        tuple(by_pivot[j] >> k & 1 for k in range(n)) if j in by_pivot else tuple(2 * (k == j) for k in range(n))
+        for j in range(n)
+    ]
+    return _lattice(rows, n)
+
+
+def cp_stable_subspaces(p: int) -> dict[frozenset, tuple[int, ...]]:
     """The stable subspaces of F_2^p under the cyclic coordinate shift.
 
-    Subsets S of {0, .., (p-1)/d} index the subspaces; component 0 is the
-    line through the all-ones vector, and the union of all nonzero
-    components is the even-support subspace.
+    Maps each subset S of the components {0, .., (p-1)/d}, in the bit order
+    of its mask, to the reduced echelon mask basis of the sum of its
+    components.  Component i is spanned by the shifts of g_i; component 0 is
+    the all-ones line, and all nonzero components sum to the even-weight
+    subspace.  Raises CapExceeded when there are more than SUBSET_CAP subsets.
     """
-
-    def __init__(self, p: int):
-        self.fact = factor_xp_minus_1(p)
-        self.p = p
-        self.component_count = len(self.fact.factors)
-
-    def component_basis(self, i: int) -> tuple[int, ...]:
-        """Bitmask basis of the i-th irreducible component."""
-        p = self.p
-        g = self.fact.complementary_product(i)
-        dim = self.fact.factors[i].degree
-        mask = g.bits
-        full = (1 << p) - 1
-        shifts = [mask]
-        for k in range(1, dim):
-            shifts.append(((mask << k) | (mask >> (p - k))) & full)
-        basis = _rref_masks(shifts)
-        if len(basis) != dim:
+    fact = factor_xp_minus_1(p)
+    m = len(fact.factors)
+    if 2**m > SUBSET_CAP:
+        raise CapExceeded("subset enumeration", SUBSET_CAP)
+    full = (1 << p) - 1
+    components = []
+    for i, f in enumerate(fact.factors):
+        g = fact.complementary_product(i).bits
+        basis = _rref_masks([((g << k) | (g >> (p - k))) & full for k in range(f.degree)])
+        if len(basis) != f.degree:
             raise AssertionError("component dimension mismatch")
-        return tuple(basis)
-
-    def subspace(self, subset) -> tuple[int, ...]:
-        """Bitmask basis for the subspace indexed by a subset of components."""
-        subset = frozenset(subset)
-        if any(i < 0 or i >= self.component_count for i in subset):
-            raise ValueError("component index out of range")
-        masks: list[int] = []
-        for i in sorted(subset):
-            masks.extend(self.component_basis(i))
-        return tuple(_rref_masks(masks))
-
-    def dimension(self, subset) -> int:
-        return len(self.subspace(subset))
-
-
-def cp_stable_subspaces(p: int) -> CpStableSubspaces:
-    return CpStableSubspaces(p)
+        components.append(basis)
+    subsets = [[i for i in range(m) if bits >> i & 1] for bits in range(2**m)]
+    return {frozenset(s): tuple(_rref_masks([b for i in s for b in components[i]])) for s in subsets}
 
 
 def diag_generators(p: int) -> tuple[IntMatrix, ...]:
@@ -334,38 +346,12 @@ def diag_generators(p: int) -> tuple[IntMatrix, ...]:
     return tuple(out)
 
 
-def _cyclic_shifts(v: IntVector) -> list[tuple[int, ...]]:
-    n = v.dim
-    e = v.entries
-    return [tuple(e[(j - k) % n] for j in range(n)) for k in range(n)]
-
-
 def binary_sublattices(p: int) -> dict[frozenset, LatticeBasis]:
     """The sublattice for each subset S of the components, indexed by S.
 
     It is spanned by 2 Z^p and the cyclic shifts of v_i, the 0/1 coefficient
-    vector of g_i, for i in S.  These are the primitive sublattices of a
-    monomial group containing all sign matrices and a p-cycle.  Guarded:
-    m components have 2^m subsets.  x^p - 1 is factored once per call.
+    vector of g_i, for i in S, so it is the :func:`preimage` of the subspace
+    of S (the zero lattice for the empty S).  These are the primitive
+    sublattices of a monomial group containing all sign matrices and a p-cycle.
     """
-    fact = factor_xp_minus_1(p)
-    m = len(fact.factors)
-    subsets = _component_subsets(m)
-    shifts = [_cyclic_shifts(IntVector(fact.complementary_product(i).coeffs(p))) for i in range(m)]
-    doubles = [tuple(2 if k == j else 0 for k in range(p)) for j in range(p)]
-    return {
-        frozenset(s): hnf_from_rows([r for i in s for r in shifts[i]] + doubles, p) if s else zero_lattice(p)
-        for s in subsets
-    }
-
-
-def _component_subsets(m: int):
-    """Every subset of range(m) as a sorted tuple, in the bit order of its mask.
-
-    Raises CapExceeded, before yielding any, when there are more than
-    SUBSET_CAP subsets.
-    """
-    if 2**m > SUBSET_CAP:
-        raise CapExceeded("subset enumeration", SUBSET_CAP)
-    for bits in range(2**m):
-        yield tuple(i for i in range(m) if bits >> i & 1)
+    return {s: preimage(basis, p) if s else zero_lattice(p) for s, basis in cp_stable_subspaces(p).items()}

@@ -26,7 +26,7 @@ import json
 import os
 from dataclasses import dataclass
 from importlib import resources
-from math import gcd
+from math import gcd, prod
 
 from ._primes import pow2_at_least, prime_power, prime_powers_upto
 from .bounds import psl_order
@@ -46,30 +46,22 @@ def _field(record, key: str, what: str):
         raise ValueError(f"{what} has no {key!r} field") from None
 
 
-def _prod(it):
-    out = 1
-    for x in it:
-        out *= x
-    return out
-
-
 def _psu_order(n: int, q: int) -> int:
     """|PSU_{n+1}(q)| where n is the table's parameter (subscript n+1)."""
     big = n + 1
-    prod = _prod(q**i - (-1) ** i for i in range(2, big + 1))
-    return q ** (big * (big - 1) // 2) * prod // gcd(big, q + 1)
+    return q ** (big * (big - 1) // 2) * prod(q**i - (-1) ** i for i in range(2, big + 1)) // gcd(big, q + 1)
 
 
 def _psp_order(n: int, q: int) -> int:
     """|PSp_{2n}(q)| (equals the odd orthogonal group order O_{2n+1}(q))."""
-    return q ** (n * n) * _prod(q ** (2 * i) - 1 for i in range(1, n + 1)) // gcd(2, q - 1)
+    return q ** (n * n) * prod(q ** (2 * i) - 1 for i in range(1, n + 1)) // gcd(2, q - 1)
 
 
 def _omega_plus_order(n: int, q: int) -> int:
     return (
         q ** (n * (n - 1))
         * (q**n - 1)
-        * _prod(q ** (2 * i) - 1 for i in range(1, n))
+        * prod(q ** (2 * i) - 1 for i in range(1, n))
         // gcd(4, q**n - 1)
     )
 
@@ -82,13 +74,13 @@ ORDER_FORMULAS = {
     "omega_odd": lambda n, q, u, t: _psp_order(n, q),
     "omega_plus": lambda n, q, u, t: _omega_plus_order(n, q),
     "e6": lambda n, q, u, t: q**36
-    * _prod(q**k - 1 for k in (12, 9, 8, 6, 5, 2))
+    * prod(q**k - 1 for k in (12, 9, 8, 6, 5, 2))
     // gcd(3, q - 1),
     "e7": lambda n, q, u, t: q**63
-    * _prod(q**k - 1 for k in (18, 14, 12, 10, 8, 6, 2))
+    * prod(q**k - 1 for k in (18, 14, 12, 10, 8, 6, 2))
     // gcd(2, q - 1),
-    "e8": lambda n, q, u, t: q**120 * _prod(q**k - 1 for k in (30, 24, 20, 18, 14, 12, 8, 2)),
-    "f4": lambda n, q, u, t: q**24 * _prod(q**k - 1 for k in (12, 8, 6, 2)),
+    "e8": lambda n, q, u, t: q**120 * prod(q**k - 1 for k in (30, 24, 20, 18, 14, 12, 8, 2)),
+    "f4": lambda n, q, u, t: q**24 * prod(q**k - 1 for k in (12, 8, 6, 2)),
     "g2": lambda n, q, u, t: q**6 * (q**6 - 1) * (q**2 - 1),
     "tw2e6": lambda n, q, u, t: q**36
     * (q**12 - 1)
@@ -182,6 +174,20 @@ def load_data(path: str | None = None) -> dict:
         return json.load(fh)
 
 
+_SCAN_INTS = ("q_max", "q_min", "q_coprime_to", "q_divisible_by", "q_odd_power_of", "n_min", "fixed_n")
+_SCAN_LISTS = ("q_mod4", "q_in", "q_not_in", "exclude")
+
+
+def _check_scan(name: str, scan) -> dict:
+    """scan, or a ValueError naming a numeric field that is not a positive int or a set field that is not a list."""
+    if not isinstance(scan, dict):
+        raise ValueError(f"{name} scan is not an object")
+    for key, value in scan.items():
+        if key in _SCAN_INTS and (type(value) is not int or value < 1) or key in _SCAN_LISTS and type(value) is not list:
+            raise ValueError(f"{name} scan field {key!r} is malformed: {value!r}")
+    return scan
+
+
 @dataclass(frozen=True)
 class FamilyRecord:
     name: str
@@ -201,7 +207,7 @@ class FamilyRecord:
 
     def points(self, q_cap: int, n_cap: int):
         """All (n, q, u, t) scan points within caps and constraints."""
-        sc = self.scan
+        sc = _check_scan(self.name, self.scan)
         fixed_n = sc.get("fixed_n")
         for q in prime_powers_upto(min(q_cap, sc.get("q_max", q_cap))):
             if q < sc.get("q_min", 2):

@@ -15,6 +15,7 @@ order, then generator index, so every downstream output is reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
 from typing import Callable
 
 from .errors import CapExceeded, NonUnimodularConjugator, NonUnimodularGenerator, NotGStable
@@ -30,6 +31,7 @@ from .intmat import (
 )
 
 DEFAULT_CAP = 10**7  # every enumeration cap: orbits, closures, short vectors
+_KERNEL_IDS = count(1)  # numbers the file names of compiled kernels
 
 
 @dataclass(frozen=True)
@@ -104,7 +106,9 @@ def _compile_images(dim: int, gens: tuple) -> Callable[[tuple], tuple]:
     row is a plain copy of v[i].  The source holds only ``int`` literals
     and the local names ``v``, ``v0``, ``v1``, ...: ``IntMatrix`` coerces
     every entry with ``int()``, so a coefficient prints as decimal digits,
-    and no other input text reaches the source.
+    and no other input text reaches the source.  Each kernel gets its own
+    file name, ``<matgroup images #N>``, so profiles and tracebacks tell
+    kernels apart.
     """
     def tup(items) -> str:
         return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
@@ -114,8 +118,9 @@ def _compile_images(dim: int, gens: tuple) -> Callable[[tuple], tuple]:
         return " ".join(signed).lstrip("+") or "0"
 
     body = tup([tup([entry(row) for row in rows]) for rows in gens])
+    source = f"def images(v):\n    {tup([f'v{j}' for j in range(dim)])} = v\n    return {body}\n"
     namespace: dict = {}
-    exec(f"def images(v):\n    {tup([f'v{j}' for j in range(dim)])} = v\n    return {body}\n", {}, namespace)
+    exec(compile(source, f"<matgroup images #{next(_KERNEL_IDS)}>", "exec"), {}, namespace)
     return namespace["images"]
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import CapExceeded, HypothesisNotMet
-from .gf2cyclo import _rref_masks
+from .gf2cyclo import _rref_masks, preimage
 from .intmat import (
     IntMatrix,
     IntVector,
@@ -199,14 +199,13 @@ class ThreeSublatticeReport:
 
 
 def _lattice_e(n: int) -> LatticeBasis:
-    rows = [tuple(1 if k in (j, j + 1) else 0 for k in range(n)) for j in range(n - 1)]
-    rows.append(tuple(2 if k == 0 else 0 for k in range(n)))
-    return hnf_from_rows(rows, n)
+    """The even-weight lattice: the preimage of the span of the masks e_j + e_{j+1}."""
+    return preimage([3 << j for j in range(n - 1)], n)
 
 
 def _lattice_ones(n: int) -> LatticeBasis:
-    rows = [(1,) * n] + [tuple(2 if k == j else 0 for k in range(n)) for j in range(n)]
-    return hnf_from_rows(rows, n)
+    """2 Z^n plus the all-ones vector: the preimage of the all-ones line."""
+    return preimage([(1 << n) - 1], n)
 
 
 def three_sublattice_report(p: int) -> ThreeSublatticeReport:

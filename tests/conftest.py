@@ -10,7 +10,7 @@ from hypothesis import strategies as st  # noqa: E402
 from glattice._primes import ceil_log2  # noqa: E402
 from glattice.bounds import LOG_FRAC_BITS  # noqa: E402
 from glattice.gf2cyclo import binary_sublattices, factor_xp_minus_1  # noqa: E402
-from glattice.intmat import IntMatrix, IntVector, LatticeBasis, _xgcd, as_vector, full_lattice, hnf_from_rows  # noqa: E402
+from glattice.intmat import IntMatrix, IntVector, LatticeBasis, _xgcd, as_vector, full_lattice, hnf_from_rows, zero_lattice  # noqa: E402
 from glattice.matgroup import MatGroup, orbit  # noqa: E402
 from glattice.search import _box, _rep_key  # noqa: E402
 
@@ -28,6 +28,27 @@ def binary_sublattice(p: int, subset) -> LatticeBasis:
 def binary_coefficient_vector(p: int, i: int) -> IntVector:
     """v_i: the 0/1 coefficient vector of g_i, the product of every factor of x^p - 1 but the i-th."""
     return IntVector(factor_xp_minus_1(p).complementary_product(i).coeffs(p))
+
+
+def cyclic_shifts(v) -> list[tuple[int, ...]]:
+    """The n cyclic shifts of a vector of length n, the unshifted one first."""
+    e = as_vector(v).entries
+    n = len(e)
+    return [tuple(e[(j - k) % n] for j in range(n)) for k in range(n)]
+
+
+def binary_sublattices_oracle(p: int) -> dict[frozenset, LatticeBasis]:
+    """Oracle for ``binary_sublattices``: for each subset S of the components, in
+    the bit order of its mask, ``hnf_from_rows`` of 2 Z^p and the integer cyclic
+    shifts of v_i for i in S (the zero lattice for the empty S)."""
+    m = len(factor_xp_minus_1(p).factors)
+    shifts = [cyclic_shifts(binary_coefficient_vector(p, i)) for i in range(m)]
+    doubles = [tuple(2 * (k == j) for k in range(p)) for j in range(p)]
+    out = {}
+    for bits in range(2**m):
+        s = [i for i in range(m) if bits >> i & 1]
+        out[frozenset(s)] = hnf_from_rows([r for i in s for r in shifts[i]] + doubles, p) if s else zero_lattice(p)
+    return out
 
 
 def orbit_span(g: MatGroup, v) -> LatticeBasis:

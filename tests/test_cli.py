@@ -221,6 +221,26 @@ def test_subset_cap_is_one_line_and_exit_4(argv, capsys):
     assert capsys.readouterr().err.splitlines() == ["cap exceeded: subset enumeration exceeded cap 4096"]
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# stdout recorded before the prime-dimension lattices were read off their
+# mod-2 subspaces; it must not change by a byte.
+GOLDEN_TEXT = {
+    "cli_monomial_classify_p7": ["monomial", "classify", "--p", "7"],
+    "cli_monomial_classify_p31": ["monomial", "classify", "--p", "31"],
+    "cli_gf2_subspaces_p7": ["gf2", "subspaces", "--p", "7"],
+    "cli_gf2_subspaces_p31": ["gf2", "subspaces", "--p", "31"],
+    "cli_verify_prop515": ["verify", "--name", "prop515"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TEXT))
+def test_text_golden(name):
+    rc, out = run(GOLDEN_TEXT[name])
+    assert rc == EXIT_OK
+    assert out.encode() == (GOLDEN / f"{name}.txt").read_bytes()
+
+
 def test_byte_stable_output():
     outs = {run(["rootsys-table", "--max-rank", "8"])[1] for _ in range(3)}
     assert len(outs) == 1
@@ -261,6 +281,13 @@ ONE_GENERATOR = group_to_json(1, [IntMatrix.from_rows([(-1,)])])
 def _family_without_scan():
     data = groupdata.load_data()
     del data["families"][0]["scan"]
+    return data
+
+
+def _first_family_with(**fields):
+    """The bundled data with fields of the first family record replaced."""
+    data = groupdata.load_data()
+    data["families"][0].update(fields)
     return data
 
 
@@ -352,6 +379,18 @@ RAISED_INPUT_ERRORS = {
     "subspaces p 9": lambda d: ["gf2", "subspaces", "--p", "9"],
     "classify p 4": lambda d: ["monomial", "classify", "--p", "4"],
     "horizon too small": lambda d: ["bounds", "prime", "--a", "1", "--horizon", "5"],
+    "formula with no evaluator": lambda d: [
+        "--data", _write(d / "f.json", _first_family_with(order_formula="no-such-formula")),
+        "verify", "--name", "almost-simple",
+    ],
+    "dimension bound with no evaluator": lambda d: [
+        "--data", _write(d / "f.json", _first_family_with(dim_bound_formula="no-such-formula")),
+        "verify", "--name", "almost-simple",
+    ],
+    "q_max not an integer": lambda d: [
+        "--data", _write(d / "f.json", _first_family_with(scan={"kind": "q", "q_max": "x"})),
+        "verify", "--name", "almost-simple",
+    ],
 }
 
 

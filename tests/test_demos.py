@@ -1,6 +1,6 @@
 """Every demo script runs to completion in a fresh interpreter and prints its golden output.
 
-The golden files in ``tests/golden`` are the demos' stdout, byte for byte;
+The demos' golden files in ``tests/golden`` are their stdout, byte for byte;
 they read the same under different ``PYTHONHASHSEED`` values, so a change
 to them is a change in what a demo computes or prints.
 """

@@ -1,18 +1,26 @@
 """GF(2) polynomials, cyclotomic factorizations, and binary sublattices."""
 import pytest
-from conftest import binary_coefficient_vector, binary_sublattice, closure_oracle
+from conftest import (
+    binary_coefficient_vector,
+    binary_sublattice,
+    binary_sublattices_oracle,
+    closure_oracle,
+    cyclic_shifts,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glattice._primes import primes_upto
 from glattice.errors import NotOddPrime
 from glattice.gf2cyclo import (
     GF2Poly,
-    _cyclic_shifts,
     _rref_masks,
     binary_sublattices,
     cp_stable_subspaces,
     diag_generators,
     factor_xp_minus_1,
     ord2,
+    preimage,
 )
 from glattice.intmat import IntMatrix, full_lattice, hnf_from_rows, index, is_primitive, member
 from glattice.matgroup import MatGroup
@@ -73,18 +81,19 @@ def test_primitive_root_primes_have_four_subsets():
         f = factor_xp_minus_1(p)
         assert len(f.factors) == 2  # so exactly 4 subsets of components
         subs = cp_stable_subspaces(p)
-        dims = sorted(subs.dimension(s) for s in [(), (0,), (1,), (0, 1)])
+        dims = sorted(len(subs[frozenset(s)]) for s in [(), (0,), (1,), (0, 1)])
         assert dims == [0, 1, p - 1, p]
 
 
 def test_canonical_subspaces_p7():
     subs = cp_stable_subspaces(7)
-    assert subs.subspace(()) == ()
-    assert subs.subspace({0}) == ((1 << 7) - 1,)
-    ve = subs.subspace({1, 2})
+    assert list(subs) == [frozenset(s) for s in [(), (0,), (1,), (0, 1), (2,), (0, 2), (1, 2), (0, 1, 2)]]
+    assert subs[frozenset()] == ()
+    assert subs[frozenset({0})] == ((1 << 7) - 1,)
+    ve = subs[frozenset({1, 2})]
     assert len(ve) == 6
     assert all(bin(b).count("1") % 2 == 0 for b in ve)
-    assert len(subs.subspace({0, 1, 2})) == 7
+    assert len(subs[frozenset({0, 1, 2})]) == 7
 
 
 def test_diag_generators_p3():
@@ -131,7 +140,7 @@ def test_sublattices_primitive_and_mod2_image():
             masks = _rref_masks(
                 [sum((e & 1) << i for i, e in enumerate(r)) for r in lat.rows()]
             )
-            assert tuple(masks) == subs.subspace(subset)
+            assert tuple(masks) == subs[subset]
 
 
 def test_sublattice_index_matches_subspace_codimension():
@@ -139,7 +148,7 @@ def test_sublattice_index_matches_subspace_codimension():
         subs = cp_stable_subspaces(p)
         for subset, lat in binary_sublattices(p).items():
             if lat.rank == p:
-                assert index(lat, full_lattice(p)) == 2 ** (p - subs.dimension(subset))
+                assert index(lat, full_lattice(p)) == 2 ** (p - len(subs[subset]))
 
 
 def test_binary_vector_weights_even_for_nontrivial_components():
@@ -152,6 +161,45 @@ def test_binary_vector_weights_even_for_nontrivial_components():
 
 def test_l1_with_and_without_doubles():
     with_doubles = binary_sublattice(7, {0})
-    bare = hnf_from_rows(_cyclic_shifts(binary_coefficient_vector(7, 0)), 7)
+    bare = hnf_from_rows(cyclic_shifts(binary_coefficient_vector(7, 0)), 7)
     assert bare.rank == 1 and with_doubles.rank == 7
     assert member((1,) * 7, bare)
+
+
+def _lift(mask: int, n: int) -> tuple[int, ...]:
+    return tuple(mask >> k & 1 for k in range(n))
+
+
+@st.composite
+def _subspaces(draw):
+    """(masks, n): up to n + 2 random masks of F_2^n for n <= 12, with repeats and sums mixed in."""
+    n = draw(st.integers(1, 12))
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=n + 2))
+    if len(masks) >= 2:
+        masks.append(masks[0] ^ masks[-1])
+    return masks, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(_subspaces())
+def test_preimage_matches_hnf_from_rows(case):
+    """The HNF read off the lowest-pivot echelon basis is the one elimination computes."""
+    masks, n = case
+    doubles = [tuple(2 * (k == j) for k in range(n)) for j in range(n)]
+    lat = preimage(masks, n)
+    assert lat == hnf_from_rows([_lift(m, n) for m in masks] + doubles, n)
+    assert index(lat, full_lattice(n)) == 2 ** (n - len(_rref_masks(masks)))
+
+
+def test_preimage_rejects_a_mask_wider_than_n():
+    with pytest.raises(ValueError):
+        preimage([1 << 3], 3)
+
+
+@pytest.mark.parametrize("p", [p for p in primes_upto(31) if p > 2])
+def test_binary_sublattices_match_the_integer_shift_oracle(p):
+    lats = binary_sublattices(p)
+    assert list(lats.items()) == list(binary_sublattices_oracle(p).items())
+    for subset, basis in cp_stable_subspaces(p).items():
+        if subset:
+            assert index(lats[subset], full_lattice(p)) == 2 ** (p - len(basis))

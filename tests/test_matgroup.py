@@ -2,6 +2,7 @@
 import dataclasses
 import itertools
 import random
+import re
 
 import pytest
 from conftest import apply, closure_oracle, orbit_span, unimodular_matrices
@@ -359,6 +360,17 @@ def test_kernel_in_dimension_one():
     one = MatGroup(1, [IntMatrix.identity(1), NEG])
     assert one.images((3,)) == ((3,), (-3,))
     assert closure(one)[1] == 2
+
+
+def test_each_kernel_has_its_own_file_name():
+    """Profiles key on file names, so two kernels must not share one; a traceback names matgroup."""
+    a, b = MatGroup(1, [NEG]), MatGroup(1, [NEG])
+    names = {a.images.__code__.co_filename, b.images.__code__.co_filename}
+    assert len(names) == 2
+    assert all(re.fullmatch(r"<matgroup images #\d+>", name) for name in names)
+    with pytest.raises(TypeError) as info:
+        a.images((None,))
+    assert info.traceback[-1].path in names
 
 
 def test_matgroup_is_an_immutable_value():

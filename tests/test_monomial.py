@@ -9,6 +9,8 @@ from glattice.gf2cyclo import _rref_masks, binary_sublattices, cp_stable_subspac
 from glattice.intmat import IntMatrix, full_lattice, hnf_from_rows, member
 from glattice.matgroup import MatGroup, orbit
 from glattice.monomial import (
+    _lattice_e,
+    _lattice_ones,
     cycle_matrix,
     full_monomial_group,
     full_monomial_orbit_size_binary,
@@ -143,7 +145,7 @@ def test_o2_minus_identity_only():
 
 def test_o2_matches_component_subspace():
     g = MatGroup(7, (cycle_matrix(7), diag_generators(7)[1]))
-    assert o2_diagonal_part(g) == cp_stable_subspaces(7).subspace({1})
+    assert o2_diagonal_part(g) == cp_stable_subspaces(7)[frozenset({1})]
 
 
 def test_o2_hypothesis_violations():
@@ -247,3 +249,12 @@ def test_orbit_cap():
     with pytest.raises(CapExceeded) as exc:
         orbit(mon, (1,) * 5, cap=31)
     assert (exc.value.what, exc.value.cap) == ("orbit", 31)
+
+
+def test_even_and_all_ones_lattices_match_their_integer_spans():
+    """The two preimages against ``hnf_from_rows`` of the rows that span them."""
+    for n in range(2, 14):
+        doubles = [tuple(2 * (k == j) for k in range(n)) for j in range(n)]
+        pairs = [tuple(int(k in (j, j + 1)) for k in range(n)) for j in range(n - 1)]
+        assert _lattice_e(n) == hnf_from_rows(pairs + doubles[:1], n)
+        assert _lattice_ones(n) == hnf_from_rows([(1,) * n] + doubles, n)
