@@ -129,13 +129,30 @@ X = GF2Poly(2)
 X_PLUS_1 = GF2Poly(3)
 
 
+def _q_rows(g: GF2Poly) -> list[int]:
+    """Berlekamp's Q matrix of g (degree n >= 1): row i is x^{2i} mod g, as bits of 1, x, ..., x^{n-1}.
+
+    Row i is row i-1 times x^2: shifted left by 2, it has degree at most
+    n+1, and clearing bit n+1 with x g, then bit n with g, reduces it.
+    """
+    n, bits = g.degree, g.bits
+    rows = [1]
+    for _ in range(n - 1):
+        r = rows[-1] << 2
+        if r >> (n + 1) & 1:
+            r ^= bits << 1
+        if r >> n & 1:
+            r ^= bits
+        rows.append(r)
+    return rows
+
+
 def _berlekamp_factor(g: GF2Poly) -> list[GF2Poly]:
     """Irreducible factors of a squarefree monic g over GF(2), deterministic."""
     n = g.degree
     if n <= 1:
         return [g]
-    # Q[i] = x^{2i} mod g as a bit row over the basis 1, x, ..., x^{n-1}
-    q_rows = [GF2Poly(2).powmod(2 * i, g).bits for i in range(n)]
+    q_rows = _q_rows(g)
     # null space of (Q - I) over GF(2), bitmask Gaussian elimination
     rows = [q_rows[i] ^ (1 << i) for i in range(n)]
     # eliminate: work over columns; track transposed combination

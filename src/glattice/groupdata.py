@@ -46,6 +46,17 @@ def _field(record, key: str, what: str):
         raise ValueError(f"{what} has no {key!r} field") from None
 
 
+def _is_positive_int(value) -> bool:
+    return type(value) is int and value >= 1
+
+
+def _n_q(n, q, what: str, null_n: bool) -> tuple[int | None, int]:
+    """(n, q), or a ValueError unless both are positive ints (n may be null if null_n)."""
+    if not (null_n and n is None or _is_positive_int(n)) or not _is_positive_int(q):
+        raise ValueError(f"{what} has n = {n!r}, q = {q!r}; each must be a positive integer" + (" (n may be null)" if null_n else ""))
+    return n, q
+
+
 def _psu_order(n: int, q: int) -> int:
     """|PSU_{n+1}(q)| where n is the table's parameter (subscript n+1)."""
     big = n + 1
@@ -183,7 +194,7 @@ def _check_scan(name: str, scan) -> dict:
     if not isinstance(scan, dict):
         raise ValueError(f"{name} scan is not an object")
     for key, value in scan.items():
-        if key in _SCAN_INTS and (type(value) is not int or value < 1) or key in _SCAN_LISTS and type(value) is not list:
+        if key in _SCAN_INTS and not _is_positive_int(value) or key in _SCAN_LISTS and type(value) is not list:
             raise ValueError(f"{name} scan field {key!r} is malformed: {value!r}")
     return scan
 
@@ -265,13 +276,23 @@ def family_records(data: dict) -> list[FamilyRecord]:
         out.append(
             FamilyRecord(
                 **{key: _field(raw, key, f"family record {i}") for key in _FAMILY_KEYS},
-                expected_remaining=tuple(
-                    (pair[0], pair[1]) for pair in raw.get("expected_remaining", [])
-                ),
+                expected_remaining=_expected_remaining(raw.get("expected_remaining", []), f"family record {i}"),
                 note=raw.get("note"),
             )
         )
     return out
+
+
+def _expected_remaining(pairs, what: str) -> tuple[tuple[int | None, int], ...]:
+    """The [n, q] pairs of a family's expected_remaining field, or a ValueError naming a malformed one."""
+    if type(pairs) is not list:
+        raise ValueError(f"{what} expected_remaining is not a list")
+    out = []
+    for pair in pairs:
+        if type(pair) is not list or len(pair) != 2:
+            raise ValueError(f"{what} expected_remaining entry {pair!r} is not an [n, q] pair")
+        out.append(_n_q(*pair, f"{what} expected_remaining entry", null_n=True))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -393,8 +414,10 @@ def aut_spot_checks(data: dict | None = None) -> list[tuple[str, int, int]]:
         if family not in recs:
             raise ValueError(f"{what} names unknown family {family!r}")
         rec = recs[family]
-        q = _field(chk, "q", what)
-        u, t = prime_power(q)
-        computed = rec.aut_order(chk.get("n"), q, u, t)
-        out.append((f"{rec.name} @ n={chk.get('n')}, q={q}", computed, int(_field(chk, "expected_aut", what))))
+        n, q = _n_q(_field(chk, "n", what), _field(chk, "q", what), what, null_n=False)
+        u_t = prime_power(q)
+        if u_t is None:
+            raise ValueError(f"{what} has q = {q}, not a prime power")
+        computed = rec.aut_order(n, q, *u_t)
+        out.append((f"{rec.name} @ n={n}, q={q}", computed, int(_field(chk, "expected_aut", what))))
     return out

@@ -4,13 +4,14 @@ A :class:`MatGroup` is an immutable value that carries one compiled
 generator-action kernel, ``images`` (:func:`_compile_images`): a function
 from a vector to the tuple of its images under the generators, the one form
 in which generators act on vectors.  Orbits, stable spans, lattice checks
-and the closure run on such kernels; orbits and the closure share one
-breadth-first orbit search with a hard cap, and the closure is the orbit
-of the identity's entries under right multiplication by the generators.
+and the closure run on such kernels.  Orbits are a breadth-first search
+with a hard cap (:func:`_orbit_bfs`); the closure lists the group coset by
+coset (Dimino's algorithm, :func:`_group_closure`), with one kernel per
+generator acting on the identity's entries by right multiplication.
 Hitting a cap raises :class:`CapExceeded`, which callers treat as a
 first-class outcome (the inequality engines deliberately avoid
 materializing huge groups).  Enumeration order is deterministic: queue
-order, then generator index, so every downstream output is reproducible.
+order (coset order for the closure), then generator index, so every downstream output is reproducible.
 """
 from __future__ import annotations
 
@@ -73,19 +74,20 @@ class Orbit:
 def closure(g: MatGroup, cap: int = DEFAULT_CAP) -> tuple[frozenset, int]:
     """Full element set (as row-major entry tuples) and exact order.
 
-    The element set is the orbit of the identity's entries under right
-    multiplication by the generators, run on a kernel over the n^2
-    entries: entry (i, b) of x h is the sum over a of x[i, a] h[a, b], so
-    each generator acts on the entries as n copies of h^T.  A finite
-    matrix group is closed under products of generators alone (every
-    element has finite order), so no explicit inverses are needed.
+    The elements are listed coset by coset by :func:`_group_closure`, on
+    one kernel per generator over the n^2 entries that multiplies on the
+    right: entry (i, b) of x h is the sum over a of x[i, a] h[a, b], so a
+    generator acts on the entries as n copies of h^T.  A finite matrix
+    group is closed under products of generators alone (every element has
+    finite order), so no explicit inverses are needed.
     """
     n = g.dim
-    gens = tuple(
+    blocks = (
         tuple(tuple((i * n + a, c) for a, c in row) for i in range(n) for row in _rows_terms(h.transpose()))
         for h in g.generators
     )
-    seen, complete = _orbit_bfs(_compile_images(n * n, gens), IntMatrix.identity(n).entries, cap)
+    kernels = [_compile_images(n * n, (terms,)) for terms in blocks]
+    seen, complete = _group_closure(kernels, IntMatrix.identity(n).entries, cap)
     if not complete:
         raise CapExceeded("group closure", cap)
     return frozenset(seen), len(seen)
@@ -140,6 +142,48 @@ def _orbit_bfs(images: Callable, start: tuple, cap: int, stop=frozenset()) -> tu
                     return seen, False
                 seen.add(nxt)
                 queue.append(nxt)
+    return seen, True
+
+
+def _group_closure(kernels, identity: tuple, cap: int) -> tuple[set, bool]:
+    """The group generated by right multiplications, listed coset by coset (Dimino).
+
+    Each kernel is a one-generator kernel from :func:`_compile_images`
+    that sends an element x to (x t,).  Generators are added one at a
+    time.  With H = <t_1..t_{i-1}> listed, <H, t_i> is a union of right
+    cosets H r, and the listing keeps coset k at positions k|H| to
+    (k+1)|H| - 1 with its elements h r in the order of H, so its first
+    element is its rep r.
+    The cosets partition the group, so for each rep r and each t_j with
+    j <= i, the coset H r t_j is new exactly when its rep r t_j is new;
+    then the whole coset is t_j applied to the listed coset H r, with no
+    membership test per element.  Once every rep is handled the set is
+    closed under all t_j, so it is the group.  t_i is skipped when it
+    already lies in H.
+
+    Returns the set reached and whether it is the whole group.  The
+    listing stops early, incomplete, before a coset would make the set
+    larger than cap; so for cap >= 1 it stops exactly when the group is
+    larger than cap (a trivial group adds no coset, so never stops).
+    """
+    elements = [identity]
+    seen = {identity}
+    for i, kernel in enumerate(kernels):
+        if kernel(identity)[0] in seen:
+            continue
+        gens = kernels[: i + 1]
+        m = len(elements)
+        k = 0
+        while k < len(elements):
+            coset = elements[k : k + m]
+            for t in gens:
+                if t(coset[0])[0] not in seen:
+                    new = [t(x)[0] for x in coset]
+                    if len(seen) + m > cap:
+                        return seen, False
+                    seen.update(new)
+                    elements.extend(new)
+            k += m
     return seen, True
 
 

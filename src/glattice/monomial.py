@@ -3,10 +3,13 @@
 A monomial group is a :class:`~glattice.matgroup.MatGroup` whose
 generators are signed-permutation matrices D(signs) P(perm), with
 P e_i = e_{perm[i]}, acting on column vectors.  Vector orbits, which for
-binary vectors in dimension p can reach size 2^p, and the two closures --
-the permutation image and the group whose diagonal part is read off -- run
-on the compiled orbit kernel of :mod:`matgroup`, in which each coordinate
-of a signed-permutation image is one copied or negated entry.
+binary vectors in dimension p can reach size 2^p, run on the compiled
+orbit kernel of :mod:`matgroup`, in which each coordinate of a
+signed-permutation image is one copied or negated entry.  The two closures
+-- the permutation image and the group whose diagonal part is read off --
+are listed coset by coset by :func:`matgroup._group_closure`: a coset of
+the group built so far is new exactly when its rep is, and the cosets
+partition the group, so no element is tested for membership on its own.
 """
 from __future__ import annotations
 
@@ -25,7 +28,7 @@ from .intmat import (
     ones_vector,
     unit_vector,
 )
-from .matgroup import DEFAULT_CAP, MatGroup, _compile_images, _orbit_bfs, closure
+from .matgroup import DEFAULT_CAP, MatGroup, _compile_images, _group_closure, closure
 
 
 def signed_permutation(signs, perm) -> IntMatrix:
@@ -82,14 +85,14 @@ def _permutation(h: IntMatrix) -> tuple[int, ...]:
 def project_pi(g: MatGroup, cap: int = DEFAULT_CAP) -> PiSummary:
     """Closure of the permutation parts, with n-cycle detection.
 
-    Runs on the orbit kernel: the identity permutation is moved by the
-    maps with entry i equal to entry perm[i], which send cur to the
-    composite with entries cur[perm[i]].
+    Listed coset by coset by :func:`matgroup._group_closure`, with one
+    kernel per generator perm that sends cur to the composite with entries
+    cur[perm[i]], a right multiplication.
     """
     n = g.dim
     gens = [_permutation(h) for h in g.generators]
-    images = _compile_images(n, [tuple(((j, 1),) for j in p) for p in gens])
-    seen, complete = _orbit_bfs(images, tuple(range(n)), cap)
+    kernels = [_compile_images(n, (tuple(((j, 1),) for j in p),)) for p in gens]
+    seen, complete = _group_closure(kernels, tuple(range(n)), cap)
     if not complete:
         raise CapExceeded("permutation closure", cap)
     has_cycle = any(_is_n_cycle(p) for p in seen)

@@ -224,8 +224,11 @@ def test_subset_cap_is_one_line_and_exit_4(argv, capsys):
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 # stdout recorded before the prime-dimension lattices were read off their
-# mod-2 subspaces; it must not change by a byte.
+# mod-2 subspaces, and (factor-xp1) before Berlekamp's Q rows were built by
+# shifts; it must not change by a byte.
 GOLDEN_TEXT = {
+    "cli_gf2_factor_xp1_p127": ["--format", "json", "gf2", "factor-xp1", "--p", "127"],
+    "cli_gf2_factor_xp1_p521": ["--format", "json", "gf2", "factor-xp1", "--p", "521"],
     "cli_monomial_classify_p7": ["monomial", "classify", "--p", "7"],
     "cli_monomial_classify_p31": ["monomial", "classify", "--p", "31"],
     "cli_gf2_subspaces_p7": ["gf2", "subspaces", "--p", "7"],
@@ -288,6 +291,13 @@ def _first_family_with(**fields):
     """The bundled data with fields of the first family record replaced."""
     data = groupdata.load_data()
     data["families"][0].update(fields)
+    return data
+
+
+def _first_spot_check_with(**fields):
+    """The bundled data with fields of the first exact-|Aut| spot check replaced."""
+    data = groupdata.load_data()
+    data["aut_spot_checks"][0].update(fields)
     return data
 
 
@@ -389,6 +399,16 @@ RAISED_INPUT_ERRORS = {
     ],
     "q_max not an integer": lambda d: [
         "--data", _write(d / "f.json", _first_family_with(scan={"kind": "q", "q_max": "x"})),
+        "verify", "--name", "almost-simple",
+    ],
+    "spot check q not an integer": lambda d: [
+        "--data", _write(d / "f.json", _first_spot_check_with(q="x")), "verify", "--name", "almost-simple",
+    ],
+    "spot check n not an integer": lambda d: [
+        "--data", _write(d / "f.json", _first_spot_check_with(n="x")), "verify", "--name", "almost-simple",
+    ],
+    "expected remaining case not a pair": lambda d: [
+        "--data", _write(d / "f.json", _first_family_with(expected_remaining=[[5]])),
         "verify", "--name", "almost-simple",
     ],
 }

@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 from glattice._primes import primes_upto
 from glattice.errors import NotOddPrime
 from glattice.gf2cyclo import (
+    X,
     GF2Poly,
+    _q_rows,
     _rref_masks,
     binary_sublattices,
     cp_stable_subspaces,
@@ -36,6 +38,13 @@ def test_poly_arithmetic():
     assert (a * b) % a == GF2Poly(0)
     assert (a * b) // b == a
     assert a.gcd(b).degree == 0
+
+
+@pytest.mark.parametrize("p", ODD_PRIMES_200)
+def test_q_rows_by_shifts_equal_powmod(p):
+    """Berlekamp's Q rows of (x^p - 1)/(x - 1), built by shifts, against x^{2i} mod g by square-and-multiply."""
+    g = GF2Poly((1 << p) - 1)
+    assert _q_rows(g) == [X.powmod(2 * i, g).bits for i in range(p - 1)]
 
 
 def test_ord2_examples():

@@ -282,6 +282,42 @@ def test_closure_equals_matrix_product_oracle(case):
         assert (err.value.what, err.value.cap) == ("group closure", order - 1)
 
 
+def _redundant_generator_cases():
+    """(group, the same group on a reduced generator list) for the coset listing's skip rule."""
+    a3 = wgroup("A", 3).generators
+    s1, s2 = a3[:2]
+    i3 = IntMatrix.identity(3)
+    cases = {
+        "duplicate generator": ((s1, s1, *a3[1:]), a3),
+        "identity first": ((i3, *a3), a3),
+        "identity between": ((s1, i3, *a3[1:]), a3),
+        "s1 s2 after s1 and s2": ((s1, s2, s1.mul(s2)), (s1, s2)),
+        "s1 s2 before s1 and s2": ((s1.mul(s2), s1, s2), (s1, s2)),
+    }
+    return [pytest.param(MatGroup(3, g), MatGroup(3, r), id=label) for label, (g, r) in cases.items()]
+
+
+@pytest.mark.parametrize("g, reduced", _redundant_generator_cases())
+def test_closure_with_redundant_generators(g, reduced):
+    elements, order = closure_oracle(reduced)
+    assert closure(g) == closure(reduced) == (elements, order)
+    assert closure(g, cap=order) == (elements, order)
+    with pytest.raises(CapExceeded):
+        closure(g, cap=order - 1)
+
+
+SHEAR2 = IntMatrix.from_rows([(1, 1), (0, 1)])
+ROT4 = IntMatrix.from_rows([(0, -1), (1, 0)])
+
+
+@pytest.mark.parametrize("gens", [(SHEAR2,), (ROT4, SHEAR2)], ids=["shear first", "finite then shear"])
+@pytest.mark.parametrize("cap", [1, 4, 5, 101])
+def test_infinite_group_raises_at_the_cap(gens, cap):
+    with pytest.raises(CapExceeded) as err:
+        closure(MatGroup(2, gens), cap=cap)
+    assert (err.value.what, err.value.cap) == ("group closure", cap)
+
+
 # Here the span reaches full rank before it is the orbit span, so generator
 # images must be queued after growth that keeps the rank.
 FULL_RANK_TOO_EARLY = (
