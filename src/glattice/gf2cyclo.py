@@ -78,8 +78,10 @@ class GF2Poly:
             raise ZeroDivisionError("mod by zero polynomial")
         a, b = self.bits, other.bits
         db = b.bit_length()
-        while a.bit_length() >= db:
-            a ^= b << (a.bit_length() - db)
+        shift = a.bit_length() - db
+        while shift >= 0:
+            a ^= b << shift
+            shift = a.bit_length() - db
         return GF2Poly(a)
 
     def __floordiv__(self, other: "GF2Poly") -> "GF2Poly":
@@ -88,10 +90,11 @@ class GF2Poly:
         a, b = self.bits, other.bits
         db = b.bit_length()
         q = 0
-        while a.bit_length() >= db:
-            shift = a.bit_length() - db
+        shift = a.bit_length() - db
+        while shift >= 0:
             q |= 1 << shift
             a ^= b << shift
+            shift = a.bit_length() - db
         return GF2Poly(q)
 
     def gcd(self, other: "GF2Poly") -> "GF2Poly":

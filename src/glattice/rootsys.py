@@ -20,6 +20,12 @@ explicitly here:
 * for F_4 the first simple root is long and its orbit spans an index-4
   sublattice; the short simple root has the same orbit size (24) and does
   span, so it is used as the span witness.
+
+Two A rows are not spanned most cheaply by a fundamental weight: for
+A_7 L+4 the orbit of lambda_6 + 2 lambda_7 (size 56) spans, against 70 for
+lambda_4, and for A_8 L+3 the orbit of lambda_7 + lambda_8 (size 72),
+against 84 for lambda_3.  :func:`expected_symrank` gives the argument that
+both values are minimal.
 """
 from __future__ import annotations
 
@@ -379,7 +385,8 @@ class SymrankTableRow:
     (it differs from ``generator`` only for F_4, where the conventional
     entry is a long root), and ``spans_labelled_lattice`` records whether
     the conventional lattice label names the lattice the orbit spans (it
-    does not for the even-D weight row; see the module docstring).
+    does not for the even-D weight row; see the module docstring).  For
+    A_7 L+4 and A_8 L+3 the generator is not a fundamental weight.
     """
 
     family: str
@@ -409,6 +416,14 @@ def _row(model: WeylModel, label: str, gen_label: str, gen: IntVector, target: N
     )
 
 
+# (rank, d) -> generator of the A_n L+d row where a smaller orbit than
+# lambda_d's spans; see expected_symrank
+_A_INTERMEDIATE_WITNESS = {
+    (7, 4): ("lambda_6+2lambda_7", IntVector((0, 0, 0, 0, 0, 1, 2))),
+    (8, 3): ("lambda_7+lambda_8", IntVector((0, 0, 0, 0, 0, 0, 1, 1))),
+}
+
+
 def symrank_table_rows_for(model: WeylModel) -> list[SymrankTableRow]:
     """All table rows for one root system, in table order."""
     n = model.rank
@@ -420,9 +435,8 @@ def symrank_table_rows_for(model: WeylModel) -> list[SymrankTableRow]:
         rows.append(_row(model, "L", "lambda_1", lam(1), lattice(model, "weight")))
         for d in range(2, n + 1):
             if (n + 1) % d == 0:
-                rows.append(
-                    _row(model, f"L+{d}", f"lambda_{d}", lam(d), lattice(model, "intermediate", d))
-                )
+                gen_label, gen = _A_INTERMEDIATE_WITNESS.get((n, d), (f"lambda_{d}", lam(d)))
+                rows.append(_row(model, f"L+{d}", gen_label, gen, lattice(model, "intermediate", d)))
         rows.append(_row(model, "Lr", "alpha_1", alpha(0), lattice(model, "root")))
     elif fam == "B":
         rows.append(_row(model, "L", f"lambda_{n}", lam(n), lattice(model, "weight")))
@@ -485,7 +499,35 @@ def weyl_symrank_table(max_rank: int) -> list[SymrankTableRow]:
 
 
 def expected_symrank(row: SymrankTableRow) -> int:
-    """Closed-form value for a table row (independent of orbit machinery)."""
+    """Closed-form value for a table row (independent of orbit machinery).
+
+    For A_n L+d (L+d = Q + Z lambda_d, the weights whose class in
+    P/Q = Z/(n+1) is a multiple of d) the value is C(n+1, d), the size of
+    the lambda_d orbit, except in two rows where a smaller orbit spans.
+    Both values there are minimal under W:
+
+    * A_7 L+4: 56, the orbit of lambda_6 + 2 lambda_7.  The orbit of a
+      dominant weight v with support S has size 8!/|W_{S^c}|, and it is
+      below 56 only for S = {1} or {7} (size 8) and {2} or {6} (size 28).
+      A multiple a lambda_i lies in L+4 only if 4 | a for i = 1, 7 and
+      2 | a for i = 2, 6, so a is even for such a v, and
+      w v - v = a (w lambda_i - lambda_i) lies in aQ, inside 2L, for every
+      w in W.  A union of k such orbits therefore spans at most
+      Z v_1 + ... + Z v_k + 2L, which is L only if k >= dim L/2L = 7, so
+      its size is at least 7 * 8 = 56.  Any other orbit has size at least
+      56 on its own.
+    * A_8 L+3: 72, the orbit of lambda_7 + lambda_8.  Below 72 the orbit
+      sizes are 9 (S = {1}, {8}) and 36 (S = {2}, {7}); a lambda_i lies in
+      L+3 only if 3 | a for each of these i, so by the same argument with
+      3L a union of such orbits needs at least 8 of them, of total size
+      at least 8 * 9 = 72.
+
+    The box search agrees with every value of rank at most 8 where it has
+    been run: every row of rank at most 4 at radius 3, of rank 5 and 6 at
+    radius 2, and the A7 and A8 rows at radius 1.  Past rank 8, C(n+1, d)
+    is only the size of the lambda_d orbit, an upper bound that nothing
+    here checks against smaller spanning orbits.
+    """
     n = row.rank
     fam = row.family
     label = row.lattice_label
@@ -493,7 +535,7 @@ def expected_symrank(row: SymrankTableRow) -> int:
         if label == "L":
             return n + 1
         if label.startswith("L+"):
-            return comb(n + 1, int(label[2:]))
+            return {(7, "L+4"): 56, (8, "L+3"): 72}.get((n, label), comb(n + 1, int(label[2:])))
         return n * (n + 1)
     if fam == "B":
         return 2**n if label == "L" else 2 * n

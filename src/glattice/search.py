@@ -8,8 +8,8 @@ box*: a generating orbit of a farther vector could in principle be
 smaller, so unconditional minimality is only claimed when the bound
 meets the certified lower bound (the rank).
 
-The box is generated once, already in canonical niceness order (sup-norm,
-then absolute values, then positive signs first), so it is never sorted.
+The box is generated in canonical niceness order (sup-norm, then absolute
+values, then positive signs first), so the whole box is never sorted.
 One ``seen`` set of box vectors, those whose orbit was built or abandoned
 as too large, decides which vectors still start a BFS and stops a BFS that
 reaches an abandoned orbit.
@@ -18,9 +18,27 @@ An abandoned BFS also marks the negations of the box vectors it reached.
 This is sound because -I commutes with every generator: the orbit of -v
 is minus the orbit of v and has the same size, the box is symmetric, and
 the orbit-size cap never rises, so the orbit of -v is over every later
-cap and would be abandoned too.  The records, their count and the
-witness do not change; about half the BFS starts go (32,317 to 16,183
-over the 14 Weyl lattices of rank 5 and 6 at radius 2).
+cap and would be abandoned too.
+
+Most box vectors never start a BFS, by an exact lower bound on their
+orbit size.  Reduction mod m commutes with every integer matrix, so the
+orbit of v maps onto the orbit of v mod m in (Z/m)^r and
+|orbit(v)| >= |orbit(v mod m)|.  With m = ``RESIDUE_MODULUS`` = 3 the
+orbit sizes of all 3^r classes come from one table per search, one
+kernel call per class; 3 <= 2 * radius + 1, so the table never has more
+entries than the box.  After the basis vectors, only the box vectors in
+classes whose size is at most the cap are listed, class by class, then
+sorted into ``_box`` order, and each is checked again against the cap in
+force when it is reached.  A box vector that is not listed or fails the
+check has an orbit over the cap at that point, and the cap never rises,
+so a BFS from it would be abandoned.  The records, their count and the
+witness are those of visiting the whole box: an orbit is kept exactly
+when its size is at most the cap at its first box vector in ``_box``
+order, and that vector is listed and passes the check.  Over the 14 Weyl
+lattices of rank 5 and 6 at radius 2, BFS starts fall from 16,183 to
+1,050 and vectors visited from 168,115 to 25,558.  When no class is over
+the cap, as for the trivial group, {+-I} or a coordinate swap, the whole
+box is walked as it is generated, with no sort.
 
 Orbits are ordered by (size, canonical representative) and the search
 returns the first minimum it finds in that record order, so results are
@@ -79,6 +97,9 @@ class _OrbitRecord:
     span_rows: tuple[tuple[int, ...], ...]
 
 
+RESIDUE_MODULUS = 3  # m in |orbit(v)| >= |orbit(v mod m)|; 3 <= 2 * radius + 1, so no more classes than box vectors
+
+
 def _rep_key(t: tuple[int, ...]):
     """Canonical niceness order: small sup-norm, small entries, positive signs."""
     return (max(map(abs, t)), tuple(map(abs, t)), tuple(-x for x in t))
@@ -97,6 +118,52 @@ def _box(r: int, radius: int):
                 yield from itertools.product(*[(x, -x) if x else (0,) for x in a])
 
 
+def _residue_orbit_sizes(gl: MatGroup) -> dict[tuple[int, ...], int]:
+    """The orbit size of every class c of (Z/m)^r under gl reduced mod m.
+
+    m is ``RESIDUE_MODULUS``.  Classes are written with entries in
+    [0, m); the classes are visited orbit by orbit, so the kernel runs once
+    per class.  Reduction mod m commutes with every integer matrix, so the
+    orbit of v maps onto the orbit of its class and
+    ``sizes[v mod m] <= |orbit(v)|``.
+    """
+    m = RESIDUE_MODULUS
+    mod = m.__rmod__  # x -> x % m
+
+    def images(c):
+        return [tuple(map(mod, w)) for w in gl.images(c)]
+
+    sizes: dict[tuple[int, ...], int] = {}
+    for c in itertools.product(range(m), repeat=gl.dim):
+        if c not in sizes:
+            orb, _ = _orbit_bfs(images, c, m**gl.dim)
+            sizes.update(dict.fromkeys(orb, len(orb)))
+    return sizes
+
+
+def _listed_box(r: int, radius: int, sizes: dict[tuple[int, ...], int], cap: int) -> list:
+    """(v, b) for the box vectors v whose class allows an orbit within cap, in ``_rep_key`` order.
+
+    b is a lower bound on the size of the orbit of v: its class's entry of
+    ``sizes``, or 1 when no class is over the cap and the whole box is
+    listed, already in order, by ``_box``.  Otherwise the vectors are
+    listed class by class, each coordinate from the x in [-radius, radius]
+    with x = c_i (mod m), and sorted.
+    """
+    if max(sizes.values()) <= cap:
+        return [(v, 1) for v in _box(r, radius)]
+    m = RESIDUE_MODULUS
+    by_residue = [[x for x in range(-radius, radius + 1) if x % m == c] for c in range(m)]
+    keyed = sorted(
+        (_rep_key(v), v, s)
+        for c, s in sizes.items()
+        if s <= cap
+        for v in itertools.product(*map(by_residue.__getitem__, c))
+        if any(v)
+    )
+    return [(v, s) for _, v, s in keyed]
+
+
 def _orbit_records(gl: MatGroup, radius: int, orbit_cap: int) -> list[_OrbitRecord]:
     """Group the coefficient box into orbits under the restricted action.
 
@@ -104,14 +171,20 @@ def _orbit_records(gl: MatGroup, radius: int, orbit_cap: int) -> list[_OrbitReco
     the canonical HNF rows of its span (from ``stable_span``), which the
     search inserts into a partial span one row at a time.
 
-    The basis vectors are visited first, then the box in ``_box`` order,
-    and ``seen`` holds the box vectors whose orbit was built or abandoned,
-    so each orbit is built at most once.  BFS of a new orbit is capped at
-    the incumbent bound once one is known: an orbit strictly larger than an
-    already-found spanning configuration can never occur in a minimal
-    solution, so abandoning it is sound.  The first incumbent is the size
-    of a single spanning orbit or, once the basis vectors are visited, the
-    total size of their distinct orbits, whose union spans.
+    The basis vectors are visited first, then the box vectors that
+    ``_listed_box`` lists, in ``_box`` order; ``seen`` holds the box
+    vectors whose orbit was built or abandoned, so each orbit is built at
+    most once.  BFS of a new orbit is capped at the incumbent bound once
+    one is known: an orbit strictly larger than an already-found spanning
+    configuration can never occur in a minimal solution, so abandoning it
+    is sound.  The first incumbent is the size of a single spanning orbit
+    or, once the basis vectors are visited, the total size of their
+    distinct orbits, whose union spans.
+
+    A box vector whose class mod ``RESIDUE_MODULUS`` has an orbit over the
+    cap is never listed, and a listed one is skipped, with no BFS, once
+    the cap falls below its class's orbit size: its own orbit is at least
+    as large (see the module docstring).
 
     Generator BFS in a finite group reaches only vectors of the start's
     orbit, and orbits are disjoint, so a BFS never reaches a vector of an
@@ -121,35 +194,51 @@ def _orbit_records(gl: MatGroup, radius: int, orbit_cap: int) -> list[_OrbitReco
     a later cap: the later BFS is in an orbit over its own cap and stops
     there.  An abandoned BFS also puts the negations of the box vectors it
     reached in ``seen``: they lie in an orbit of the same size (see the
-    module docstring).  Vectors outside the box are not kept, which keeps
-    memory at the size of the box.
+    module docstring).  Vectors outside the box are not kept, and in the
+    box phase only listed vectors are, which keeps memory at the size of
+    the box.
     """
     r = gl.dim
-    full_rows = tuple(full_lattice(r).rows())
-    box = list(_box(r, radius))
-    box_set = set(box)
+    full_rows = full_lattice(r).rows()
     seen: set[tuple[int, ...]] = set()
     records: list[_OrbitRecord] = []
     incumbent: int | None = None
-    basis_vectors = [tuple(int(i == j) for j in range(r)) for i in range(r)]
-    for k, coeffs in enumerate(itertools.chain(basis_vectors, box)):
-        if k == r and incumbent is None:
-            incumbent = sum(rec.size for rec in records)
-        if coeffs in seen:
-            continue
-        cap = orbit_cap if incumbent is None else min(orbit_cap, incumbent)
-        orb, complete = _orbit_bfs(gl.images, coeffs, cap, seen)
-        reached = box_set.intersection(orb)
+
+    def build(v: tuple[int, ...], cap: int, kept) -> bool:
+        """BFS from v within cap, marking ``kept(orbit)`` in seen; record the orbit if complete."""
+        nonlocal incumbent
+        orb, complete = _orbit_bfs(gl.images, v, cap, seen)
+        reached = kept(orb)
         seen.update(reached)
         if not complete:
-            if incumbent is None:
-                raise CapExceeded("orbit", cap)
             seen.update(tuple(map(neg, w)) for w in reached)
-            continue
-        span = stable_span(gl, coeffs)
-        records.append(_OrbitRecord(len(orb), min(orb, key=_rep_key), tuple(span.rows())))
-        if span.rows() == list(full_rows) and (incumbent is None or len(orb) < incumbent):
+            return False
+        span = stable_span(gl, v).rows()
+        records.append(_OrbitRecord(len(orb), min(orb, key=_rep_key), tuple(span)))
+        if span == full_rows and (incumbent is None or len(orb) < incumbent):
             incumbent = len(orb)
+        return True
+
+    def in_box(orb) -> list[tuple[int, ...]]:
+        return [w for w in orb if max(map(abs, w)) <= radius]
+
+    for i in range(r):
+        v = tuple(int(i == j) for j in range(r))
+        if v in seen:
+            continue
+        cap = orbit_cap if incumbent is None else min(orbit_cap, incumbent)
+        if not build(v, cap, in_box) and incumbent is None:
+            raise CapExceeded("orbit", cap)
+    if incumbent is None:
+        incumbent = sum(rec.size for rec in records)
+    cap = min(orbit_cap, incumbent)
+    listed = _listed_box(r, radius, _residue_orbit_sizes(gl), cap)
+    listed_set = {v for v, _ in listed}
+    for v, bound in listed:
+        if bound > cap or v in seen:
+            continue
+        if build(v, cap, listed_set.intersection):
+            cap = min(orbit_cap, incumbent)
     records.sort(key=lambda rec: (rec.size, _rep_key(rec.rep)))
     return records
 

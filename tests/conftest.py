@@ -86,26 +86,27 @@ def bfs_orbit(gens, v) -> frozenset:
 def orbit_records_oracle(gl: MatGroup, radius: int) -> list[tuple]:
     """Oracle for ``search._orbit_records``: (size, rep, span rows) of each kept orbit, sorted.
 
-    Runs a full BFS from every vector it visits: the basis vectors, then
-    the box in ``_box`` order, as the search does.  An orbit is kept exactly
-    when its size is at most the cap in force at its first vector in that
-    order; the cap is the incumbent, which starts as the total size of the
-    basis vectors' orbits (or a smaller spanning orbit among them) and falls
-    to the size of each smaller kept orbit that spans Z^r.
+    Runs a full BFS from the first vector of each orbit in the order of
+    the basis vectors, then the whole box in ``_box`` order.  An orbit is
+    kept exactly when its size is at most the cap in force at its first
+    vector in that order; the cap is the incumbent, which starts as the
+    total size of the basis vectors' orbits (or a smaller spanning orbit
+    among them) and falls to the size of each smaller kept orbit that
+    spans Z^r.
     """
     r = gl.dim
     full = full_lattice(r)
     basis_vectors = [tuple(int(i == j) for j in range(r)) for i in range(r)]
-    visited: set[frozenset] = set()
+    visited: set[tuple[int, ...]] = set()
     records = []
     incumbent = None
     for k, v in enumerate(basis_vectors + list(_box(r, radius))):
         if k == r and incumbent is None:
             incumbent = sum(size for size, _, _ in records)
+        if v in visited:
+            continue  # not the first vector of its orbit
         orb = bfs_orbit(gl.generators, v)
-        if orb in visited:
-            continue
-        visited.add(orb)
+        visited.update(orb)
         if incumbent is not None and len(orb) > incumbent:
             continue
         span = hnf_from_rows(sorted(orb), r)

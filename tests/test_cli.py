@@ -74,6 +74,14 @@ def test_rootsys_table_rank8_matches_fixture():
     assert rc == EXIT_OK
 
 
+def test_rootsys_table_rank8_a_rows_with_a_smaller_orbit():
+    rc, out = run(["rootsys-table", "--max-rank", "8"])
+    assert rc == EXIT_OK
+    rows = {tuple(line.split()[:2]): line.split()[2:] for line in out.strip().splitlines()[1:]}
+    assert rows[("A7", "L+4")] == ["56", "lambda_6+2lambda_7"]
+    assert rows[("A8", "L+3")] == ["72", "lambda_7+lambda_8"]
+
+
 def test_rootsys_table_csv_stable_columns():
     rc, out = run(["--format", "csv", "rootsys-table", "--max-rank", "2"])
     assert rc == EXIT_OK

@@ -1,11 +1,12 @@
 """Root systems: reflections, orbit sizes, lattices, membership matrices."""
 import random
+from math import comb
 
 import pytest
 from conftest import apply, det, orbit_span, snf
 
 from glattice.errors import InvalidRank, KindUnavailable
-from glattice.intmat import IntMatrix, LatticeBasis, full_lattice, hnf, index, member, unit_vector
+from glattice.intmat import IntMatrix, IntVector, LatticeBasis, full_lattice, hnf, hnf_from_rows, index, member, unit_vector
 from glattice.matgroup import closure, orbit
 from glattice.rootsys import (
     RootSystemSpec,
@@ -21,6 +22,7 @@ from glattice.rootsys import (
     weyl_symrank_table,
     weyl_orbit_size,
 )
+from glattice.search import symrank_search
 
 # ---------------------------------------------------------------------------
 # Regression fixtures for the membership matrices P^-1 D.
@@ -245,6 +247,73 @@ def test_d_even_intermediates_intersect_in_root_lattice():
 def test_symrank_table_values_match_closed_forms():
     for row in weyl_symrank_table(8):
         assert row.symrank == expected_symrank(row), (row.family, row.rank, row.lattice_label)
+
+
+def test_a_fundamental_weight_orbits_have_the_binomial_size():
+    """C(n+1, d), the closed form of the A_n L+d rows, is the size of the lambda_d orbit."""
+    for n in range(1, 9):
+        model = build(RootSystemSpec("A", n))
+        for d in range(1, n + 1):
+            assert weyl_orbit_size(model, unit_vector(n, d - 1)) == comb(n + 1, d)
+
+
+# A_n L+d rows spanned by a smaller orbit than lambda_d's: (n, label) ->
+# (generator, orbit size, q, the supports with a smaller orbit and its size).
+# Every multiple a lambda_i of L with such a support {i} has q | a.
+A_SMALLER_ORBIT_ROWS = {
+    (7, "L+4"): ((0, 0, 0, 0, 0, 1, 2), 56, 2, {1: 8, 7: 8, 2: 28, 6: 28}),
+    (8, "L+3"): ((0, 0, 0, 0, 0, 0, 1, 1), 72, 3, {1: 9, 8: 9, 2: 36, 7: 36}),
+}
+
+
+def _a_row(n, label):
+    return next(r for r in weyl_symrank_table(n) if (r.family, r.rank, r.lattice_label) == ("A", n, label))
+
+
+@pytest.mark.parametrize("key", sorted(A_SMALLER_ORBIT_ROWS), ids=lambda k: f"A{k[0]} {k[1]}")
+def test_a_rows_with_a_smaller_spanning_orbit(key):
+    gen, size, _, _ = A_SMALLER_ORBIT_ROWS[key]
+    row = _a_row(*key)
+    assert (row.symrank, row.generator.entries, row.witness.entries) == (size, gen, gen)
+    assert expected_symrank(row) == size
+    g = build(RootSystemSpec("A", key[0])).matgroup()
+    assert orbit(g, gen).size == size
+    assert orbit_span(g, gen) == row.target.basis
+    assert symrank_search(g, row.target.basis, radius=1).upper_bound == size
+
+
+def test_a7_l4_search_at_radius_2():
+    row = _a_row(7, "L+4")
+    res = symrank_search(build(RootSystemSpec("A", 7)).matgroup(), row.target.basis, radius=2)
+    assert (res.upper_bound, [w.entries for w in res.witness]) == (56, [(0, 0, 0, 0, 0, 1, 2)])
+
+
+@pytest.mark.parametrize("key", sorted(A_SMALLER_ORBIT_ROWS), ids=lambda k: f"A{k[0]} {k[1]}")
+def test_a_rows_with_a_smaller_spanning_orbit_are_minimal(key):
+    """The facts the lower-bound argument in ``expected_symrank`` uses."""
+    n = key[0]
+    _, size, q, small = A_SMALLER_ORBIT_ROWS[key]
+    model = build(RootSystemSpec("A", n))
+    g = model.matgroup()
+    target = _a_row(*key).target.basis
+    # a dominant weight's orbit size depends only on its support
+    below = {}
+    for bits in range(1, 2**n):
+        support = [i + 1 for i in range(n) if bits >> i & 1]
+        s = weyl_orbit_size(model, IntVector(tuple(bits >> i & 1 for i in range(n))))
+        if s < size:
+            below[tuple(support)] = s
+    assert below == {(i,): s for i, s in small.items()}
+    for i in small:
+        lam = unit_vector(n, i - 1).entries
+        multiples = [a for a in range(1, 2 * (n + 1) + 1) if member(tuple(a * x for x in lam), target)]
+        assert multiples and all(a % q == 0 for a in multiples)
+        # the orbit of such a v lies in v + qL
+        v = tuple(multiples[0] * x for x in lam)
+        coset = hnf_from_rows([v] + [tuple(q * x for x in r) for r in target.rows()], n)
+        assert all(member(w, coset) for w in orbit(g, v).elements)
+    # L/qL has dimension n, so a union of these orbits needs n of them
+    assert n * min(small.values()) == size
 
 
 def test_symrank_table_spans_rank_le_6():

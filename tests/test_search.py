@@ -10,7 +10,16 @@ from glattice.errors import CapExceeded, NotGStable, NotInLattice
 from glattice.intmat import IntMatrix, full_lattice, hnf_from_rows, unit_vector
 from glattice.matgroup import DEFAULT_CAP, MatGroup, conjugate, in_lattice_coordinates, orbit
 from glattice.rootsys import RootSystemSpec, build, expected_symrank, lattice, weyl_symrank_table
-from glattice.search import _box, _orbit_records, _rep_key, symrank_search, table_dimension_maximum, verify_orbit_generates
+from glattice.search import (
+    RESIDUE_MODULUS,
+    _box,
+    _orbit_records,
+    _rep_key,
+    _residue_orbit_sizes,
+    symrank_search,
+    table_dimension_maximum,
+    verify_orbit_generates,
+)
 
 
 def test_a1_root_lattice():
@@ -202,6 +211,28 @@ def test_rank5_radius2_witnesses_are_pinned(row):
     assert (res.upper_bound, [w.entries for w in res.witness], res.orbit_count) == RANK5_RADIUS2[row]
 
 
+# The other eight weyl-search rows of the benchmark, rank 5 and 6 at radius
+# 2, pinned the same way; with RANK5_RADIUS2 they are all fourteen.
+WEYL_SEARCH_RADIUS2 = {
+    ("A", 5, "weight", None): (6, [(0, 0, 0, 0, 1)], 4),
+    ("A", 5, "intermediate", 3): (20, [(0, 0, 1, 0, 0)], 8),
+    ("C", 5, "weight", None): (10, [(0, 0, 0, 1, -1)], 2),
+    ("D", 5, "weight", None): (16, [(0, 0, 0, 0, 1)], 8),
+    ("D", 5, "root", None): (40, [(0, 0, 1, 0, -2)], 8),
+    ("A", 6, "weight", None): (7, [(0, 0, 0, 0, 0, 1)], 4),
+    ("D", 6, "intermediate_D", 1): (12, [(0, 0, 0, 0, 1, -1)], 2),
+    ("E", 6, "weight", None): (27, [(0, 0, 0, 0, 0, 1)], 4),
+}
+
+
+@pytest.mark.parametrize("row", sorted(WEYL_SEARCH_RADIUS2, key=str), ids=str)
+def test_weyl_search_rows_are_pinned(row):
+    family, rank, kind, d = row
+    model = build(RootSystemSpec(family, rank))
+    res = symrank_search(model.matgroup(), lattice(model, kind, d).basis, radius=2)
+    assert (res.upper_bound, [w.entries for w in res.witness], res.orbit_count) == WEYL_SEARCH_RADIUS2[row]
+
+
 # {+-I}: every orbit has size 2 and rank 1, so the size-per-rank prune cuts
 # the whole tree at its root once the first witness is found.
 @pytest.mark.parametrize(
@@ -257,19 +288,26 @@ def _records(gl, radius):
     return [(rec.size, rec.rep, rec.span_rows) for rec in _orbit_records(gl, radius, DEFAULT_CAP)]
 
 
-# Groups without -I (A2, A3), where -O and O are distinct orbits, and with
-# -I (B3, G2), where every orbit is its own negation.
+# Groups without -I (A2, A3, A4), where -O and O are distinct orbits, and
+# with -I (B3, G2 and the rank-4 B, C, D, F4), where every orbit is its own
+# negation.  At rank 4 the residue bound lists 28 to 324 of the 624 box
+# vectors, except for D4 weight, where no class is over the cap.
 ORACLE_LATTICES = [
     ("A", 2, "weight", None), ("A", 2, "root", None),
     ("A", 3, "weight", None), ("A", 3, "intermediate", 2), ("A", 3, "root", None),
     ("B", 3, "weight", None), ("B", 3, "root", None),
     ("G", 2, "root", None),
+    ("A", 4, "weight", None), ("A", 4, "root", None),
+    ("B", 4, "weight", None), ("B", 4, "root", None),
+    ("C", 4, "weight", None), ("C", 4, "root", None),
+    ("D", 4, "weight", None), ("D", 4, "intermediate_D", 1), ("D", 4, "root", None),
+    ("F", 4, "root", None),
 ]
 
 
 @pytest.mark.parametrize("row", ORACLE_LATTICES, ids=lambda r: f"{r[0]}{r[1]} {r[2]}{r[3] or ''}")
 def test_orbit_records_equal_the_full_bfs_oracle_on_weyl_lattices(row):
-    """Marking the negations of abandoned orbits drops exactly the orbits the cap drops."""
+    """Marking negations and skipping classes mod 3 drop exactly the orbits the cap drops."""
     family, rank, kind, d = row
     model = build(RootSystemSpec(family, rank))
     gl = in_lattice_coordinates(model.matgroup(), lattice(model, kind, d).basis)
@@ -302,3 +340,70 @@ def test_orbit_records_equal_the_full_bfs_oracle_on_conjugated_small_groups(name
     n, u = conj
     g = conjugate(MatGroup(n, SMALL_GROUPS[name](n)), u)
     assert _records(g, radius) == orbit_records_oracle(g, radius)
+
+
+WEYL_RANK_LE_4 = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
+                  ("C", 3), ("C", 4), ("D", 4), ("F", 4), ("G", 2)]
+
+
+# W(C3) conjugated by a unimodular matrix, where the incumbent falls inside
+# the box: an orbit kept before that is over the final incumbent, and so is
+# its class mod 3, so listing the box against the final incumbent instead of
+# the running cap would drop it.
+C3_CONJUGATED = MatGroup(3, [
+    IntMatrix.from_rows([(-1, 0, 0), (-1, 1, 0), (-6, 0, 1)]),
+    IntMatrix.from_rows([(0, 1, 0), (1, 0, 0), (-5, 5, 1)]),
+    IntMatrix.from_rows([(1, 0, 0), (8, -3, -2), (-8, 4, 3)]),
+])
+
+
+def test_orbit_records_equal_the_full_bfs_oracle_when_the_incumbent_falls_in_the_box():
+    assert _records(C3_CONJUGATED, 2) == orbit_records_oracle(C3_CONJUGATED, 2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([s for s in WEYL_RANK_LE_4 if s[1] <= 3]).flatmap(lambda s: st.tuples(st.just(s), unimodular_matrices(s[1]))),
+    st.integers(1, 2),
+)
+def test_orbit_records_equal_the_full_bfs_oracle_on_conjugated_weyl_groups(conj, radius):
+    spec, u = conj
+    g = conjugate(build(RootSystemSpec(*spec)).matgroup(), u)
+    assert _records(g, radius) == orbit_records_oracle(g, radius)
+
+
+def _residue_bfs(gens, c, m):
+    """Orbit of the class c in (Z/m)^r by plain BFS with matrix-vector products (oracle)."""
+    seen = {c}
+    queue = [c]
+    for cur in queue:
+        for h in gens:
+            nxt = tuple(x % m for x in apply(h, cur).entries)
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return seen
+
+
+@st.composite
+def _conjugated_groups(draw):
+    """A small group over Z^3 or Z^4, or a Weyl group of rank <= 4, conjugated by a unimodular matrix."""
+    if draw(st.booleans()):
+        n = draw(st.integers(3, 4))
+        g = MatGroup(n, SMALL_GROUPS[draw(st.sampled_from(sorted(SMALL_GROUPS)))](n))
+    else:
+        g = build(RootSystemSpec(*draw(st.sampled_from(WEYL_RANK_LE_4)))).matgroup()
+    return conjugate(g, draw(unimodular_matrices(g.dim)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_conjugated_groups(), st.data())
+def test_residue_orbit_sizes_equal_a_plain_bfs_mod_3_and_bound_the_orbit(g, data):
+    m = RESIDUE_MODULUS
+    sizes = _residue_orbit_sizes(g)
+    assert sizes.keys() == set(itertools.product(range(m), repeat=g.dim))
+    for c, size in sizes.items():
+        assert size == len(_residue_bfs(g.generators, c, m))
+    vectors = st.tuples(*[st.integers(-4, 4)] * g.dim)
+    for v in data.draw(st.lists(vectors, min_size=1, max_size=4)):
+        assert sizes[tuple(x % m for x in v)] <= len(bfs_orbit(g.generators, v))
