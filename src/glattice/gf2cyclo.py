@@ -1,12 +1,16 @@
 """Polynomials over the two-element field and the factor structure of x^p - 1.
 
 Polynomials are bit-packed integers (bit k is the x^k coefficient), as is
-usual for GF(2) work.  Factorization is Berlekamp's algorithm, which is
-deterministic over GF(2); the factor list is ordered canonically: x + 1
-first, then the remaining irreducible factors ordered by the smallest
-exponent in their cyclotomic coset (cosets are labelled by anchoring a
-primitive p-th root of unity at the lexicographically smallest nontrivial
-factor).
+usual for GF(2) work.  x^p - 1 is factored from its cyclotomic cosets C
+(the orbits of doubling on F_p^*) with no linear algebra: the idempotents
+theta_C = sum_{c in C} x^c span the Berlekamp space {v : v^2 = v mod
+x^p + 1}, so gcd splits by them yield the irreducible factors (MacWilliams
+& Sloane, *The Theory of Error-Correcting Codes*, ch. 8).  The factor list
+is ordered canonically: x + 1 first, then the remaining irreducible factors
+ordered by the smallest exponent in their coset.  A factor is labelled by
+its trace signature (theta_D mod f)_D, each entry 0 or 1; no two factors
+share one, and the factor with root zeta^c, for zeta a root of the factor
+of smallest bits, has that factor's signature read at the cosets c D.
 
 The constructions downstream of the factorization -- the sign matrices
 D_i, the mod-2 stable subspaces, and the binary sublattices of Z^p --
@@ -103,104 +107,13 @@ class GF2Poly:
             a, b = b, a % b
         return a
 
-    def powmod(self, e: int, modulus: "GF2Poly") -> "GF2Poly":
-        result = GF2Poly(1) % modulus
-        base = self % modulus
-        while e:
-            if e & 1:
-                result = (result * base) % modulus
-            base = (base * base) % modulus
-            e >>= 1
-        return result
-
-    def compose_mod(self, arg: "GF2Poly", modulus: "GF2Poly") -> "GF2Poly":
-        """self(arg) mod modulus, by Horner's rule."""
-        out = GF2Poly(0)
-        for k in range(self.degree, -1, -1):
-            out = (out * arg) % modulus
-            if self.coeff(k):
-                out = out + GF2Poly(1)
-        return out
-
     def coeff_string(self) -> str:
         """LSB-first coefficient string, e.g. x^3+x -> '0101'."""
         return "".join(str(c) for c in self.coeffs())
 
 
 ONE = GF2Poly(1)
-X = GF2Poly(2)
 X_PLUS_1 = GF2Poly(3)
-
-
-def _q_rows(g: GF2Poly) -> list[int]:
-    """Berlekamp's Q matrix of g (degree n >= 1): row i is x^{2i} mod g, as bits of 1, x, ..., x^{n-1}.
-
-    Row i is row i-1 times x^2: shifted left by 2, it has degree at most
-    n+1, and clearing bit n+1 with x g, then bit n with g, reduces it.
-    """
-    n, bits = g.degree, g.bits
-    rows = [1]
-    for _ in range(n - 1):
-        r = rows[-1] << 2
-        if r >> (n + 1) & 1:
-            r ^= bits << 1
-        if r >> n & 1:
-            r ^= bits
-        rows.append(r)
-    return rows
-
-
-def _berlekamp_factor(g: GF2Poly) -> list[GF2Poly]:
-    """Irreducible factors of a squarefree monic g over GF(2), deterministic."""
-    n = g.degree
-    if n <= 1:
-        return [g]
-    q_rows = _q_rows(g)
-    # null space of (Q - I) over GF(2), bitmask Gaussian elimination
-    rows = [q_rows[i] ^ (1 << i) for i in range(n)]
-    # eliminate: work over columns; track transposed combination
-    combos = [(rows[i], 1 << i) for i in range(n)]
-    pivots = {}
-    null_combos = []
-    for row, combo in combos:
-        r, c = row, combo
-        while r:
-            p = r.bit_length() - 1
-            if p in pivots:
-                pr, pc = pivots[p]
-                r ^= pr
-                c ^= pc
-            else:
-                pivots[p] = (r, c)
-                break
-        if r == 0:
-            null_combos.append(c)
-    # null_combos encode polynomials v with v^2 = v mod g
-    if len(null_combos) == 1:
-        return [g]
-    factors = [g]
-    for combo in null_combos:
-        v = GF2Poly(combo)
-        if v.degree <= 0:
-            continue
-        next_factors = []
-        for f in factors:
-            if f.degree <= 1:
-                next_factors.append(f)
-                continue
-            a = f.gcd(v % f)
-            if 0 < a.degree < f.degree:
-                next_factors.extend([a, f // a])
-            else:
-                b = f.gcd((v + ONE) % f)
-                if 0 < b.degree < f.degree:
-                    next_factors.extend([b, f // b])
-                else:
-                    next_factors.append(f)
-        factors = next_factors
-        if len(factors) == len(null_combos):
-            break
-    return factors
 
 
 def ord2(p: int) -> int:
@@ -251,40 +164,55 @@ class CyclotomicFactorization:
 
 
 def factor_xp_minus_1(p: int) -> CyclotomicFactorization:
-    """Deterministic factorization of x^p - 1 over GF(2), coset-labelled."""
+    """Deterministic factorization of x^p - 1 over GF(2), coset-labelled.
+
+    Phi_p = (x^p + 1)/(x + 1) is split by gcd(f, theta_C mod f) over the
+    coset idempotents theta_C = sum_{c in C} x^c.  They span the Berlekamp
+    space {v : v^2 = v mod x^p + 1}, so theta_C is 0 or 1 modulo each
+    irreducible factor and together they tell every two factors apart.  Each
+    irreducible factor of Phi_p has degree d = ord2(p), so a factor of degree
+    d is left unsplit.
+
+    A factor f is known by its trace signature (theta_D mod f)_D.  With the
+    anchor the factor of smallest bits and zeta = x mod the anchor,
+    theta_D(zeta^a) = Tr(zeta^(a e)) for any e in D, so the factor with root
+    zeta^c has the anchor's signature read at the coset of c e.
+    """
     d = ord2(p)  # validates p
     total = GF2Poly((1 << p) | 1)  # x^p + 1
-    phi_part = total // X_PLUS_1
-    raw = sorted(_berlekamp_factor(phi_part), key=lambda f: f.bits) if phi_part.degree > 0 else []
+    cosets = _cyclotomic_cosets(p)
+    thetas = [GF2Poly(sum(1 << c for c in coset)) for coset in cosets]
+    raw = [total // X_PLUS_1]
+    for theta in thetas:
+        parts = []
+        for f in raw:
+            a = f.gcd(theta % f) if f.degree > d else ONE
+            parts += [f] if a.degree in (0, f.degree) else [a, f // a]
+        raw = parts
     if any(f.degree != d for f in raw):
         raise AssertionError("nontrivial factor of unexpected degree")
-    anchor = raw[0] if raw else None
-    cosets = _cyclotomic_cosets(p)
     if len(cosets) != len(raw):
         raise AssertionError("coset count does not match factor count")
-    # match each factor to its exponent coset: f has zeta^c as a root iff
-    # f(x^c) = 0 mod anchor, where zeta is the class of x mod anchor
+    signature = {f: tuple((theta % f).bits for theta in thetas) for f in raw}
+    by_signature = {s: f for f, s in signature.items()}
+    if len(by_signature) != len(raw):
+        raise AssertionError("two factors share a trace signature")
+    trace = signature[min(raw, key=lambda f: f.bits)]  # the anchor's
+    coset_of = {c: i for i, coset in enumerate(cosets) for c in coset}
     labelled = []
-    remaining = dict(enumerate(raw))
     for coset in cosets:
         c = min(coset)
-        xc = X.powmod(c, anchor)
-        hit = None
-        for k, f in remaining.items():
-            if f.compose_mod(xc, anchor).is_zero():
-                hit = k
-                break
-        if hit is None:
-            raise AssertionError("no factor vanishes on a coset")
-        labelled.append((coset, remaining.pop(hit)))
-    factors = (X_PLUS_1,) + tuple(f for _, f in labelled)
-    coset_list = (frozenset({0}),) + tuple(c for c, _ in labelled)
+        f = by_signature.get(tuple(trace[coset_of[c * min(other) % p]] for other in cosets))
+        if f is None:
+            raise AssertionError("no factor has a coset's trace signature")
+        labelled.append(f)
+    factors = (X_PLUS_1, *labelled)
     prod = ONE
     for f in factors:
         prod = prod * f
     if prod != total:
         raise AssertionError("factor product does not reconstitute x^p + 1")
-    return CyclotomicFactorization(p, d, factors, coset_list)
+    return CyclotomicFactorization(p, d, factors, (frozenset({0}), *cosets))
 
 
 # --- mod-2 subspaces -------------------------------------------------------

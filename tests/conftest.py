@@ -9,7 +9,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from glattice._primes import ceil_log2  # noqa: E402
 from glattice.bounds import LOG_FRAC_BITS  # noqa: E402
-from glattice.gf2cyclo import binary_sublattices, factor_xp_minus_1  # noqa: E402
+from glattice.gf2cyclo import GF2Poly, binary_sublattices, factor_xp_minus_1  # noqa: E402
 from glattice.intmat import IntMatrix, IntVector, LatticeBasis, _xgcd, as_vector, full_lattice, hnf_from_rows, zero_lattice  # noqa: E402
 from glattice.matgroup import MatGroup, orbit  # noqa: E402
 from glattice.search import _box, _rep_key  # noqa: E402
@@ -48,6 +48,42 @@ def binary_sublattices_oracle(p: int) -> dict[frozenset, LatticeBasis]:
     for bits in range(2**m):
         s = [i for i in range(m) if bits >> i & 1]
         out[frozenset(s)] = hnf_from_rows([r for i in s for r in shifts[i]] + doubles, p) if s else zero_lattice(p)
+    return out
+
+
+def _powmod(a: GF2Poly, e: int, modulus: GF2Poly) -> GF2Poly:
+    """a^e mod modulus, by square-and-multiply."""
+    out, base = GF2Poly(1) % modulus, a % modulus
+    while e:
+        if e & 1:
+            out = (out * base) % modulus
+        base = (base * base) % modulus
+        e >>= 1
+    return out
+
+
+def _compose_mod(f: GF2Poly, arg: GF2Poly, modulus: GF2Poly) -> GF2Poly:
+    """f(arg) mod modulus, by Horner's rule."""
+    out = GF2Poly(0)
+    for k in range(f.degree, -1, -1):
+        out = (out * arg + GF2Poly(f.coeff(k))) % modulus
+    return out
+
+
+def coset_labels_oracle(p: int, factors) -> list[tuple[frozenset, GF2Poly]]:
+    """Oracle for the coset labels of ``factor_xp_minus_1``: (C, f) for each
+    nontrivial cyclotomic coset C of p in order of min C, where zeta = x mod the
+    factor of smallest bits and f is the one factor with f(zeta^(min C)) = 0."""
+    anchor = min(factors, key=lambda f: f.bits)
+    seen, out = set(), []
+    for c in range(1, p):
+        if c in seen:
+            continue
+        coset = frozenset(c * 2**k % p for k in range(p))
+        seen |= coset
+        zeta_c = _powmod(GF2Poly(2), c, anchor)
+        (hit,) = [f for f in factors if _compose_mod(f, zeta_c, anchor).is_zero()]
+        out.append((coset, hit))
     return out
 
 

@@ -233,9 +233,13 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 # stdout recorded before the prime-dimension lattices were read off their
 # mod-2 subspaces, and (factor-xp1) before Berlekamp's Q rows were built by
-# shifts; it must not change by a byte.
+# shifts; p = 73 and p = 257 were recorded from Berlekamp's factorization
+# before x^p - 1 was split by its coset idempotents and the factors labelled
+# by trace signatures.  It must not change by a byte.
 GOLDEN_TEXT = {
+    "cli_gf2_factor_xp1_p73": ["--format", "json", "gf2", "factor-xp1", "--p", "73"],
     "cli_gf2_factor_xp1_p127": ["--format", "json", "gf2", "factor-xp1", "--p", "127"],
+    "cli_gf2_factor_xp1_p257": ["--format", "json", "gf2", "factor-xp1", "--p", "257"],
     "cli_gf2_factor_xp1_p521": ["--format", "json", "gf2", "factor-xp1", "--p", "521"],
     "cli_monomial_classify_p7": ["monomial", "classify", "--p", "7"],
     "cli_monomial_classify_p31": ["monomial", "classify", "--p", "31"],
@@ -376,6 +380,7 @@ def test_optimized_run_prints_the_same(tmp_path):
     for argv in (
         ["theta", "--gram", _e8_gram(tmp_path), "--horizon", "6"],
         ["verify", "--name", "thmA2"],
+        ["--format", "json", "gf2", "factor-xp1", "--p", "257"],
         _a5_intermediate_3(tmp_path),
     ):
         assert _cli_stdout(["-O"], argv) == _cli_stdout([], argv)
@@ -430,3 +435,27 @@ def test_raised_input_errors_are_one_line_and_exit_5(case, tmp_path):
     assert proc.stdout == b""
     assert len(err.splitlines()) == 1 and err.startswith("input error: ")
     assert "Traceback" not in err
+
+
+# Command lines that argparse rejects; it used to exit 2, the fixture-mismatch code.
+USAGE_ERRORS = {
+    "max-rank not an integer": ["rootsys-table", "--max-rank", "abc"],
+    "unknown command": ["no-such-command"],
+    "factor-xp1 without --p": ["gf2", "factor-xp1"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+def test_usage_errors_are_one_line_and_exit_5(case):
+    proc = _cli([], USAGE_ERRORS[case])
+    err = proc.stderr.decode()
+    assert proc.returncode == EXIT_INPUT_ERROR == 5
+    assert proc.stdout == b""
+    assert len(err.splitlines()) == 1 and err.startswith("input error: ")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["gf2", "factor-xp1", "--help"]], ids=["top level", "subcommand"])
+def test_help_still_exits_0(argv):
+    proc = _cli([], argv)
+    assert proc.returncode == EXIT_OK
+    assert proc.stdout.startswith(b"usage: glattice") and proc.stderr == b""

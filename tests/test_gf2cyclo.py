@@ -5,6 +5,7 @@ from conftest import (
     binary_sublattice,
     binary_sublattices_oracle,
     closure_oracle,
+    coset_labels_oracle,
     cyclic_shifts,
 )
 from hypothesis import given, settings
@@ -13,9 +14,7 @@ from hypothesis import strategies as st
 from glattice._primes import primes_upto
 from glattice.errors import NotOddPrime
 from glattice.gf2cyclo import (
-    X,
     GF2Poly,
-    _q_rows,
     _rref_masks,
     binary_sublattices,
     cp_stable_subspaces,
@@ -38,13 +37,6 @@ def test_poly_arithmetic():
     assert (a * b) % a == GF2Poly(0)
     assert (a * b) // b == a
     assert a.gcd(b).degree == 0
-
-
-@pytest.mark.parametrize("p", ODD_PRIMES_200)
-def test_q_rows_by_shifts_equal_powmod(p):
-    """Berlekamp's Q rows of (x^p - 1)/(x - 1), built by shifts, against x^{2i} mod g by square-and-multiply."""
-    g = GF2Poly((1 << p) - 1)
-    assert _q_rows(g) == [X.powmod(2 * i, g).bits for i in range(p - 1)]
 
 
 def test_ord2_examples():
@@ -83,6 +75,18 @@ def test_factorization_sweep(p):
     for g in f.factors:
         prod = prod * g
     assert prod == GF2Poly((1 << p) | 1)
+
+
+@pytest.mark.parametrize("p", ODD_PRIMES_200 + [257, 521])
+def test_coset_labels_match_the_root_oracle(p):
+    """Trace-signature labels against roots found by composition; each theta_C is idempotent mod x^p + 1."""
+    f = factor_xp_minus_1(p)
+    assert f.factors[0] == GF2Poly(0b11) and f.cosets[0] == frozenset({0})
+    assert coset_labels_oracle(p, f.factors[1:]) == list(zip(f.cosets[1:], f.factors[1:]))
+    total = GF2Poly((1 << p) | 1)
+    for coset in f.cosets:
+        theta = GF2Poly(sum(1 << c for c in coset))
+        assert (theta * theta) % total == theta
 
 
 def test_primitive_root_primes_have_four_subsets():
