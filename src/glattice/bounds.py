@@ -21,9 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import NamedTuple
 
-from ._primes import ceil_log2, is_prime, pow2_at_least, prime_power, prime_powers_upto, primes_upto
+from ._primes import ceil_log2, is_prime, prime_power, prime_powers_upto, primes_upto
 from .errors import HorizonTooSmall, InvalidCase, NotOddPrime, NotPrimePower
 
 LOG_FRAC_BITS = 12
@@ -93,21 +92,6 @@ def psl_order(m: int, q: int) -> int:
     for i in range(2, m + 1):
         prod *= q**i - 1
     return q ** (m * (m - 1) // 2) * prod // gcd(m, q - 1)
-
-
-class LemmaCheck(NamedTuple):
-    hypothesis: bool
-    conclusion: bool
-    implication_ok: bool
-
-
-def check_numerical_lemma(a: int, c: int, b: int) -> LemmaCheck:
-    """The doubling lemma: b >= a and 2^a >= a c imply 2^b >= b c."""
-    if min(a, b, c) < 1:
-        raise ValueError("arguments must be positive")
-    hyp = b >= a and pow2_at_least(a, a * c)
-    concl = pow2_at_least(b, b * c)
-    return LemmaCheck(hyp, concl, (not hyp) or concl)
 
 
 def _require_odd_prime(p: int):

@@ -28,7 +28,6 @@ from . import groupdata, monomial, rootsys, search, theta
 from . import gf2cyclo
 from .errors import (
     CapExceeded,
-    FixtureMismatch,
     GLatticeError,
     HorizonTooSmall,
     MissingExternalData,
@@ -81,6 +80,8 @@ def cmd_rootsys_table(args, out) -> list:
 
 
 def cmd_rdim_table(args, out) -> list:
+    if args.max_n < 1:
+        raise ValueError("max_n must be >= 1")
     fixture = {1: 2, 2: 6, 3: 12, 4: 24, 5: 40, 6: 72}
     table = []
     mismatches = []
@@ -204,7 +205,8 @@ def _verify_low_dims(args, out) -> list:
         rows.append((n, b.value, f"W({spec})", size, ok, "pass" if good else "FAIL"))
     _render(["n", "value", "witness", "orbit", "spans", "status"], rows, args.format, out)
     coverage = "partial: upper-bound side needs externally exported maximal-group generators"
-    print(f"note: {coverage}", file=out)
+    if args.format == "text":
+        print(f"note: {coverage}", file=out)
     if not mismatches:
         raise MissingExternalData(coverage)
     return mismatches
@@ -406,9 +408,6 @@ def main(argv=None, out=None) -> int:
     except MissingExternalData as e:
         print(f"missing external data: {e}", file=sys.stderr)
         return EXIT_MISSING_DATA
-    except FixtureMismatch as e:
-        print(f"fixture mismatch: {e}", file=sys.stderr)
-        return EXIT_FIXTURE_MISMATCH
     except (OSError, ValueError, NonUnimodularGenerator, NotGStable, NotInLattice, NotOddPrime, HorizonTooSmall,
             UnknownFormula) as e:
         print(f"input error: {e}", file=sys.stderr)

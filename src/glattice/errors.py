@@ -74,9 +74,5 @@ class UnknownFormula(GLatticeError):
     """A data record references a formula id with no registered evaluator."""
 
 
-class FixtureMismatch(GLatticeError):
-    """Computed table disagrees with the bundled fixture."""
-
-
 class MissingExternalData(GLatticeError):
     """A verification needs externally supplied data that was not found."""

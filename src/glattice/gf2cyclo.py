@@ -155,12 +155,8 @@ class CyclotomicFactorization:
     cosets: tuple[frozenset, ...]
 
     def complementary_product(self, i: int) -> GF2Poly:
-        """g_i = product of all factors except the i-th."""
-        out = ONE
-        for j, f in enumerate(self.factors):
-            if j != i:
-                out = out * f
-        return out
+        """g_i = product of all factors except the i-th, (x^p + 1) // f_i."""
+        return GF2Poly((1 << self.p) | 1) // self.factors[i]
 
 
 def factor_xp_minus_1(p: int) -> CyclotomicFactorization:

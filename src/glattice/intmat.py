@@ -21,7 +21,7 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, prod
+from math import prod
 
 from .errors import NotASublattice
 
@@ -342,15 +342,3 @@ def index(sub: LatticeBasis, sup: LatticeBasis) -> int:
     return prod(
         sub.basis[i, c] // sup.basis[i, c] for i, c in enumerate(_pivot_columns(sup.basis))
     )
-
-
-def is_primitive(lattice: LatticeBasis) -> bool:
-    """True iff the lattice is not m*M for any m >= 2 (rank 0 is not primitive)."""
-    if lattice.rank == 0:
-        return False
-    g = 0
-    for e in lattice.basis.entries:
-        g = gcd(g, e)
-        if g == 1:
-            return True
-    return g == 1

@@ -223,15 +223,6 @@ def stable_span(g: MatGroup, v) -> LatticeBasis:
     return _lattice(span, g.dim)
 
 
-def stabilizer_order(g: MatGroup, v, cap: int = DEFAULT_CAP) -> int:
-    """|G| / |orbit(v)|, exact; asserts divisibility (orbit-stabilizer)."""
-    _, order = closure(g, cap)
-    orb = orbit(g, v, cap)
-    if order % orb.size != 0:
-        raise AssertionError("orbit size does not divide group order")
-    return order // orb.size
-
-
 def conjugate(g: MatGroup, a: IntMatrix) -> MatGroup:
     """Group with generators a h a^-1; a must be unimodular."""
     try:

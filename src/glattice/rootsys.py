@@ -9,6 +9,13 @@ confirm that every reflection is an involution and that the braid
 relations hold; the Weyl order is stored from its closed form, which the
 tests check against ``matgroup.closure``.
 
+Orbit sizes come from the same closed forms.  The orbit of a dominant
+weight v has |W| / |W_J| vectors, where J is the set of nodes with v_i = 0
+and W_J is the parabolic subgroup they generate.  Each component of J is
+the Dynkin diagram of its own parabolic factor, so naming its family by its
+bonds (:func:`stabilizer_order_dominant`) gives its order; there is no
+second table of Weyl orders.
+
 Two cells of the classical symmetric-rank table need care and are handled
 explicitly here:
 
@@ -31,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .errors import InvalidRank, KindUnavailable
 from .intmat import (
@@ -42,7 +49,6 @@ from .intmat import (
     full_lattice,
     hnf,
     hnf_from_rows,
-    index,
     unit_vector,
 )
 from .matgroup import MatGroup
@@ -225,65 +231,39 @@ def _components(cartan: IntMatrix, nodes: list[int]) -> list[list[int]]:
     return comps
 
 
-def _component_weyl_order(cartan: IntMatrix, comp: list[int]) -> int:
-    """Weyl order of the sub-Dynkin diagram induced on comp."""
-    k = len(comp)
-    if k == 1:
-        return 2
+def _component_family(cartan: IntMatrix, comp: list[int]) -> str:
+    """The family of the connected sub-diagram on comp, named by its bonds.
+
+    A triple bond is G_2.  A double bond is F_4 when both of its nodes are
+    interior and B_k otherwise (C_k has the same Weyl order).  A branch node
+    is D_k when two of its neighbours are leaves and E_k otherwise.  Anything
+    else is a path, A_k.
+    """
     adj = {u: [w for w in comp if w != u and cartan[u, w] != 0] for u in comp}
-    mults = {
-        frozenset((u, w)): cartan[u, w] * cartan[w, u] for u in comp for w in adj[u]
-    }
-    if any(m == 3 for m in mults.values()):
-        if k != 2:
-            raise AssertionError("triple edge in a diagram of size > 2")
-        return 12
+    bonds = {cartan[u, w] * cartan[w, u]: (u, w) for u in comp for w in adj[u]}
+    if 3 in bonds:
+        return "G"
+    if 2 in bonds:
+        return "F" if all(len(adj[u]) > 1 for u in bonds[2]) else "B"
     branch = [u for u in comp if len(adj[u]) == 3]
-    doubles = [e for e, m in mults.items() if m == 2]
-    if doubles:
-        if branch or len(doubles) != 1:
-            raise AssertionError("unexpected multiply-laced diagram shape")
-        u, w = tuple(doubles[0])
-        if len(adj[u]) == 1 or len(adj[w]) == 1:
-            return 2**k * factorial(k)  # B_k / C_k (same order)
-        if k != 4:
-            raise AssertionError("interior double edge outside F_4")
-        return 1152
     if branch:
-        if len(branch) != 1:
-            raise AssertionError("diagram with two branch nodes")
-        b = branch[0]
-        arms = []
-        for start in adj[b]:
-            length = 1
-            prev, cur = b, start
-            while True:
-                nxt = [w for w in adj[cur] if w != prev]
-                if not nxt:
-                    break
-                prev, cur = cur, nxt[0]
-                length += 1
-            arms.append(length)
-        arms.sort()
-        if arms[0] == 1 and arms[1] == 1:
-            return 2 ** (k - 1) * factorial(k)  # D_k
-        if arms == [1, 2, 2]:
-            return 51840
-        if arms == [1, 2, 3]:
-            return 2903040
-        if arms == [1, 2, 4]:
-            return 696729600
-        raise AssertionError(f"unrecognized branched diagram with arms {arms}")
-    return factorial(k + 1)  # A_k
+        return "D" if sum(len(adj[w]) == 1 for w in adj[branch[0]]) >= 2 else "E"
+    return "A"
 
 
 def stabilizer_order_dominant(model: WeylModel, dominant: IntVector) -> int:
-    """Order of the parabolic stabilizer <sigma_i : v_i = 0> of a dominant v."""
+    """Order of the parabolic stabilizer <sigma_i : v_i = 0> of a dominant v.
+
+    Each component of the zero nodes is the Dynkin diagram of the parabolic
+    subgroup it generates (Humphreys, *Reflection Groups and Coxeter Groups*,
+    1.10 and 2.11), so its order is the closed form of its family.  A shape
+    that names no valid root system raises ``InvalidRank``.
+    """
     zero_nodes = [i for i, e in enumerate(dominant.entries) if e == 0]
-    out = 1
-    for comp in _components(model.cartan, zero_nodes):
-        out *= _component_weyl_order(model.cartan, comp)
-    return out
+    return prod(
+        weyl_order_closed_form(RootSystemSpec(_component_family(model.cartan, comp), len(comp)))
+        for comp in _components(model.cartan, zero_nodes)
+    )
 
 
 def weyl_orbit_size(model: WeylModel, v) -> int:
@@ -321,11 +301,8 @@ def short_simple_root_index(model: WeylModel) -> int:
 class NamedLattice:
     """One of the W-stable lattices between the root and weight lattices."""
 
-    kind: str  # "weight" | "root" | "intermediate" | "intermediate_D"
-    d: int | None
     basis: LatticeBasis
     generator_hint: IntVector
-    index_in_weight: int
 
 
 def lattice(model: WeylModel, kind: str, d: int | None = None) -> NamedLattice:
@@ -341,8 +318,6 @@ def lattice(model: WeylModel, kind: str, d: int | None = None) -> NamedLattice:
     """
     n = model.rank
     fam = model.spec.family
-    weight = full_lattice(n)
-    root = hnf(model.cartan)
     if kind == "weight":
         # the conventional single-orbit generator of the weight lattice;
         # for even D_n no single orbit spans it (see module docstring) and
@@ -355,25 +330,23 @@ def lattice(model: WeylModel, kind: str, d: int | None = None) -> NamedLattice:
             hint = model.simple_root(short_simple_root_index(model))
         else:
             hint = unit_vector(n, 0)
-        return NamedLattice("weight", None, weight, hint, 1)
+        return NamedLattice(full_lattice(n), hint)
     if kind == "root":
-        i = short_simple_root_index(model)
-        return NamedLattice("root", None, root, model.simple_root(i), index(root, weight))
+        return NamedLattice(hnf(model.cartan), model.simple_root(short_simple_root_index(model)))
     if kind == "intermediate":
         if fam != "A" or d is None or d < 1 or d > n or (n + 1) % d != 0:
             raise KindUnavailable(f"intermediate({d}) is not available for {model.spec}")
-        basis = hnf_from_rows(root.rows() + [unit_vector(n, d - 1).entries], n)
-        return NamedLattice("intermediate", d, basis, unit_vector(n, d - 1), index(basis, weight))
-    if kind == "intermediate_D":
+    elif kind == "intermediate_D":
         if fam != "D" or d is None:
             raise KindUnavailable(f"intermediate_D is not available for {model.spec}")
         if d not in (1, n - 1, n):
             raise KindUnavailable(f"intermediate_D({d}) is not available for {model.spec}")
         if d in (n - 1, n) and n % 2 != 0:
             raise KindUnavailable("the two spin intermediates need even rank")
-        basis = hnf_from_rows(root.rows() + [unit_vector(n, d - 1).entries], n)
-        return NamedLattice("intermediate_D", d, basis, unit_vector(n, d - 1), index(basis, weight))
-    raise KindUnavailable(f"unknown lattice kind {kind!r}")
+    else:
+        raise KindUnavailable(f"unknown lattice kind {kind!r}")
+    lam = unit_vector(n, d - 1)
+    return NamedLattice(hnf_from_rows(model.cartan.to_rows() + [lam.entries], n), lam)
 
 
 @dataclass(frozen=True)

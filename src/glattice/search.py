@@ -62,7 +62,7 @@ from dataclasses import dataclass
 from operator import neg
 
 from .errors import CapExceeded, NotGStable, NotInLattice
-from .intmat import IntVector, LatticeBasis, _hnf_insert, as_vector, full_lattice, hnf_from_rows, member
+from .intmat import IntMatrix, IntVector, LatticeBasis, _hnf_insert, as_vector, full_lattice, hnf_from_rows, member
 from .matgroup import (
     DEFAULT_CAP,
     MatGroup,
@@ -319,23 +319,17 @@ def symrank_search(
     dfs(0, 0, (), [])
     if best_reps is None:
         raise AssertionError("search found no spanning selection")
-    # map representatives back to ambient coordinates and re-verify
-    basis_rows = l.rows()
-    ambient_reps = []
-    for rep in best_reps:
-        amb = [0] * l.ambient_dim
-        for c, row in zip(rep, basis_rows):
-            for j, e in enumerate(row):
-                amb[j] += c * e
-        ambient_reps.append(IntVector(tuple(amb)))
-    union_rows = []
-    for rep in ambient_reps:
-        union_rows.extend(sorted(orbit(g, rep, orbit_cap).elements))
-    if hnf_from_rows(union_rows, l.ambient_dim) != l:
+    # map representatives back to ambient coordinates (rep . basis) and
+    # re-verify both the bound and the span in the group's own action
+    ambient_reps = tuple(map(IntVector, IntMatrix.from_rows(best_reps).mul(l.basis).to_rows()))
+    union = set().union(*(orbit(g, rep, orbit_cap).elements for rep in ambient_reps))
+    if len(union) != best_size:
+        raise AssertionError(f"witness orbits hold {len(union)} vectors, not {best_size}")
+    if hnf_from_rows(sorted(union), l.ambient_dim) != l:
         raise AssertionError("witness union does not span the target lattice")
     return SymrankResult(
         best_size,
-        tuple(ambient_reps),
+        ambient_reps,
         r,
         "exact_within_bound",
         radius,

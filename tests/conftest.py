@@ -4,20 +4,56 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from dataclasses import dataclass  # noqa: E402
+from math import gcd  # noqa: E402
+from typing import NamedTuple  # noqa: E402
 
 from hypothesis import strategies as st  # noqa: E402
 
-from glattice._primes import ceil_log2  # noqa: E402
+from glattice._primes import ceil_log2, pow2_at_least  # noqa: E402
 from glattice.bounds import LOG_FRAC_BITS  # noqa: E402
 from glattice.gf2cyclo import GF2Poly, binary_sublattices, factor_xp_minus_1  # noqa: E402
 from glattice.intmat import IntMatrix, IntVector, LatticeBasis, _xgcd, as_vector, full_lattice, hnf_from_rows, zero_lattice  # noqa: E402
-from glattice.matgroup import MatGroup, orbit  # noqa: E402
+from glattice.matgroup import MatGroup, closure, orbit  # noqa: E402
 from glattice.search import _box, _rep_key  # noqa: E402
 
 
 def log2_upper(x: int) -> int:
     """Oracle for ``log2_fixed_upper``: the least k with 2^k >= x^(2^LOG_FRAC_BITS), from the power itself."""
     return ceil_log2(x ** (1 << LOG_FRAC_BITS))
+
+
+class LemmaCheck(NamedTuple):
+    hypothesis: bool
+    conclusion: bool
+    implication_ok: bool
+
+
+def check_numerical_lemma(a: int, c: int, b: int) -> LemmaCheck:
+    """The doubling lemma: b >= a and 2^a >= a c imply 2^b >= b c."""
+    if min(a, b, c) < 1:
+        raise ValueError("arguments must be positive")
+    hyp = b >= a and pow2_at_least(a, a * c)
+    concl = pow2_at_least(b, b * c)
+    return LemmaCheck(hyp, concl, (not hyp) or concl)
+
+
+def is_primitive(lattice: LatticeBasis) -> bool:
+    """True iff the lattice is not m*M for any m >= 2 (rank 0 is not primitive)."""
+    if lattice.rank == 0:
+        return False
+    g = 0
+    for e in lattice.basis.entries:
+        g = gcd(g, e)
+    return g == 1
+
+
+def stabilizer_order(g: MatGroup, v) -> int:
+    """|G| / |orbit(v)| (orbit-stabilizer), checking that the orbit size divides |G|."""
+    _, order = closure(g)
+    size = orbit(g, v).size
+    if order % size != 0:
+        raise AssertionError("orbit size does not divide group order")
+    return order // size
 
 
 def binary_sublattice(p: int, subset) -> LatticeBasis:

@@ -4,7 +4,7 @@ import random
 from glattice._primes import primes_upto
 
 import pytest
-from conftest import log2_upper
+from conftest import check_numerical_lemma, log2_upper
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +12,6 @@ from glattice import bounds
 from glattice.bounds import (
     CASES,
     BoundVerdict,
-    check_numerical_lemma,
     log2_fixed_upper,
     min_threshold,
     mon_metacyclic_bound,

@@ -143,6 +143,15 @@ def test_verify_low_dims_reports_missing_data(tmp_path):
     assert "partial" in out
 
 
+def test_json_verify_low_dims_prints_only_json(capsys):
+    """The partial-coverage note goes to stderr alone, so stdout stays JSON lines."""
+    rc, out = run(["--format", "json", "verify", "--name", "low-dims"])
+    assert rc == EXIT_MISSING_DATA
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert len(rows) == 1 and [r["status"] for r in rows[0]] == ["pass"] * 10
+    assert "partial" in capsys.readouterr().err
+
+
 def test_gf2_commands():
     rc, out = run(["gf2", "factor-xp1", "--p", "7"])
     assert rc == EXIT_OK
@@ -331,6 +340,12 @@ BAD_INPUTS = {
     "family without scan": lambda d: [
         "--data", _write(d / "f.json", _family_without_scan()), "verify", "--name", "almost-simple"
     ],
+    "family with a null order formula": lambda d: [
+        "--data", _write(d / "f.json", _first_family_with(order_formula=None)), "verify", "--name", "almost-simple"
+    ],
+    "verify qcap 0": lambda d: ["verify", "--name", "almost-simple", "--qcap", "0"],
+    "bounds qcap 1": lambda d: ["bounds", "almost-simple", "--qcap", "1"],
+    "rdim max n 0": lambda d: ["rdim-table", "--max-n", "0"],
 }
 
 

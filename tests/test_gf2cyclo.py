@@ -7,6 +7,7 @@ from conftest import (
     closure_oracle,
     coset_labels_oracle,
     cyclic_shifts,
+    is_primitive,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +24,7 @@ from glattice.gf2cyclo import (
     ord2,
     preimage,
 )
-from glattice.intmat import IntMatrix, full_lattice, hnf_from_rows, index, is_primitive, member
+from glattice.intmat import IntMatrix, full_lattice, hnf_from_rows, index, member
 from glattice.matgroup import MatGroup
 from glattice.monomial import cycle_matrix
 

@@ -102,7 +102,8 @@ def test_point_verdict_fields():
     assert v.dim_bound == 40
 
 
-def test_families_without_formulas_are_reported_unscanned():
+def test_families_without_formulas_raise_unknown_formula():
+    """A null formula id fails like any unknown one; the family is never dropped silently."""
     data = json.loads(json.dumps(DATA))
     data["families"].append(
         {
@@ -116,9 +117,8 @@ def test_families_without_formulas_are_reported_unscanned():
             "expected_remaining": [],
         }
     )
-    rep = almost_simple_scan(data, q_cap=4, n_cap=3)
-    assert "mystery family" in rep.unscanned
-    assert all(f.name != "mystery family" for f in rep.families)
+    with pytest.raises(UnknownFormula, match="mystery family"):
+        almost_simple_scan(data, q_cap=4, n_cap=3)
 
 
 def _drop(path):

@@ -2,7 +2,7 @@
 import random
 
 import pytest
-from conftest import det, snf, unimodular_matrices
+from conftest import det, is_primitive, snf, unimodular_matrices
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +15,6 @@ from glattice.intmat import (
     hnf,
     hnf_from_rows,
     index,
-    is_primitive,
     member,
     zero_lattice,
 )

@@ -5,7 +5,7 @@ import random
 import re
 
 import pytest
-from conftest import apply, closure_oracle, orbit_span, unimodular_matrices
+from conftest import apply, closure_oracle, orbit_span, stabilizer_order, unimodular_matrices
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +19,6 @@ from glattice.matgroup import (
     conjugate,
     is_lattice_stable,
     orbit,
-    stabilizer_order,
     stable_span,
 )
 from glattice.rootsys import RootSystemSpec, build

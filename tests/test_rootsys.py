@@ -11,6 +11,7 @@ from glattice.matgroup import closure, orbit
 from glattice.rootsys import (
     RootSystemSpec,
     WeylModel,
+    _specs_up_to,
     build,
     cartan_matrix,
     dominant_representative,
@@ -174,6 +175,75 @@ def test_stabilizer_formula_on_random_dominant_vectors():
             assert order // stabilizer_order_dominant(m, dom) == orbit(g, v).size
 
 
+def _orbit_size_steps(bonds, nodes, start):
+    """BFS of start under the simple reflections in nodes: yield None per vector
+    dequeued, then the orbit size.  bonds[i] lists (j, C[i, j]) for C[i, j] != 0."""
+    seen = {start}
+    queue = [start]
+    for cur in queue:
+        for i in nodes:
+            c = cur[i]
+            if c:
+                w = list(cur)
+                for j, a in bonds[i]:
+                    w[j] -= c * a  # sigma_i: v_j -= C[i, j] v_i
+                w = tuple(w)
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        yield None
+    yield len(seen)
+
+
+def parabolic_order_oracle(model, nodes, cap):
+    """|W_J| for the node set J, or None when neither BFS ends within cap steps.
+
+    Two BFS run in lockstep and the first to end answers: the W-orbit of
+    v_J = sum_{i not in J} lambda_i gives |W| / |W v_J|, and the orbit of
+    rho = sum_i lambda_i under <sigma_j : j in J> lists that group, since
+    only the identity of W fixes rho (Humphreys, 1.12).
+    """
+    n = model.rank
+    bonds = [[(j, model.cartan[i, j]) for j in range(n) if model.cartan[i, j]] for i in range(n)]
+    orbit_side = _orbit_size_steps(bonds, range(n), tuple(int(i not in nodes) for i in range(n)))
+    parabolic_side = _orbit_size_steps(bonds, nodes, (1,) * n)
+    for _ in range(cap + 1):
+        size, order = next(orbit_side), next(parabolic_side)
+        if size is not None:
+            return model.weyl_order // size
+        if order is not None:
+            return order
+    return None
+
+
+def test_parabolic_orders_match_the_orbit_oracle():
+    """Every node subset J of every spec of rank <= 8 that the oracle settles
+    within 500 steps: the stabilizer of v_J has order |W_J|."""
+    settled = set()
+    for spec in _specs_up_to(8):
+        model = build(spec)
+        n = spec.rank
+        for bits in range(2**n):
+            nodes = tuple(i for i in range(n) if bits >> i & 1)
+            want = parabolic_order_oracle(model, nodes, 500)
+            if want is not None:
+                v_j = IntVector(tuple(int(i not in nodes) for i in range(n)))
+                assert stabilizer_order_dominant(model, v_j) == want, (str(spec), nodes)
+                settled.add((str(spec), nodes))
+    # 0-indexed nodes: F4 is 0-1=2-3; E is the chain 0-2-3-4-5-6-7 with 1 on 3
+    named = {
+        ("F4", (0, 1, 2, 3)),  # F4
+        ("F4", (0, 1, 2)), ("F4", (1, 2, 3)), ("F4", (1, 2)),  # B3, C3, B2
+        ("E6", (1, 2, 3, 4, 5)),  # D5
+        ("E7", (1, 2, 3, 4, 5, 6)),  # D6
+        ("E7", (0, 1, 2, 3, 4, 5)),  # E6
+        ("E8", (0, 1, 2, 3, 4, 5, 6)),  # E7
+        ("E8", tuple(range(8))),  # E8
+    }
+    assert named <= settled
+    assert len(settled) > 2300
+
+
 def test_dominance_reduction():
     m = build(RootSystemSpec("G", 2))
     dom = dominant_representative(m, (-1, 0))
@@ -190,12 +260,12 @@ def test_short_root_counts():
 def test_lattice_examples():
     a2 = build(RootSystemSpec("A", 2))
     root = lattice(a2, "root")
-    assert root.index_in_weight == 3
+    assert index(root.basis, full_lattice(2)) == 3
     b3 = build(RootSystemSpec("B", 3))
     assert lattice(b3, "weight").basis == full_lattice(3)
     d4 = build(RootSystemSpec("D", 4))
     spin_plus = lattice(d4, "intermediate_D", 4)
-    assert spin_plus.index_in_weight == 2
+    assert index(spin_plus.basis, full_lattice(4)) == 2
     assert member(unit_vector(4, 3), spin_plus.basis)
     assert not member(unit_vector(4, 2), spin_plus.basis)
 
@@ -215,10 +285,10 @@ def test_a_intermediate_indices_multiply():
     a5 = build(RootSystemSpec("A", 5))  # n+1 = 6: divisors 2, 3
     l2 = lattice(a5, "intermediate", 2)
     l3 = lattice(a5, "intermediate", 3)
-    assert l2.index_in_weight == 2
-    assert l3.index_in_weight == 3
+    assert index(l2.basis, full_lattice(5)) == 2
+    assert index(l3.basis, full_lattice(5)) == 3
     root = lattice(a5, "root")
-    assert root.index_in_weight == 6
+    assert index(root.basis, full_lattice(5)) == 6
     assert index(root.basis, l2.basis) == 3
     assert index(root.basis, l3.basis) == 2
 
@@ -228,7 +298,7 @@ def test_d_even_intermediates_intersect_in_root_lattice():
     lm = lattice(d4, "intermediate_D", 3)
     lp = lattice(d4, "intermediate_D", 4)
     root = lattice(d4, "root")
-    assert lm.index_in_weight == lp.index_in_weight == 2
+    assert index(lm.basis, full_lattice(4)) == index(lp.basis, full_lattice(4)) == 2
     # intersection contains the root lattice and has index 4, so it is it
     for r in root.basis.rows():
         assert member(r, lm.basis) and member(r, lp.basis)
@@ -395,7 +465,7 @@ def test_snf_membership_agrees_with_hnf_membership():
 def test_root_index_equals_cartan_determinant():
     for fam, n in [("A", 5), ("B", 4), ("C", 4), ("D", 5), ("D", 6), ("E", 6), ("E", 7)]:
         model = build(RootSystemSpec(fam, n))
-        assert lattice(model, "root").index_in_weight == abs(det(model.cartan))
+        assert index(lattice(model, "root").basis, full_lattice(n)) == abs(det(model.cartan))
 
 
 def test_weyl_order_closure_minimal_rank_per_family():

@@ -1,5 +1,6 @@
 """Symmetric-rank search: exactness within the box, witnesses, monotonicity."""
 import itertools
+from dataclasses import replace
 
 import pytest
 from conftest import apply, bfs_orbit, orbit_records_oracle, unimodular_matrices
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from glattice.errors import CapExceeded, NotGStable, NotInLattice
 from glattice.intmat import IntMatrix, full_lattice, hnf_from_rows, unit_vector
 from glattice.matgroup import DEFAULT_CAP, MatGroup, conjugate, in_lattice_coordinates, orbit
+from glattice import search
 from glattice.rootsys import RootSystemSpec, build, expected_symrank, lattice, weyl_symrank_table
 from glattice.search import (
     RESIDUE_MODULUS,
@@ -67,6 +69,19 @@ def test_witness_union_is_g_stable_and_spans():
     union_set = set(union)
     for h in g.generators:
         assert {apply(h, v).entries for v in union_set} == union_set
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+def test_a_wrong_witness_record_size_is_caught(monkeypatch, delta):
+    """The bound is re-checked against the witness orbits in the group's own action."""
+    b3 = build(RootSystemSpec("B", 3))
+
+    def off_by_delta(gl, radius, orbit_cap):
+        return [replace(rec, size=rec.size + delta) for rec in _orbit_records(gl, radius, orbit_cap)]
+
+    monkeypatch.setattr(search, "_orbit_records", off_by_delta)
+    with pytest.raises(AssertionError, match="witness orbits hold 8 vectors"):
+        symrank_search(b3.matgroup(), full_lattice(3), radius=1)
 
 
 def test_radius_monotonicity():

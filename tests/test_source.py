@@ -6,13 +6,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "glattice"
 
-# Paper-facing routines kept for library users though no program calls them.
+# Paper-facing routines kept for library users though no program calls them
+# yet; the complete low-dimension maxima will call both.
 PAPER_FACING = {
-    "stabilizer_order",
     "table_dimension_maximum",
-    "check_numerical_lemma",
     "irreducibility_certificate",
-    "is_primitive",
 }
 
 
