@@ -68,18 +68,16 @@ def log2_fixed_upper(x: int) -> int:
 class BoundVerdict:
     """One row of an inequality case analysis.
 
-    ``holds`` is True iff lhs >= rhs.  For the exponent-domain cases the
-    sides are the scaled integer exponents being compared (scale recorded
-    in ``scale_bits``); for the pure-integer cases they are the actual
-    quantities.
+    ``holds`` is True iff lhs >= rhs.  For the exponent-domain cases III.i
+    and III.ii the sides are integer exponents scaled by
+    2^(2 * ``LOG_FRAC_BITS``); for the pure-integer cases they are the
+    actual quantities.
     """
 
     label: str
-    params: dict
     lhs: int
     rhs: int
     holds: bool
-    scale_bits: int = 0
 
 
 def psl_order(m: int, q: int) -> int:
@@ -125,20 +123,19 @@ def _metacyclic_sides(p: int, a: int, ell: int) -> tuple[int, int]:
 
 def _case_verdict(p: int, a: int, ell: int, case: str) -> BoundVerdict:
     """The body of :func:`prime_case_check`, for an odd prime p and a checked case and a."""
-    params = {"p": p, "a": a, "ell": ell}
     if case == "II.i":
         if not 0 <= ell <= a - 1:
             raise InvalidCase("case II.i needs 0 <= ell <= a-1")
         if (p - 1) % a != 0:
             raise InvalidCase("case II.i needs a | p-1")
         lhs, rhs = _metacyclic_sides(p, a, ell)
-        return BoundVerdict("II.i", params, lhs, rhs, lhs >= rhs)
+        return BoundVerdict("II.i", lhs, rhs, lhs >= rhs)
     if case == "II.ii":
         if ell != a:
             raise InvalidCase("case II.ii is the ell = a subcase")
         lhs = 2**p
         rhs = a * 2 ** (2 * p // 3) * p * (p - 1)
-        return BoundVerdict("II.ii", params, lhs, rhs, lhs >= rhs)
+        return BoundVerdict("II.ii", lhs, rhs, lhs >= rhs)
     # case III: exponent domain with outward-rounded logs, scale 2^(2f)
     f = LOG_FRAC_BITS
     ku = log2_fixed_upper(p * p + 1)  # >= 2^f log2(p^2+1)
@@ -152,13 +149,13 @@ def _case_verdict(p: int, a: int, ell: int, case: str) -> BoundVerdict:
             raise InvalidCase("case III.i needs a | p-1")
         lhs = ((p - 1) // a) << (2 * f)
         rhs = ku * ku + (kv << f) + (kw << f)
-        return BoundVerdict("III.i", params, lhs, rhs, lhs >= rhs, scale_bits=2 * f)
+        return BoundVerdict("III.i", lhs, rhs, lhs >= rhs)
     if ell != a:
         raise InvalidCase("case III.ii is the ell = a subcase")
     ka = log2_fixed_upper(a) if a > 1 else 0
     lhs = p << (2 * f)
     rhs = 3 * ((ka << f) + ku * ku + (kv << f))
-    return BoundVerdict("III.ii", params, lhs, rhs, lhs >= rhs, scale_bits=2 * f)
+    return BoundVerdict("III.ii", lhs, rhs, lhs >= rhs)
 
 
 def _default_ell(a: int, case: str) -> int:
@@ -206,7 +203,7 @@ def mon_metacyclic_bound(p: int, ell: int, a: int) -> BoundVerdict:
     if not 0 <= ell <= a:
         raise ValueError("ell out of range")
     lhs, rhs = _metacyclic_sides(p, a, ell)
-    return BoundVerdict("metacyclic", {"p": p, "ell": ell, "a": a}, lhs, rhs, lhs >= rhs)
+    return BoundVerdict("metacyclic", lhs, rhs, lhs >= rhs)
 
 
 @dataclass(frozen=True)

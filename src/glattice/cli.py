@@ -2,16 +2,21 @@
 
 Every command is deterministic (there is no randomized mode).  Exit codes:
 
-  0  all comparisons pass
-  2  fixture mismatch
-  3  missing external data
-  4  cap exceeded
-  5  input error: the command line does not parse, a file is missing or
-     malformed (a data record may also name a formula with no evaluator), an
-     argument is out of range or not an odd prime, a generator is not
-     unimodular, the lattice is not kept by the group, an orbit vector lies
-     outside the lattice, or the prime horizon is too small for the
-     threshold scan
+  0    all comparisons pass
+  2    fixture mismatch
+  3    missing external data
+  4    cap exceeded
+  5    input error: the command line does not parse, a file is missing or
+       malformed (a data record may also name a formula with no evaluator,
+       and a file value read as an integer must be a JSON integer or a
+       decimal string, not a float or a boolean), an argument is out of
+       range or not an odd prime (``verify --name almost-simple`` also
+       rejects a --qcap or --ncap that leaves some family with no scan
+       point), a generator is not unimodular, the lattice is not kept by
+       the group, an orbit vector lies outside the lattice, or the prime
+       horizon is too small for the threshold scan
+  141  the reader closed stdout before all output was written (``... | head``);
+       the run stops with nothing on stderr, as if killed by SIGPIPE
 
 Table-emitting commands compare their output against bundled fixtures of
 the published tables and fail with exit code 2 on any cell mismatch.
@@ -21,22 +26,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 
 from . import bounds as bounds_mod
 from . import groupdata, monomial, rootsys, search, theta
 from . import gf2cyclo
-from .errors import (
-    CapExceeded,
-    GLatticeError,
-    HorizonTooSmall,
-    MissingExternalData,
-    NonUnimodularGenerator,
-    NotGStable,
-    NotInLattice,
-    NotOddPrime,
-    UnknownFormula,
-)
+from .errors import CapExceeded, GLatticeError, MissingExternalData
 from .intmat import full_lattice, hnf, index, zero_lattice
 from .matgroup import DEFAULT_CAP, MatGroup
 from .serialize import load_group_file, load_matrix_file, vector_to_json
@@ -46,6 +42,7 @@ EXIT_FIXTURE_MISMATCH = 2
 EXIT_MISSING_DATA = 3
 EXIT_CAP_EXCEEDED = 4
 EXIT_INPUT_ERROR = 5
+EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE, the shell's code for a writer killed by a closed pipe
 
 
 def _render(headers: list[str], rows: list[tuple], fmt: str, out) -> None:
@@ -153,6 +150,9 @@ def _verify_pinned_thresholds(args, out) -> list:
 def _verify_almost_simple(args, out) -> list:
     data = groupdata.load_data(args.data)
     rep = groupdata.almost_simple_scan(data, q_cap=args.qcap, n_cap=args.ncap)
+    unscanned = [f.name for f in rep.families if f.points_checked == 0]
+    if unscanned:
+        raise ValueError(f"--qcap {args.qcap} --ncap {args.ncap} leave no scan point for {'; '.join(unscanned)}")
     spot_checks = groupdata.aut_spot_checks(data)  # before any output, so bad data prints nothing
     rows = []
     mismatches = []
@@ -187,7 +187,8 @@ def _verify_low_dims(args, out) -> list:
     Full verification needs externally exported maximal-group generators,
     which nothing ingests yet, so only the witness side is checked and
     coverage is always reported as partial: when every witness passes this
-    raises :class:`MissingExternalData` (exit 3).
+    raises :class:`MissingExternalData` (exit 3).  Each witness is that of
+    the Weyl-lattice table row whose target is the bound's lattice.
     """
     rows = []
     mismatches = []
@@ -195,10 +196,9 @@ def _verify_low_dims(args, out) -> list:
         b = rootsys.rdim_lower_bound(n)
         spec = rootsys.RootSystemSpec(b.witness_family, b.witness_rank)
         model = rootsys.build(spec)
-        lat = rootsys.lattice(model, b.witness_kind)
-        ok, size = search.verify_orbit_generates(
-            model.matgroup(), lat.basis, lat.generator_hint
-        )
+        target = rootsys.lattice(model, b.witness_kind)
+        row = next(r for r in rootsys.symrank_table_rows_for(model) if r.target == target)
+        ok, size = search.verify_orbit_generates(model.matgroup(), target.basis, row.witness)
         good = ok and size == b.value
         if not good:
             mismatches.append({"n": n, "expected": b.value, "got": size, "spans": ok})
@@ -386,10 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     bp.add_argument("--case", choices=bounds_mod.CASES, default=None)
     bp.add_argument("--horizon", type=int, default=10007)
     bp.set_defaults(run=cmd_bounds_prime)
-    bp = bsub.add_parser("almost-simple")
-    bp.add_argument("--qcap", type=int, default=50)
-    bp.add_argument("--ncap", type=int, default=10)
-    bp.set_defaults(run=VERIFY["almost-simple"])
     bp = bsub.add_parser("prime-of-form")
     bp.add_argument("--qmax", type=int, required=True)
     bp.add_argument("--mmax", type=int, required=True)
@@ -402,14 +398,21 @@ def main(argv=None, out=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         mismatches = args.run(args, out)
+        out.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: send the unwritten rest to the null
+        # device, so that the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, out.fileno())
+        os.close(devnull)
+        return EXIT_CLOSED_STDOUT
     except CapExceeded as e:
         print(f"cap exceeded: {e}", file=sys.stderr)
         return EXIT_CAP_EXCEEDED
     except MissingExternalData as e:
         print(f"missing external data: {e}", file=sys.stderr)
         return EXIT_MISSING_DATA
-    except (OSError, ValueError, NonUnimodularGenerator, NotGStable, NotInLattice, NotOddPrime, HorizonTooSmall,
-            UnknownFormula) as e:
+    except ValueError as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     if mismatches:

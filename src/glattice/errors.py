@@ -2,6 +2,8 @@
 
 Cap overruns are first-class results of a deliberately bounded computation,
 not bugs, so they get their own exception carrying the offending cap.
+Errors that only bad input can cause also derive from ``ValueError``, which
+the command line reports as an input error (exit 5).
 """
 
 
@@ -18,7 +20,7 @@ class CapExceeded(GLatticeError):
         self.cap = cap
 
 
-class NonUnimodularGenerator(GLatticeError):
+class NonUnimodularGenerator(GLatticeError, ValueError):
     """A group generator is not invertible over the integers."""
 
 
@@ -30,11 +32,11 @@ class NotASublattice(GLatticeError):
     """Containment check failed in an index computation."""
 
 
-class NotInLattice(GLatticeError):
+class NotInLattice(GLatticeError, ValueError):
     """A vector expected to lie in a lattice does not."""
 
 
-class NotGStable(GLatticeError):
+class NotGStable(GLatticeError, ValueError):
     """A lattice is not stable under the given group action."""
 
 
@@ -50,7 +52,7 @@ class FormNotPreserved(GLatticeError):
     """A group generator does not preserve the given Gram form."""
 
 
-class NotOddPrime(GLatticeError):
+class NotOddPrime(GLatticeError, ValueError):
     """Argument must be an odd prime."""
 
 
@@ -66,11 +68,11 @@ class InvalidCase(GLatticeError):
     """Unknown case label in an inequality check."""
 
 
-class HorizonTooSmall(GLatticeError):
+class HorizonTooSmall(GLatticeError, ValueError):
     """Threshold scan ran out of primes before the inequality held."""
 
 
-class UnknownFormula(GLatticeError):
+class UnknownFormula(GLatticeError, ValueError):
     """A data record references a formula id with no registered evaluator."""
 
 

@@ -31,6 +31,7 @@ from math import gcd, prod
 from ._primes import pow2_at_least, prime_power, prime_powers_upto
 from .bounds import psl_order
 from .errors import UnknownFormula
+from .serialize import _load, int_from_json
 
 DATA_FILENAME = "simple_groups.json"
 DATA_ENV_VAR = "SYMRANK_DATA_DIR"
@@ -44,6 +45,15 @@ def _field(record, key: str, what: str):
         return record[key]
     except (KeyError, TypeError):
         raise ValueError(f"{what} has no {key!r} field") from None
+
+
+def _int_field(record, key: str, what: str) -> int:
+    """:func:`serialize.int_from_json` of record[key], or a ValueError naming the field."""
+    value = _field(record, key, what)
+    try:
+        return int_from_json(value)
+    except ValueError as e:
+        raise ValueError(f"{what} field {key!r}: {e}") from None
 
 
 def _is_positive_int(value) -> bool:
@@ -179,8 +189,7 @@ def load_data(path: str | None = None) -> dict:
         if env_dir:
             path = os.path.join(env_dir, DATA_FILENAME)
     if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        return _load(path, dict, "data")
     with resources.files(__package__).joinpath("data").joinpath(DATA_FILENAME).open("r") as fh:
         return json.load(fh)
 
@@ -217,9 +226,11 @@ class FamilyRecord:
         return registry[key]
 
     def points(self, q_cap: int, n_cap: int):
-        """All (n, q, u, t) scan points within caps and constraints."""
+        """All (n, q, u, t) scan points within caps and constraints (none for a fixed n above n_cap)."""
         sc = _check_scan(self.name, self.scan)
         fixed_n = sc.get("fixed_n")
+        if fixed_n is not None and fixed_n > n_cap:
+            return
         for q in prime_powers_upto(min(q_cap, sc.get("q_max", q_cap))):
             if q < sc.get("q_min", 2):
                 continue
@@ -306,9 +317,9 @@ class SporadicRecord:
 def sporadic_records(data: dict) -> list[SporadicRecord]:
     out = []
     for i, s in enumerate(_field(data, "sporadics", "data file")):
-        keys = ("name", "aut_order", "rdim", "expected_fail")
-        name, aut, rdim, fail = (_field(s, key, f"sporadic record {i}") for key in keys)
-        out.append(SporadicRecord(name, int(aut), int(rdim), bool(fail)))
+        what = f"sporadic record {i}"
+        ints = (_int_field(s, key, what) for key in ("aut_order", "rdim"))
+        out.append(SporadicRecord(_field(s, "name", what), *ints, bool(_field(s, "expected_fail", what))))
     return out
 
 
@@ -420,5 +431,5 @@ def aut_spot_checks(data: dict | None = None) -> list[tuple[str, int, int]]:
         if u_t is None:
             raise ValueError(f"{what} has q = {q}, not a prime power")
         computed = rec.aut_order(n, q, *u_t)
-        out.append((f"{rec.name} @ n={n}, q={q}", computed, int(_field(chk, "expected_aut", what))))
+        out.append((f"{rec.name} @ n={n}, q={q}", computed, _int_field(chk, "expected_aut", what)))
     return out

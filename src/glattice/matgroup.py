@@ -269,13 +269,6 @@ def irreducibility_certificate(g: MatGroup) -> str:
     return CERTIFIED_IRREDUCIBLE if commutant_dimension(g) == 1 else NOT_CERTIFIED
 
 
-def is_lattice_stable(g: MatGroup, l: LatticeBasis) -> bool:
-    """Whether every generator maps the lattice into itself."""
-    if l.ambient_dim != g.dim:
-        raise ValueError("lattice dimension does not match group dimension")
-    return all(coordinates_in(w, l) is not None for r in l.rows() for w in g.images(r))
-
-
 def action_in_row_basis(g: MatGroup, basis: IntMatrix) -> MatGroup:
     """The action of g rewritten in an arbitrary basis given by matrix rows.
 

@@ -64,7 +64,6 @@ class PiSummary:
 
     order: int
     has_n_cycle: bool
-    generator_perms: tuple[tuple[int, ...], ...]
 
 
 def _permutation(h: IntMatrix) -> tuple[int, ...]:
@@ -96,7 +95,7 @@ def project_pi(g: MatGroup, cap: int = DEFAULT_CAP) -> PiSummary:
     if not complete:
         raise CapExceeded("permutation closure", cap)
     has_cycle = any(_is_n_cycle(p) for p in seen)
-    return PiSummary(len(seen), has_cycle, tuple(gens))
+    return PiSummary(len(seen), has_cycle)
 
 
 def _is_n_cycle(perm: tuple[int, ...]) -> bool:

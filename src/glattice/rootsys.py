@@ -302,7 +302,6 @@ class NamedLattice:
     """One of the W-stable lattices between the root and weight lattices."""
 
     basis: LatticeBasis
-    generator_hint: IntVector
 
 
 def lattice(model: WeylModel, kind: str, d: int | None = None) -> NamedLattice:
@@ -319,20 +318,9 @@ def lattice(model: WeylModel, kind: str, d: int | None = None) -> NamedLattice:
     n = model.rank
     fam = model.spec.family
     if kind == "weight":
-        # the conventional single-orbit generator of the weight lattice;
-        # for even D_n no single orbit spans it (see module docstring) and
-        # the hint is the conventional lambda_1 column entry
-        if fam == "B" or (fam == "D" and n % 2 == 1):
-            hint = unit_vector(n, n - 1)
-        elif fam == "E" and n == 7:
-            hint = unit_vector(n, 6)
-        elif fam in ("F", "G") or (fam == "E" and n == 8):
-            hint = model.simple_root(short_simple_root_index(model))
-        else:
-            hint = unit_vector(n, 0)
-        return NamedLattice(full_lattice(n), hint)
+        return NamedLattice(full_lattice(n))
     if kind == "root":
-        return NamedLattice(hnf(model.cartan), model.simple_root(short_simple_root_index(model)))
+        return NamedLattice(hnf(model.cartan))
     if kind == "intermediate":
         if fam != "A" or d is None or d < 1 or d > n or (n + 1) % d != 0:
             raise KindUnavailable(f"intermediate({d}) is not available for {model.spec}")
@@ -345,21 +333,21 @@ def lattice(model: WeylModel, kind: str, d: int | None = None) -> NamedLattice:
             raise KindUnavailable("the two spin intermediates need even rank")
     else:
         raise KindUnavailable(f"unknown lattice kind {kind!r}")
-    lam = unit_vector(n, d - 1)
-    return NamedLattice(hnf_from_rows(model.cartan.to_rows() + [lam.entries], n), lam)
+    return NamedLattice(hnf_from_rows(model.cartan.to_rows() + [unit_vector(n, d - 1).entries], n))
 
 
 @dataclass(frozen=True)
 class SymrankTableRow:
     """One row of the symmetric-rank table for Weyl lattices.
 
-    ``generator_label``/``generator`` are the conventional table entries;
     ``witness`` is the vector whose orbit is verified to span ``target``
-    (it differs from ``generator`` only for F_4, where the conventional
-    entry is a long root), and ``spans_labelled_lattice`` records whether
-    the conventional lattice label names the lattice the orbit spans (it
-    does not for the even-D weight row; see the module docstring).  For
-    A_7 L+4 and A_8 L+3 the generator is not a fundamental weight.
+    and ``generator_label`` its conventional table entry (for F_4 the
+    label stays the long root alpha_1, while the witness is the short
+    simple root with the same orbit size); ``spans_labelled_lattice``
+    records whether the conventional lattice label names the lattice the
+    orbit spans (it does not for the even-D weight row; see the module
+    docstring).  For A_7 L+4 and A_8 L+3 the witness is not a fundamental
+    weight.
     """
 
     family: str
@@ -367,29 +355,18 @@ class SymrankTableRow:
     lattice_label: str
     symrank: int
     generator_label: str
-    generator: IntVector
     witness: IntVector
     target: NamedLattice
     spans_labelled_lattice: bool
 
 
-def _row(model: WeylModel, label: str, gen_label: str, gen: IntVector, target: NamedLattice,
-         witness: IntVector | None = None, spans: bool = True) -> SymrankTableRow:
-    w = witness if witness is not None else gen
-    return SymrankTableRow(
-        model.spec.family,
-        model.rank,
-        label,
-        weyl_orbit_size(model, w),
-        gen_label,
-        gen,
-        w,
-        target,
-        spans,
-    )
+def _row(model: WeylModel, label: str, gen_label: str, witness: IntVector, target: NamedLattice,
+         spans: bool = True) -> SymrankTableRow:
+    size = weyl_orbit_size(model, witness)
+    return SymrankTableRow(model.spec.family, model.rank, label, size, gen_label, witness, target, spans)
 
 
-# (rank, d) -> generator of the A_n L+d row where a smaller orbit than
+# (rank, d) -> witness of the A_n L+d row where a smaller orbit than
 # lambda_d's spans; see expected_symrank
 _A_INTERMEDIATE_WITNESS = {
     (7, 4): ("lambda_6+2lambda_7", IntVector((0, 0, 0, 0, 0, 1, 2))),
@@ -408,8 +385,8 @@ def symrank_table_rows_for(model: WeylModel) -> list[SymrankTableRow]:
         rows.append(_row(model, "L", "lambda_1", lam(1), lattice(model, "weight")))
         for d in range(2, n + 1):
             if (n + 1) % d == 0:
-                gen_label, gen = _A_INTERMEDIATE_WITNESS.get((n, d), (f"lambda_{d}", lam(d)))
-                rows.append(_row(model, f"L+{d}", gen_label, gen, lattice(model, "intermediate", d)))
+                gen_label, witness = _A_INTERMEDIATE_WITNESS.get((n, d), (f"lambda_{d}", lam(d)))
+                rows.append(_row(model, f"L+{d}", gen_label, witness, lattice(model, "intermediate", d)))
         rows.append(_row(model, "Lr", "alpha_1", alpha(0), lattice(model, "root")))
     elif fam == "B":
         rows.append(_row(model, "L", f"lambda_{n}", lam(n), lattice(model, "weight")))
@@ -442,10 +419,7 @@ def symrank_table_rows_for(model: WeylModel) -> list[SymrankTableRow]:
         else:
             rows.append(_row(model, "L=Lr", "alpha_1", alpha(0), lattice(model, "root")))
     elif fam == "F":
-        short = short_simple_root_index(model)
-        rows.append(
-            _row(model, "L=Lr", "alpha_1", alpha(0), lattice(model, "root"), witness=alpha(short))
-        )
+        rows.append(_row(model, "L=Lr", "alpha_1", alpha(short_simple_root_index(model)), lattice(model, "root")))
     elif fam == "G":
         rows.append(_row(model, "L=Lr", "alpha_1", alpha(0), lattice(model, "root")))
     return rows

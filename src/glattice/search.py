@@ -61,14 +61,13 @@ import itertools
 from dataclasses import dataclass
 from operator import neg
 
-from .errors import CapExceeded, NotGStable, NotInLattice
+from .errors import CapExceeded, NotInLattice
 from .intmat import IntMatrix, IntVector, LatticeBasis, _hnf_insert, as_vector, full_lattice, hnf_from_rows, member
 from .matgroup import (
     DEFAULT_CAP,
     MatGroup,
     _orbit_bfs,
     in_lattice_coordinates,
-    is_lattice_stable,
     orbit,
     stable_span,
 )
@@ -252,12 +251,10 @@ def symrank_search(
     """Minimal total size of a spanning union of orbits within the box."""
     if radius < 1:
         raise ValueError("radius must be at least 1")
-    if not is_lattice_stable(g, l):
-        raise NotGStable("lattice is not stable under the group")
+    gl = in_lattice_coordinates(g, l)  # NotGStable unless g keeps l
     r = l.rank
     if r == 0:
         return SymrankResult(0, (), 0, "exact_within_bound", radius, 0)
-    gl = in_lattice_coordinates(g, l)
     records = _orbit_records(gl, radius, orbit_cap)
     full_rows = tuple(full_lattice(r).rows())
 

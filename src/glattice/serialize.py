@@ -1,7 +1,9 @@
 """JSON schemas shared across the package and the CLI.
 
 Integers are serialized as decimal strings so that consumers in languages
-with fixed-width integers cannot silently truncate them.
+with fixed-width integers cannot silently truncate them.  On reading, an
+integer field is a decimal string or a JSON integer; a float, a boolean or
+anything else is a ``ValueError`` (:func:`int_from_json`).
 
 Matrix:  {"rows": r, "cols": c, "entries": ["...", ...]}   (row-major)
 Vector:  {"dim": n, "entries": ["...", ...]}
@@ -15,6 +17,7 @@ system); ``load_group_file`` reads one from disk.
 from __future__ import annotations
 
 import json
+import re
 
 from .intmat import IntMatrix, as_vector
 
@@ -23,9 +26,16 @@ def matrix_to_json(m: IntMatrix) -> dict:
     return {"rows": m.rows, "cols": m.cols, "entries": [str(e) for e in m.entries]}
 
 
+def int_from_json(value) -> int:
+    """A JSON integer that is not a boolean, or a decimal string, as an int; ValueError otherwise."""
+    if type(value) is int or type(value) is str and re.fullmatch("-?[0-9]+", value):
+        return int(value)
+    raise ValueError(f"{value!r} is not an integer")
+
+
 def matrix_from_json(obj: dict) -> IntMatrix:
-    rows, cols = int(obj["rows"]), int(obj["cols"])
-    entries = tuple(int(e) for e in obj["entries"])
+    rows, cols = int_from_json(obj["rows"]), int_from_json(obj["cols"])
+    entries = tuple(map(int_from_json, obj["entries"]))
     return IntMatrix(rows, cols, entries)
 
 
@@ -44,7 +54,7 @@ def group_to_json(dim: int, generators, gram: IntMatrix | None = None, label: st
 
 
 def group_from_json(obj: dict) -> tuple[int, list[IntMatrix], IntMatrix | None, str | None]:
-    dim = int(obj["dim"])
+    dim = int_from_json(obj["dim"])
     gens = [matrix_from_json(g) for g in obj["generators"]]
     for g in gens:
         if g.rows != dim or g.cols != dim:
@@ -55,8 +65,12 @@ def group_from_json(obj: dict) -> tuple[int, list[IntMatrix], IntMatrix | None, 
 
 
 def _load(path: str, parse, what: str):
-    """parse() of the JSON in a file; a malformed file raises ValueError naming it."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """parse() of the JSON in a file; a file that cannot be opened or is malformed raises ValueError naming it."""
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as e:
+        raise ValueError(f"{path}: cannot open {what} file ({e.strerror})") from e
+    with fh:
         try:
             return parse(json.load(fh))
         except (KeyError, TypeError, ValueError) as e:

@@ -11,6 +11,7 @@ import pytest
 from glattice import cli, groupdata
 from glattice.cli import (
     EXIT_CAP_EXCEEDED,
+    EXIT_CLOSED_STDOUT,
     EXIT_INPUT_ERROR,
     EXIT_MISSING_DATA,
     EXIT_OK,
@@ -144,11 +145,16 @@ def test_verify_low_dims_reports_missing_data(tmp_path):
 
 
 def test_json_verify_low_dims_prints_only_json(capsys):
-    """The partial-coverage note goes to stderr alone, so stdout stays JSON lines."""
+    """The partial-coverage note goes to stderr alone, so stdout stays JSON lines.
+
+    stdout was recorded while each witness still came from a per-lattice
+    hint rather than from its table row; it must not change by a byte.
+    """
     rc, out = run(["--format", "json", "verify", "--name", "low-dims"])
     assert rc == EXIT_MISSING_DATA
     rows = [json.loads(line) for line in out.splitlines()]
     assert len(rows) == 1 and [r["status"] for r in rows[0]] == ["pass"] * 10
+    assert out.encode() == (GOLDEN / "cli_verify_low_dims_json.txt").read_bytes()
     assert "partial" in capsys.readouterr().err
 
 
@@ -244,7 +250,9 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 # mod-2 subspaces, and (factor-xp1) before Berlekamp's Q rows were built by
 # shifts; p = 73 and p = 257 were recorded from Berlekamp's factorization
 # before x^p - 1 was split by its coset idempotents and the factors labelled
-# by trace signatures.  It must not change by a byte.
+# by trace signatures; the rootsys and rdim tables while each table row still
+# carried a generator beside its witness and each named lattice a hint.  It
+# must not change by a byte.
 GOLDEN_TEXT = {
     "cli_gf2_factor_xp1_p73": ["--format", "json", "gf2", "factor-xp1", "--p", "73"],
     "cli_gf2_factor_xp1_p127": ["--format", "json", "gf2", "factor-xp1", "--p", "127"],
@@ -255,6 +263,9 @@ GOLDEN_TEXT = {
     "cli_gf2_subspaces_p7": ["gf2", "subspaces", "--p", "7"],
     "cli_gf2_subspaces_p31": ["gf2", "subspaces", "--p", "31"],
     "cli_verify_prop515": ["verify", "--name", "prop515"],
+    "cli_rootsys_table_rank8": ["rootsys-table", "--max-rank", "8"],
+    "cli_rootsys_table_rank8_json": ["--format", "json", "rootsys-table", "--max-rank", "8"],
+    "cli_rdim_table_n10": ["rdim-table", "--max-n", "10"],
 }
 
 
@@ -302,6 +313,11 @@ def _write(path, obj):
 ONE_GENERATOR = group_to_json(1, [IntMatrix.from_rows([(-1,)])])
 
 
+def _swap_with_entries(entries):
+    """A one-generator group file in dimension 2 whose generator has the given JSON entries."""
+    return {"dim": 2, "generators": [{"rows": 2, "cols": 2, "entries": entries}]}
+
+
 def _family_without_scan():
     data = groupdata.load_data()
     del data["families"][0]["scan"]
@@ -344,8 +360,20 @@ BAD_INPUTS = {
         "--data", _write(d / "f.json", _first_family_with(order_formula=None)), "verify", "--name", "almost-simple"
     ],
     "verify qcap 0": lambda d: ["verify", "--name", "almost-simple", "--qcap", "0"],
-    "bounds qcap 1": lambda d: ["bounds", "almost-simple", "--qcap", "1"],
+    "verify qcap 1": lambda d: ["verify", "--name", "almost-simple", "--qcap", "1"],
+    # caps that leave a family unscanned: n_min 3 for L_n(q), q >= 27 for 2G_2
+    "verify ncap 0": lambda d: ["verify", "--name", "almost-simple", "--ncap", "0"],
+    "verify qcap 20": lambda d: ["verify", "--name", "almost-simple", "--qcap", "20"],
     "rdim max n 0": lambda d: ["rdim-table", "--max-n", "0"],
+    # file values read as integers: a float or a boolean is not truncated
+    "float generator entry": lambda d: ["symrank", "--group", _write(d / "g.json", _swap_with_entries([0, 1.9, 1, 0]))],
+    "boolean generator entry": lambda d: [
+        "symrank", "--group", _write(d / "g.json", _swap_with_entries([0, 1, True, 0]))
+    ],
+    "float dim": lambda d: ["symrank", "--group", _write(d / "g.json", dict(ONE_GENERATOR, dim=1.5))],
+    "float gram entry": lambda d: [
+        "theta", "--gram", _write(d / "m.json", {"rows": 2, "cols": 2, "entries": ["2", "-1", "-1", 2.5]})
+    ],
 }
 
 
@@ -457,6 +485,7 @@ USAGE_ERRORS = {
     "max-rank not an integer": ["rootsys-table", "--max-rank", "abc"],
     "unknown command": ["no-such-command"],
     "factor-xp1 without --p": ["gf2", "factor-xp1"],
+    "bounds almost-simple": ["bounds", "almost-simple"],
 }
 
 
@@ -467,6 +496,23 @@ def test_usage_errors_are_one_line_and_exit_5(case):
     assert proc.returncode == EXIT_INPUT_ERROR == 5
     assert proc.stdout == b""
     assert len(err.splitlines()) == 1 and err.startswith("input error: ")
+
+
+def test_closed_stdout_ends_quietly():
+    """A reader that closes the pipe after one line (``| head -1``) is not an input error.
+
+    The 131 kB of ``gf2 subspaces --p 31`` exceed a pipe's buffer, so the
+    writer is still writing when the pipe closes.
+    """
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.Popen([sys.executable, "-m", "glattice", "gf2", "subspaces", "--p", "31"], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"subset")
+    proc.stdout.close()
+    rc = proc.wait(timeout=60)
+    with proc.stderr:
+        assert proc.stderr.read() == b""
+    assert rc == EXIT_CLOSED_STDOUT == 141
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["gf2", "factor-xp1", "--help"]], ids=["top level", "subcommand"])

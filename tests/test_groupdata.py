@@ -23,6 +23,16 @@ def test_scan_reproduces_remaining_cases():
         assert fam.matches_expected, (fam.name, fam.remaining, fam.expected_remaining)
 
 
+@pytest.mark.parametrize("q_cap", [4, 9, 27, 50])
+@pytest.mark.parametrize("n_cap", [0, 3, 5, 8])
+def test_scanned_families_match_expected_at_small_caps(q_cap, n_cap):
+    """A fixed-n family above n_cap has no scan point, as its expected list has no entry."""
+    rep = almost_simple_scan(DATA, q_cap=q_cap, n_cap=n_cap)
+    for fam in rep.families:
+        if fam.points_checked:
+            assert fam.matches_expected, (fam.name, fam.remaining, fam.expected_remaining)
+
+
 def test_sporadic_six():
     rep = almost_simple_scan(DATA, q_cap=4, n_cap=3)
     assert set(rep.sporadics.failing) == {"M23", "M24", "Co3", "Co2", "HS", "McL"}
@@ -131,6 +141,16 @@ def _drop(path):
     return edit
 
 
+def _set(path, value):
+    def edit(data):
+        *parents, key = path
+        for p in parents:
+            data = data[p]
+        data[key] = value
+
+    return edit
+
+
 def _rename_spot_check_family(data):
     data["aut_spot_checks"][0]["family"] = "no such family"
 
@@ -144,8 +164,12 @@ def _rename_spot_check_family(data):
         (_drop(["sporadics", 3, "rdim"]), "'rdim'"),
         (_drop(["aut_spot_checks", 0, "q"]), "'q'"),
         (_rename_spot_check_family, "'no such family'"),
+        (_set(["sporadics", 3, "aut_order"], 1.5e9), "aut_order"),
+        (_set(["sporadics", 3, "rdim"], True), "rdim"),
+        (_set(["aut_spot_checks", 0, "expected_aut"], 2.5), "expected_aut"),
     ],
-    ids=["families", "family field", "scan kind", "sporadic field", "spot check field", "spot check family"],
+    ids=["families", "family field", "scan kind", "sporadic field", "spot check field", "spot check family",
+         "float aut order", "boolean rdim", "float expected aut"],
 )
 def test_malformed_data_raises_value_error_naming_the_key(edit, named):
     data = json.loads(json.dumps(DATA))

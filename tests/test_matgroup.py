@@ -17,7 +17,7 @@ from glattice.matgroup import (
     closure,
     commutant_dimension,
     conjugate,
-    is_lattice_stable,
+    in_lattice_coordinates,
     orbit,
     stable_span,
 )
@@ -170,7 +170,6 @@ def test_stable_span_agrees_with_orbit_span():
 def test_restricted_action_preserves_orbit_sizes():
     """Orbit sizes agree between ambient and lattice coordinates."""
     from glattice.intmat import coordinates_in
-    from glattice.matgroup import in_lattice_coordinates
     from glattice.rootsys import lattice as named_lattice
 
     for fam, n in [("A", 2), ("B", 3), ("C", 3), ("D", 4)]:
@@ -232,11 +231,10 @@ def test_action_in_row_basis_rejects_dependent_rows(rows):
 
 @pytest.mark.parametrize("rows", [[(1, 0), (0, 2)], [(1, 0)]], ids=["full rank", "rank 1"])
 def test_action_in_row_basis_rejects_unstable_lattices(rows):
-    from glattice.matgroup import is_lattice_stable
-
     g = wgroup("A", 2)
     basis = IntMatrix.from_rows(rows)
-    assert not is_lattice_stable(g, hnf(basis))
+    with pytest.raises(NotGStable):
+        in_lattice_coordinates(g, hnf(basis))
     with pytest.raises(NotGStable):
         action_in_row_basis(g, basis)
 
@@ -374,7 +372,7 @@ def test_kernel_of_a_group_without_generators():
     assert g.images((1, -2, 3)) == ()
     assert orbit(g, (1, -2, 3)).elements == {(1, -2, 3)}
     assert stable_span(g, (0, 2, 0)) == hnf(IntMatrix.from_rows([(0, 2, 0)]))
-    assert is_lattice_stable(g, hnf(IntMatrix.from_rows([(1, 1, 0)])))
+    assert in_lattice_coordinates(g, hnf(IntMatrix.from_rows([(1, 1, 0)]))) == MatGroup.trivial(1)
     assert closure(g) == ({IntMatrix.identity(3).entries}, 1)
 
 

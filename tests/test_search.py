@@ -53,6 +53,14 @@ def test_not_g_stable():
         symrank_search(shear_fixed, sub, radius=1)
 
 
+def test_rank_zero_lattice_is_checked_against_the_group():
+    """The rank-0 shortcut comes after the lattice check, so a wrong ambient dimension still fails."""
+    g = MatGroup.trivial(2)
+    assert symrank_search(g, hnf_from_rows([], 2), radius=1).upper_bound == 0
+    with pytest.raises(ValueError, match="dimension"):
+        symrank_search(g, hnf_from_rows([], 3), radius=1)
+
+
 def test_witness_union_is_g_stable_and_spans():
     a3 = build(RootSystemSpec("A", 3))
     g = a3.matgroup()
