@@ -159,6 +159,27 @@ class CyclotomicFactorization:
         return GF2Poly((1 << self.p) | 1) // self.factors[i]
 
 
+def _trace_signature(f: GF2Poly, p: int, cosets) -> tuple[int, ...]:
+    """(theta_D mod f)_D for a factor f of x^p + 1, with no polynomial division.
+
+    x^c mod f for c = 0 .. p - 1 is tabulated by shift-and-reduce (x^p is 1
+    mod f, so no larger power occurs), and theta_D mod f is the XOR of the
+    entries at the exponents in D.
+    """
+    top, bits = 1 << f.degree, f.bits
+    powers = [1] * p
+    for c in range(1, p):
+        r = powers[c - 1] << 1
+        powers[c] = r ^ bits if r & top else r
+    out = []
+    for coset in cosets:
+        acc = 0
+        for c in coset:
+            acc ^= powers[c]
+        out.append(acc)
+    return tuple(out)
+
+
 def factor_xp_minus_1(p: int) -> CyclotomicFactorization:
     """Deterministic factorization of x^p - 1 over GF(2), coset-labelled.
 
@@ -189,7 +210,7 @@ def factor_xp_minus_1(p: int) -> CyclotomicFactorization:
         raise AssertionError("nontrivial factor of unexpected degree")
     if len(cosets) != len(raw):
         raise AssertionError("coset count does not match factor count")
-    signature = {f: tuple((theta % f).bits for theta in thetas) for f in raw}
+    signature = {f: _trace_signature(f, p, cosets) for f in raw}
     by_signature = {s: f for f, s in signature.items()}
     if len(by_signature) != len(raw):
         raise AssertionError("two factors share a trace signature")

@@ -56,15 +56,22 @@ def _int_field(record, key: str, what: str) -> int:
         raise ValueError(f"{what} field {key!r}: {e}") from None
 
 
-def _is_positive_int(value) -> bool:
-    return type(value) is int and value >= 1
+def _positive_int(value) -> int:
+    """:func:`serialize.int_from_json` of value, or a ValueError unless it is at least 1."""
+    out = int_from_json(value)
+    if out < 1:
+        raise ValueError(f"{value!r} is not positive")
+    return out
 
 
 def _n_q(n, q, what: str, null_n: bool) -> tuple[int | None, int]:
-    """(n, q), or a ValueError unless both are positive ints (n may be null if null_n)."""
-    if not (null_n and n is None or _is_positive_int(n)) or not _is_positive_int(q):
-        raise ValueError(f"{what} has n = {n!r}, q = {q!r}; each must be a positive integer" + (" (n may be null)" if null_n else ""))
-    return n, q
+    """(n, q) as ints, or a ValueError unless both are positive integers (n may be null if null_n)."""
+    try:
+        return (None if null_n and n is None else _positive_int(n)), _positive_int(q)
+    except ValueError:
+        raise ValueError(
+            f"{what} has n = {n!r}, q = {q!r}; each must be a positive integer" + (" (n may be null)" if null_n else "")
+        ) from None
 
 
 def _psu_order(n: int, q: int) -> int:
@@ -198,14 +205,33 @@ _SCAN_INTS = ("q_max", "q_min", "q_coprime_to", "q_divisible_by", "q_odd_power_o
 _SCAN_LISTS = ("q_mod4", "q_in", "q_not_in", "exclude")
 
 
+def _scan_list_entry(key: str, entry):
+    """An entry of a scan list field as an int, or as an [n, q] pair of ints for ``exclude``."""
+    if key != "exclude":
+        return int_from_json(entry)
+    if type(entry) is not list or len(entry) != 2:
+        raise ValueError
+    return list(map(int_from_json, entry))
+
+
 def _check_scan(name: str, scan) -> dict:
-    """scan, or a ValueError naming a numeric field that is not a positive int or a set field that is not a list."""
+    """scan with its numeric fields and list entries as ints, or a ValueError naming
+    a numeric field that is not a positive integer or a list field that is not a
+    list of integers (of [n, q] pairs for ``exclude``)."""
     if not isinstance(scan, dict):
         raise ValueError(f"{name} scan is not an object")
+    checked = dict(scan)
     for key, value in scan.items():
-        if key in _SCAN_INTS and not _is_positive_int(value) or key in _SCAN_LISTS and type(value) is not list:
-            raise ValueError(f"{name} scan field {key!r} is malformed: {value!r}")
-    return scan
+        try:
+            if key in _SCAN_INTS:
+                checked[key] = _positive_int(value)
+            elif key in _SCAN_LISTS:
+                if type(value) is not list:
+                    raise ValueError
+                checked[key] = [_scan_list_entry(key, entry) for entry in value]
+        except ValueError:
+            raise ValueError(f"{name} scan field {key!r} is malformed: {value!r}") from None
+    return checked
 
 
 @dataclass(frozen=True)

@@ -98,26 +98,39 @@ def _rows_terms(h: IntMatrix) -> tuple:
     return tuple(tuple((j, h[i, j]) for j in range(h.cols) if h[i, j]) for i in range(h.rows))
 
 
-def _compile_images(dim: int, gens: tuple) -> Callable[[tuple], tuple]:
+def _compile_images(dim: int, gens: tuple, modulus: int | None = None) -> Callable[[tuple], tuple]:
     """The one generator-action kernel: v -> (h_1 v, ..., h_k v) as tuples.
 
     gens holds, per generator, per output coordinate i, the (j, c) pairs
     with (h v)[i] = sum c v[j], as :func:`_rows_terms` builds them.  The
     function is compiled once from generated source, so an image costs one
     tuple display of sums instead of a loop over entries, and an identity
-    row is a plain copy of v[i].  The source holds only ``int`` literals
-    and the local names ``v``, ``v0``, ``v1``, ...: ``IntMatrix`` coerces
-    every entry with ``int()``, so a coefficient prints as decimal digits,
-    and no other input text reaches the source.  Each kernel gets its own
-    file name, ``<matgroup images #N>``, so profiles and tracebacks tell
-    kernels apart.
+    row is a plain copy of v[i].
+
+    With a modulus m >= 1 the kernel gives the images reduced mod m, each
+    entry in [0, m): the coefficients are reduced mod m first, those that
+    vanish are dropped, and each entry is ``(<sum>) % m``.  Since reduction
+    mod m commutes with integer matrices, this is the action on (Z/m)^n,
+    for any integer representatives v.
+
+    The source holds only ``int`` literals and the local names ``v``,
+    ``v0``, ``v1``, ...: ``IntMatrix`` coerces every entry with ``int()``,
+    a coefficient or modulus prints as decimal digits, and no other input
+    text reaches the source.  Each kernel gets its own file name,
+    ``<matgroup images #N>``, so profiles and tracebacks tell kernels
+    apart.
     """
     def tup(items) -> str:
         return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
 
     def entry(terms) -> str:
+        if modulus is not None:
+            terms = [(j, c % modulus) for j, c in terms if c % modulus]
         signed = [("-" if c < 0 else "+") + (f"v{j}" if abs(c) == 1 else f"{abs(c)}*v{j}") for j, c in terms]
-        return " ".join(signed).lstrip("+") or "0"
+        total = " ".join(signed).lstrip("+")
+        if modulus is not None and total:
+            return f"({total}) % {int(modulus)}"
+        return total or "0"
 
     body = tup([tup([entry(row) for row in rows]) for rows in gens])
     source = f"def images(v):\n    {tup([f'v{j}' for j in range(dim)])} = v\n    return {body}\n"

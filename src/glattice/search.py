@@ -24,19 +24,21 @@ Most box vectors never start a BFS, by an exact lower bound on their
 orbit size.  Reduction mod m commutes with every integer matrix, so the
 orbit of v maps onto the orbit of v mod m in (Z/m)^r and
 |orbit(v)| >= |orbit(v mod m)|.  With m = ``RESIDUE_MODULUS`` = 3 the
-orbit sizes of all 3^r classes come from one table per search, one
-kernel call per class; 3 <= 2 * radius + 1, so the table never has more
-entries than the box.  After the basis vectors, only the box vectors in
-classes whose size is at most the cap are listed, class by class, then
-sorted into ``_box`` order, and each is checked again against the cap in
-force when it is reached.  A box vector that is not listed or fails the
-check has an orbit over the cap at that point, and the cap never rises,
-so a BFS from it would be abandoned.  The records, their count and the
-witness are those of visiting the whole box: an orbit is kept exactly
-when its size is at most the cap at its first box vector in ``_box``
-order, and that vector is listed and passes the check.  Over the 14 Weyl
-lattices of rank 5 and 6 at radius 2, BFS starts fall from 16,183 to
-1,050 and vectors visited from 168,115 to 25,558.  When no class is over
+orbit sizes of all 3^r classes come from one table per search, built by
+a BFS on the generators' compiled mod-m kernel (``_compile_images`` with
+a modulus), one kernel call per class; 3 <= 2 * radius + 1, so the table
+never has more entries than the box.  After the basis vectors, only the
+box vectors in classes whose size is at most the cap are listed, class
+by class, then sorted into ``_box`` order, and each is checked again
+against the cap in force when it is reached.  A box vector that is not
+listed or fails the check has an orbit over the cap at that point, and
+the cap never rises, so a BFS from it would be abandoned.  The records,
+their count and the witness are those of visiting the whole box: an
+orbit is kept exactly when its size is at most the cap at its first box
+vector in ``_box`` order, and that vector is listed and passes the
+check.  Over the 14 Weyl lattices of rank 5 and 6 at radius 2, BFS
+starts fall from 16,183 to 1,050 and vectors visited from 168,115 to
+25,558.  When no class is over
 the cap, as for the trivial group, {+-I} or a coordinate swap, the whole
 box is walked as it is generated, with no sort.
 
@@ -66,7 +68,9 @@ from .intmat import IntMatrix, IntVector, LatticeBasis, _hnf_insert, as_vector, 
 from .matgroup import (
     DEFAULT_CAP,
     MatGroup,
+    _compile_images,
     _orbit_bfs,
+    _rows_terms,
     in_lattice_coordinates,
     orbit,
     stable_span,
@@ -101,7 +105,8 @@ RESIDUE_MODULUS = 3  # m in |orbit(v)| >= |orbit(v mod m)|; 3 <= 2 * radius + 1,
 
 def _rep_key(t: tuple[int, ...]):
     """Canonical niceness order: small sup-norm, small entries, positive signs."""
-    return (max(map(abs, t)), tuple(map(abs, t)), tuple(-x for x in t))
+    a = tuple(map(abs, t))
+    return (max(a), a, tuple(map(neg, t)))
 
 
 def _box(r: int, radius: int):
@@ -121,17 +126,13 @@ def _residue_orbit_sizes(gl: MatGroup) -> dict[tuple[int, ...], int]:
     """The orbit size of every class c of (Z/m)^r under gl reduced mod m.
 
     m is ``RESIDUE_MODULUS``.  Classes are written with entries in
-    [0, m); the classes are visited orbit by orbit, so the kernel runs once
-    per class.  Reduction mod m commutes with every integer matrix, so the
-    orbit of v maps onto the orbit of its class and
-    ``sizes[v mod m] <= |orbit(v)|``.
+    [0, m); the classes are visited orbit by orbit, so the mod-m kernel
+    from :func:`_compile_images` runs once per class.  Reduction mod m
+    commutes with every integer matrix, so the orbit of v maps onto the
+    orbit of its class and ``sizes[v mod m] <= |orbit(v)|``.
     """
     m = RESIDUE_MODULUS
-    mod = m.__rmod__  # x -> x % m
-
-    def images(c):
-        return [tuple(map(mod, w)) for w in gl.images(c)]
-
+    images = _compile_images(gl.dim, tuple(map(_rows_terms, gl.generators)), m)
     sizes: dict[tuple[int, ...], int] = {}
     for c in itertools.product(range(m), repeat=gl.dim):
         if c not in sizes:

@@ -386,6 +386,11 @@ def test_bad_input_is_one_line_and_exit_5(case, tmp_path, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("input error: ")
 
 
+def test_spot_check_q_as_a_decimal_string_is_accepted(tmp_path):
+    data = _write(tmp_path / "f.json", _first_spot_check_with(q="2"))
+    assert run(["--data", data, "verify", "--name", "almost-simple"]) == run(["verify", "--name", "almost-simple"])
+
+
 def test_assertion_error_is_not_an_input_error(monkeypatch):
     def broken(*args):
         raise AssertionError("internal invariant")
@@ -463,6 +468,15 @@ RAISED_INPUT_ERRORS = {
     "spot check n not an integer": lambda d: [
         "--data", _write(d / "f.json", _first_spot_check_with(n="x")), "verify", "--name", "almost-simple",
     ],
+    "spot check q a float": lambda d: [
+        "--data", _write(d / "f.json", _first_spot_check_with(q=2.0)), "verify", "--name", "almost-simple",
+    ],
+    "spot check q a boolean": lambda d: [
+        "--data", _write(d / "f.json", _first_spot_check_with(q=True)), "verify", "--name", "almost-simple",
+    ],
+    "spot check q the string 0": lambda d: [
+        "--data", _write(d / "f.json", _first_spot_check_with(q="0")), "verify", "--name", "almost-simple",
+    ],
     "expected remaining case not a pair": lambda d: [
         "--data", _write(d / "f.json", _first_family_with(expected_remaining=[[5]])),
         "verify", "--name", "almost-simple",
@@ -520,3 +534,4 @@ def test_help_still_exits_0(argv):
     proc = _cli([], argv)
     assert proc.returncode == EXIT_OK
     assert proc.stdout.startswith(b"usage: glattice") and proc.stderr == b""
+

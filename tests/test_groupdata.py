@@ -167,9 +167,14 @@ def _rename_spot_check_family(data):
         (_set(["sporadics", 3, "aut_order"], 1.5e9), "aut_order"),
         (_set(["sporadics", 3, "rdim"], True), "rdim"),
         (_set(["aut_spot_checks", 0, "expected_aut"], 2.5), "expected_aut"),
+        (_set(["families", 10, "scan", "q_not_in"], ["x"]), "q_not_in"),
+        (_set(["families", 0, "scan", "q_mod4"], [1.0]), "q_mod4"),
+        (_set(["families", 23, "scan", "exclude"], [[2]]), "exclude"),
+        (_set(["families", 23, "scan", "exclude"], [2, 2]), "exclude"),
     ],
     ids=["families", "family field", "scan kind", "sporadic field", "spot check field", "spot check family",
-         "float aut order", "boolean rdim", "float expected aut"],
+         "float aut order", "boolean rdim", "float expected aut", "string in q_not_in", "float in q_mod4",
+         "short exclude pair", "exclude entry not a pair"],
 )
 def test_malformed_data_raises_value_error_naming_the_key(edit, named):
     data = json.loads(json.dumps(DATA))
@@ -177,3 +182,27 @@ def test_malformed_data_raises_value_error_naming_the_key(edit, named):
     with pytest.raises(ValueError, match=named):
         almost_simple_scan(data, q_cap=8, n_cap=4)
         aut_spot_checks(data)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _set(["aut_spot_checks", 0, "q"], "2"),
+        _set(["aut_spot_checks", 0, "n"], "5"),
+        _set(["families", 3, "scan", "n_min"], "3"),
+        _set(["families", 4, "scan", "q_max"], "3"),
+        _set(["families", 3, "expected_remaining", 0], ["5", "2"]),
+        _set(["families", 0, "scan", "q_mod4"], ["1"]),
+        _set(["families", 10, "scan", "q_not_in"], ["5"]),
+        _set(["families", 11, "scan", "q_in"], ["2", 3, "5"]),
+        _set(["families", 23, "scan", "exclude"], [["2", "2"]]),
+    ],
+    ids=["spot check q", "spot check n", "scan n_min", "scan q_max", "expected remaining pair",
+         "scan q_mod4", "scan q_not_in", "scan q_in", "scan exclude"],
+)
+def test_decimal_strings_read_as_the_integers_they_spell(edit):
+    """Every integer of a data file follows serialize.int_from_json: a decimal string is read as its int."""
+    data = json.loads(json.dumps(DATA))
+    edit(data)
+    assert almost_simple_scan(data, q_cap=32, n_cap=8) == almost_simple_scan(DATA, q_cap=32, n_cap=8)
+    assert aut_spot_checks(data) == aut_spot_checks(DATA)

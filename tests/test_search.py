@@ -9,7 +9,15 @@ from hypothesis import strategies as st
 
 from glattice.errors import CapExceeded, NotGStable, NotInLattice
 from glattice.intmat import IntMatrix, full_lattice, hnf_from_rows, unit_vector
-from glattice.matgroup import DEFAULT_CAP, MatGroup, conjugate, in_lattice_coordinates, orbit
+from glattice.matgroup import (
+    DEFAULT_CAP,
+    MatGroup,
+    _compile_images,
+    _rows_terms,
+    conjugate,
+    in_lattice_coordinates,
+    orbit,
+)
 from glattice import search
 from glattice.rootsys import RootSystemSpec, build, expected_symrank, lattice, weyl_symrank_table
 from glattice.search import (
@@ -430,3 +438,28 @@ def test_residue_orbit_sizes_equal_a_plain_bfs_mod_3_and_bound_the_orbit(g, data
     vectors = st.tuples(*[st.integers(-4, 4)] * g.dim)
     for v in data.draw(st.lists(vectors, min_size=1, max_size=4)):
         assert sizes[tuple(x % m for x in v)] <= len(bfs_orbit(g.generators, v))
+
+
+def _assert_mod_kernel_reduces(g, m, vectors):
+    """The mod-m kernel of g equals its integer kernel reduced mod m, and holds no unreduced coefficient."""
+    kernel = _compile_images(g.dim, tuple(map(_rows_terms, g.generators)), m)
+    # literals: reduced coefficients 2 .. m - 1, the modulus, 0 for a vanishing entry
+    assert {k for k in kernel.__code__.co_consts if type(k) is int} <= {0, *range(2, m + 1)}
+    for v in vectors:
+        assert kernel(v) == tuple(tuple(x % m for x in w) for w in g.images(v))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_conjugated_groups(), st.sampled_from([2, 3, 5]), st.data())
+def test_mod_m_kernel_equals_the_integer_kernel_reduced_mod_m(g, m, data):
+    vectors = st.tuples(*[st.integers(-(2**70), 2**70)] * g.dim)
+    _assert_mod_kernel_reduces(g, m, data.draw(st.lists(vectors, min_size=1, max_size=4)))
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_mod_m_kernel_without_generators_and_in_dimension_one(m):
+    neg = IntMatrix.from_rows([(-1,)])
+    for g in (MatGroup.trivial(3), MatGroup.trivial(1), MatGroup(1, [neg]), MatGroup(1, [IntMatrix.identity(1), neg])):
+        _assert_mod_kernel_reduces(g, m, [(x,) * g.dim for x in (-7, -1, 0, 1, 4, 2**70)])
+    # every coefficient vanishes mod m: the entry is the literal 0
+    assert _compile_images(2, ((((0, m), (1, -2 * m)), ((1, 1),)),), m)((5, 7)) == ((0, 7 % m),)
