@@ -5,11 +5,14 @@ Every command is deterministic (there is no randomized mode).  Exit codes:
   0    all comparisons pass
   2    fixture mismatch
   3    missing external data
-  4    cap exceeded
+  4    cap exceeded: an orbit, closure or short-vector enumeration grew
+       past --cap, a ``symrank`` search box holds more than --cap vectors
+       ((2 * radius + 1)^rank - 1), or a subset table grew past its cap
   5    input error: the command line does not parse, a file is missing or
        malformed (a data record may also name a formula with no evaluator,
-       and a file value read as an integer must be a JSON integer or a
-       decimal string, not a float or a boolean), an argument is out of
+       a scan may hold an unknown key or an unknown kind or parity, and a
+       file value read as an integer must be a JSON integer or a decimal
+       string, not a float or a boolean), an argument is out of
        range or not an odd prime (``verify --name almost-simple`` also
        rejects a --qcap or --ncap that leaves some family with no scan
        point), a generator is not unimodular, the lattice is not kept by

@@ -203,6 +203,7 @@ def load_data(path: str | None = None) -> dict:
 
 _SCAN_INTS = ("q_max", "q_min", "q_coprime_to", "q_divisible_by", "q_odd_power_of", "n_min", "fixed_n")
 _SCAN_LISTS = ("q_mod4", "q_in", "q_not_in", "exclude")
+_SCAN_WORDS = {"kind": ("q", "nq"), "q_parity": ("odd", "even"), "n_parity": ("odd", "even")}
 
 
 def _scan_list_entry(key: str, entry):
@@ -216,12 +217,15 @@ def _scan_list_entry(key: str, entry):
 
 def _check_scan(name: str, scan) -> dict:
     """scan with its numeric fields and list entries as ints, or a ValueError naming
-    a numeric field that is not a positive integer or a list field that is not a
-    list of integers (of [n, q] pairs for ``exclude``)."""
+    a field that :meth:`FamilyRecord.points` does not read, a numeric field that is
+    not a positive integer, a list field that is not a list of integers (of [n, q]
+    pairs for ``exclude``), or a ``kind`` or parity that is not one of its words."""
     if not isinstance(scan, dict):
         raise ValueError(f"{name} scan is not an object")
     checked = dict(scan)
     for key, value in scan.items():
+        if key not in _SCAN_INTS and key not in _SCAN_LISTS and key not in _SCAN_WORDS:
+            raise ValueError(f"{name} scan has an unknown field {key!r}")
         try:
             if key in _SCAN_INTS:
                 checked[key] = _positive_int(value)
@@ -229,6 +233,8 @@ def _check_scan(name: str, scan) -> dict:
                 if type(value) is not list:
                     raise ValueError
                 checked[key] = [_scan_list_entry(key, entry) for entry in value]
+            elif value not in _SCAN_WORDS[key]:
+                raise ValueError
         except ValueError:
             raise ValueError(f"{name} scan field {key!r} is malformed: {value!r}") from None
     return checked

@@ -31,7 +31,7 @@ from .intmat import (
     hnf_from_rows,
 )
 
-DEFAULT_CAP = 10**7  # every enumeration cap: orbits, closures, short vectors
+DEFAULT_CAP = 10**7  # every enumeration cap: search boxes, orbits, closures, short vectors
 _KERNEL_IDS = count(1)  # numbers the file names of compiled kernels
 
 
@@ -171,8 +171,7 @@ def _group_closure(kernels, identity: tuple, cap: int) -> tuple[set, bool]:
     j <= i, the coset H r t_j is new exactly when its rep r t_j is new;
     then the whole coset is t_j applied to the listed coset H r, with no
     membership test per element.  Once every rep is handled the set is
-    closed under all t_j, so it is the group.  t_i is skipped when it
-    already lies in H.
+    closed under all t_j, so it is the group.
 
     Returns the set reached and whether it is the whole group.  The
     listing stops early, incomplete, before a coset would make the set
@@ -181,9 +180,7 @@ def _group_closure(kernels, identity: tuple, cap: int) -> tuple[set, bool]:
     """
     elements = [identity]
     seen = {identity}
-    for i, kernel in enumerate(kernels):
-        if kernel(identity)[0] in seen:
-            continue
+    for i in range(len(kernels)):
         gens = kernels[: i + 1]
         m = len(elements)
         k = 0

@@ -29,18 +29,21 @@ a BFS on the generators' compiled mod-m kernel (``_compile_images`` with
 a modulus), one kernel call per class; 3 <= 2 * radius + 1, so the table
 never has more entries than the box.  After the basis vectors, only the
 box vectors in classes whose size is at most the cap are listed, class
-by class, then sorted into ``_box`` order, and each is checked again
-against the cap in force when it is reached.  A box vector that is not
-listed or fails the check has an orbit over the cap at that point, and
-the cap never rises, so a BFS from it would be abandoned.  The records,
-their count and the witness are those of visiting the whole box: an
-orbit is kept exactly when its size is at most the cap at its first box
-vector in ``_box`` order, and that vector is listed and passes the
-check.  Over the 14 Weyl lattices of rank 5 and 6 at radius 2, BFS
-starts fall from 16,183 to 1,050 and vectors visited from 168,115 to
-25,558.  When no class is over
-the cap, as for the trivial group, {+-I} or a coordinate swap, the whole
-box is walked as it is generated, with no sort.
+by class, then sorted into ``_box`` order.  The listing is filtered
+once, against the cap at listing time.  A box vector that is not listed
+has an orbit over that cap, and the cap never rises, so a BFS from it
+would be abandoned.  A listed vector whose class is over a cap that fell
+later starts a BFS under the running cap, and that BFS is abandoned.
+The records, their count and the witness are those of visiting the whole
+box: an orbit is kept exactly when its size is at most the cap at its
+first box vector in ``_box`` order.  Over the 14 Weyl lattices of rank 5
+and 6 at radius 2, BFS starts fall from 16,183 to 1,050 and vectors
+visited from 168,115 to 25,558.  When no class is over the cap, as for
+the trivial group, {+-I} or a coordinate swap, the whole box is walked
+as it is generated, with no sort.
+
+The box holds (2B + 1)^rank - 1 vectors, and a box larger than the
+orbit cap raises ``CapExceeded`` before any vector is listed.
 
 Orbits are ordered by (size, canonical representative) and the search
 returns the first minimum it finds in that record order, so results are
@@ -52,10 +55,9 @@ done.)
 
 The depth-first search carries each partial span as canonical HNF rows
 and adds an orbit by inserting its span's rows one at a time.  It stops
-a branch by three prunes: size per unit of rank (no completion can be
-strictly cheaper than the incumbent), suffix span (the remaining orbits
-cannot complete the span) and no progress (an orbit that leaves the span
-unchanged is never chosen).
+a branch by two prunes: size per unit of rank (no completion can be
+strictly cheaper than the incumbent) and no progress (an orbit that
+leaves the span unchanged is never chosen).
 """
 from __future__ import annotations
 
@@ -141,27 +143,28 @@ def _residue_orbit_sizes(gl: MatGroup) -> dict[tuple[int, ...], int]:
     return sizes
 
 
-def _listed_box(r: int, radius: int, sizes: dict[tuple[int, ...], int], cap: int) -> list:
-    """(v, b) for the box vectors v whose class allows an orbit within cap, in ``_rep_key`` order.
+def _listed_box(r: int, radius: int, sizes: dict[tuple[int, ...], int], cap: int) -> list[tuple[int, ...]]:
+    """The box vectors whose class allows an orbit within cap, in ``_rep_key`` order.
 
-    b is a lower bound on the size of the orbit of v: its class's entry of
-    ``sizes``, or 1 when no class is over the cap and the whole box is
-    listed, already in order, by ``_box``.  Otherwise the vectors are
-    listed class by class, each coordinate from the x in [-radius, radius]
-    with x = c_i (mod m), and sorted.
+    When no class is over the cap the whole box is listed, already in
+    order, by ``_box``.  Otherwise the vectors are listed class by class,
+    each coordinate from the x in [-radius, radius] with x = c_i (mod m),
+    and sorted.  The listing is filtered once, against the cap at listing
+    time.
     """
     if max(sizes.values()) <= cap:
-        return [(v, 1) for v in _box(r, radius)]
+        return list(_box(r, radius))
     m = RESIDUE_MODULUS
     by_residue = [[x for x in range(-radius, radius + 1) if x % m == c] for c in range(m)]
-    keyed = sorted(
-        (_rep_key(v), v, s)
+    listed = [
+        v
         for c, s in sizes.items()
         if s <= cap
         for v in itertools.product(*map(by_residue.__getitem__, c))
         if any(v)
-    )
-    return [(v, s) for _, v, s in keyed]
+    ]
+    listed.sort(key=_rep_key)
+    return listed
 
 
 def _orbit_records(gl: MatGroup, radius: int, orbit_cap: int) -> list[_OrbitRecord]:
@@ -182,9 +185,10 @@ def _orbit_records(gl: MatGroup, radius: int, orbit_cap: int) -> list[_OrbitReco
     distinct orbits, whose union spans.
 
     A box vector whose class mod ``RESIDUE_MODULUS`` has an orbit over the
-    cap is never listed, and a listed one is skipped, with no BFS, once
-    the cap falls below its class's orbit size: its own orbit is at least
-    as large (see the module docstring).
+    cap at listing time is never listed: its own orbit is at least as
+    large (see the module docstring).  A listed vector is not checked
+    again when the cap falls; if its orbit is over the running cap, its
+    BFS is abandoned.
 
     Generator BFS in a finite group reaches only vectors of the start's
     orbit, and orbits are disjoint, so a BFS never reaches a vector of an
@@ -233,9 +237,9 @@ def _orbit_records(gl: MatGroup, radius: int, orbit_cap: int) -> list[_OrbitReco
         incumbent = sum(rec.size for rec in records)
     cap = min(orbit_cap, incumbent)
     listed = _listed_box(r, radius, _residue_orbit_sizes(gl), cap)
-    listed_set = {v for v, _ in listed}
-    for v, bound in listed:
-        if bound > cap or v in seen:
+    listed_set = set(listed)
+    for v in listed:
+        if v in seen:
             continue
         if build(v, cap, listed_set.intersection):
             cap = min(orbit_cap, incumbent)
@@ -249,11 +253,18 @@ def symrank_search(
     radius: int = 3,
     orbit_cap: int = DEFAULT_CAP,
 ) -> SymrankResult:
-    """Minimal total size of a spanning union of orbits within the box."""
+    """Minimal total size of a spanning union of orbits within the box.
+
+    orbit_cap bounds every enumeration of the search: the box, each orbit
+    BFS and the witness re-verification.  A box of more than orbit_cap
+    vectors raises ``CapExceeded("box", orbit_cap)`` before any is listed.
+    """
     if radius < 1:
         raise ValueError("radius must be at least 1")
     gl = in_lattice_coordinates(g, l)  # NotGStable unless g keeps l
     r = l.rank
+    if (2 * radius + 1) ** r - 1 > orbit_cap:
+        raise CapExceeded("box", orbit_cap)
     if r == 0:
         return SymrankResult(0, (), 0, "exact_within_bound", radius, 0)
     records = _orbit_records(gl, radius, orbit_cap)
@@ -264,12 +275,9 @@ def symrank_search(
             span = _hnf_insert(span, row)
         return span
 
-    suffix_spans: list[tuple[tuple[int, ...], ...]] = [()] * (len(records) + 1)
-    for i in range(len(records) - 1, -1, -1):
-        suffix_spans[i] = insert(suffix_spans[i + 1], records[i].span_rows)
     # basis coefficient vectors are inside every box with radius >= 1, so a
     # spanning selection always exists
-    if suffix_spans[0] != full_rows:
+    if insert((), (row for rec in records for row in rec.span_rows)) != full_rows:
         raise AssertionError("box orbits fail to span their own lattice")
     # suffix_rate[i] = (a, b): a/b is the least size per unit of rank,
     # s_j / k_j, over records j >= i; an orbit of size s_j whose span has
@@ -285,15 +293,12 @@ def symrank_search(
     best_size = None
     best_reps: tuple[tuple[int, ...], ...] | None = None
 
-    def consider(size: int, chosen: list[int]):
-        nonlocal best_size, best_reps
-        # the prunes in dfs let only strictly smaller selections get here
-        best_size = size
-        best_reps = tuple(sorted((records[i].rep for i in chosen), key=_rep_key))
-
     def dfs(i: int, size: int, span: tuple[tuple[int, ...], ...], chosen: list[int]):
+        nonlocal best_size, best_reps
         if span == full_rows:
-            consider(size, chosen)
+            # the prunes below let only strictly smaller selections get here
+            best_size = size
+            best_reps = tuple(sorted((records[j].rep for j in chosen), key=_rep_key))
             return
         if i == len(records):
             return
@@ -304,8 +309,6 @@ def symrank_search(
             a, b = suffix_rate[i]
             if size + records[i].size >= best_size or (r - len(span)) * a > (best_size - size - 1) * b:
                 return
-        if suffix_spans[i] != full_rows and insert(span, suffix_spans[i]) != full_rows:
-            return  # remaining orbits cannot complete the span
         rec = records[i]
         new_span = insert(span, rec.span_rows)
         if new_span != span:

@@ -234,6 +234,25 @@ def test_cap_exceeded_exit_code(tmp_path):
     assert rc == EXIT_CAP_EXCEEDED
 
 
+@pytest.mark.parametrize(
+    "gens, radius, cap, message",
+    [
+        # {+-I} on Z^3 at radius 3: 7^3 - 1 = 342 box vectors, each orbit of size 2
+        ([IntMatrix.diagonal([-1, -1, -1])], 3, 100, "box exceeded cap 100"),
+        # a shear: 8 box vectors, and the orbit of (0, 1) is infinite
+        ([IntMatrix.from_rows([(1, 1), (0, 1)])], 1, 30, "orbit exceeded cap 30"),
+    ],
+    ids=["box", "orbit"],
+)
+def test_symrank_cap_is_one_line_and_exit_4(gens, radius, cap, message, tmp_path, capsys):
+    gpath = tmp_path / "g.json"
+    gpath.write_text(json.dumps(group_to_json(gens[0].rows, gens)))
+    rc, out = run(["--cap", str(cap), "symrank", "--group", str(gpath), "--radius", str(radius)])
+    assert rc == EXIT_CAP_EXCEEDED == 4
+    assert out == ""
+    assert capsys.readouterr().err.splitlines() == [f"cap exceeded: {message}"]
+
+
 @pytest.mark.parametrize("argv", [["gf2", "subspaces", "--p", "127"], ["monomial", "classify", "--p", "127"]],
                          ids=["gf2 subspaces", "monomial classify"])
 def test_subset_cap_is_one_line_and_exit_4(argv, capsys):
@@ -358,6 +377,10 @@ BAD_INPUTS = {
     ],
     "family with a null order formula": lambda d: [
         "--data", _write(d / "f.json", _first_family_with(order_formula=None)), "verify", "--name", "almost-simple"
+    ],
+    "scan q_parity Odd": lambda d: [
+        "--data", _write(d / "f.json", _first_family_with(scan={"kind": "q", "q_min": 5, "q_parity": "Odd"})),
+        "verify", "--name", "almost-simple",
     ],
     "verify qcap 0": lambda d: ["verify", "--name", "almost-simple", "--qcap", "0"],
     "verify qcap 1": lambda d: ["verify", "--name", "almost-simple", "--qcap", "1"],

@@ -171,10 +171,15 @@ def _rename_spot_check_family(data):
         (_set(["families", 0, "scan", "q_mod4"], [1.0]), "q_mod4"),
         (_set(["families", 23, "scan", "exclude"], [[2]]), "exclude"),
         (_set(["families", 23, "scan", "exclude"], [2, 2]), "exclude"),
+        (_set(["families", 0, "scan", "kind"], "qn"), "'kind'"),
+        (_set(["families", 5, "scan", "q_parity"], "Odd"), "'q_parity'"),
+        (_set(["families", 12, "scan", "n_parity"], "evn"), "'n_parity'"),
+        (_set(["families", 4, "scan", "q_mx"], 3), "'q_mx'"),
     ],
     ids=["families", "family field", "scan kind", "sporadic field", "spot check field", "spot check family",
          "float aut order", "boolean rdim", "float expected aut", "string in q_not_in", "float in q_mod4",
-         "short exclude pair", "exclude entry not a pair"],
+         "short exclude pair", "exclude entry not a pair", "unknown kind", "capitalized q parity",
+         "misspelled n parity", "unknown scan key"],
 )
 def test_malformed_data_raises_value_error_naming_the_key(edit, named):
     data = json.loads(json.dumps(DATA))

@@ -13,6 +13,7 @@ from glattice.matgroup import (
     DEFAULT_CAP,
     MatGroup,
     _compile_images,
+    _orbit_bfs,
     _rows_terms,
     conjugate,
     in_lattice_coordinates,
@@ -278,6 +279,43 @@ def test_minus_identity_searches_are_pinned(n, radius, expected):
     assert (res.upper_bound, [w.entries for w in res.witness], res.orbit_count) == expected
 
 
+# Inputs where some branches of the search hold orbits whose spans, with
+# those of every later record, fall short of the lattice: the search walks
+# such branches to their leaves and must still return these minima.
+# Generators are rows acting on columns.
+PARTIAL_SPAN_SEARCHES = {
+    "Z2 sign": (2, 3, [[(1, 0), (0, 1)], [(1, 0), (0, -1)]], (3, [(0, 1), (1, 0)], 27)),
+    "Z3 sign and swap": (
+        3, 1, [[(-1, 0, 0), (0, -1, 0), (0, 0, 1)], [(0, 0, 1), (0, 1, 0), (1, 0, 0)]],
+        (6, [(0, 0, 1), (0, 1, 0)], 5),
+    ),
+    "Z4 signed permutations": (
+        4, 2,
+        [
+            [(1, 0, 0, 0), (0, 0, -1, 0), (0, 0, 0, 1), (0, 1, 0, 0)],
+            [(1, 0, 0, 0), (0, -1, 0, 0), (0, 0, 0, -1), (0, 0, -1, 0)],
+            [(1, 0, 0, 0), (0, 0, 0, -1), (0, -1, 0, 0), (0, 0, -1, 0)],
+        ],
+        (7, [(0, 0, 0, 1), (1, 0, 0, 0)], 14),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARTIAL_SPAN_SEARCHES))
+def test_partial_span_searches_are_pinned(name):
+    n, radius, gens, expected = PARTIAL_SPAN_SEARCHES[name]
+    res = symrank_search(MatGroup(n, [IntMatrix.from_rows(h) for h in gens]), full_lattice(n), radius=radius)
+    assert (res.upper_bound, [w.entries for w in res.witness], res.orbit_count) == expected
+
+
+def test_a_box_over_the_cap_raises_before_any_orbit_is_built():
+    """The trivial group on Z^3 at radius 3 has 7^3 - 1 = 342 box vectors, each its own orbit."""
+    with pytest.raises(CapExceeded) as exc:
+        symrank_search(MatGroup.trivial(3), full_lattice(3), radius=3, orbit_cap=341)
+    assert (exc.value.what, exc.value.cap) == ("box", 341)
+    assert symrank_search(MatGroup.trivial(3), full_lattice(3), radius=3, orbit_cap=342).upper_bound == 3
+
+
 @pytest.mark.parametrize("r, radius", [(r, radius) for r in range(1, 5) for radius in range(1, 4)])
 def test_box_is_generated_in_rep_key_order(r, radius):
     box = [c for c in itertools.product(range(-radius, radius + 1), repeat=r) if any(c)]
@@ -438,6 +476,26 @@ def test_residue_orbit_sizes_equal_a_plain_bfs_mod_3_and_bound_the_orbit(g, data
     vectors = st.tuples(*[st.integers(-4, 4)] * g.dim)
     for v in data.draw(st.lists(vectors, min_size=1, max_size=4)):
         assert sizes[tuple(x % m for x in v)] <= len(bfs_orbit(g.generators, v))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_conjugated_groups(), st.data())
+def test_orbit_bfs_stops_at_the_cap_or_the_stop_set(g, data):
+    """The orbit is complete exactly when it fits the cap and meets the stop set at most in its start."""
+    v = data.draw(st.tuples(*[st.integers(-2, 2)] * g.dim))
+    want = bfs_orbit(g.generators, v)
+    cap = data.draw(st.integers(1, len(want) + 1))
+    members = sorted(want)
+    stop = set(data.draw(st.lists(st.sampled_from(members), max_size=2)))
+    stop |= set(data.draw(st.lists(st.tuples(*[st.integers(-3, 3)] * g.dim), max_size=2)))
+    seen, complete = _orbit_bfs(g.images, v, cap, frozenset(stop))
+    assert complete == (len(want) <= cap and stop & want <= {v})
+    if complete:
+        assert seen == want
+    else:
+        assert seen < want and len(seen) <= cap
+        if not stop:
+            assert len(seen) == cap
 
 
 def _assert_mod_kernel_reduces(g, m, vectors):
