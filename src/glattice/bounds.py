@@ -198,6 +198,8 @@ def min_threshold(a: int, case: str, horizon: int = 10007) -> ThresholdReport:
 def mon_metacyclic_bound(p: int, ell: int, a: int) -> BoundVerdict:
     """Metacyclic-image bound: 2^{ell(p-1)/a + 1} p^2 (p-1) against 2^p."""
     _require_odd_prime(p)
+    if a < 1:
+        raise ValueError("a must be positive")
     if (p - 1) % a != 0:
         raise ValueError("a must divide p - 1")
     if not 0 <= ell <= a:

@@ -8,10 +8,13 @@ Every command is deterministic (there is no randomized mode).  Exit codes:
   4    cap exceeded: an orbit, closure or short-vector enumeration grew
        past --cap, a ``symrank`` search box holds more than --cap vectors
        ((2 * radius + 1)^rank - 1), or a subset table grew past its cap
-  5    input error: the command line does not parse, a file is missing or
+  5    input error: the command line does not parse (``symrank --mode``
+       takes only ``exact`` or ``orbit:v1,v2,...``), a file is missing or
        malformed (a data record may also name a formula with no evaluator,
-       a scan may hold an unknown key or an unknown kind or parity, and a
-       file value read as an integer must be a JSON integer or a decimal
+       a scan may hold an unknown key or an unknown kind or parity, a
+       name or formula id must be a JSON string, ``expected_fail`` a JSON
+       boolean, a sporadic group's ``aut_order`` and ``rdim`` positive, and
+       a file value read as an integer must be a JSON integer or a decimal
        string, not a float or a boolean), an argument is out of
        range or not an odd prime (``verify --name almost-simple`` also
        rejects a --qcap or --ncap that leaves some family with no scan
@@ -201,7 +204,7 @@ def _verify_low_dims(args, out) -> list:
         model = rootsys.build(spec)
         target = rootsys.lattice(model, b.witness_kind)
         row = next(r for r in rootsys.symrank_table_rows_for(model) if r.target == target)
-        ok, size = search.verify_orbit_generates(model.matgroup(), target.basis, row.witness)
+        ok, size = search.verify_orbit_generates(model.matgroup(), target.basis, row.witness, cap=args.cap)
         good = ok and size == b.value
         if not good:
             mismatches.append({"n": n, "expected": b.value, "got": size, "spans": ok})
@@ -229,7 +232,7 @@ def cmd_verify(args, out) -> list:
 
 
 def cmd_symrank(args, out) -> list:
-    dim, gens, gram, label = load_group_file(args.group)
+    dim, gens, _, label = load_group_file(args.group)
     grp = MatGroup(dim, gens, label=label)
     lat = full_lattice(dim) if args.lattice == "full" else hnf(load_matrix_file(args.lattice))
     mode = args.mode
@@ -246,15 +249,6 @@ def cmd_symrank(args, out) -> list:
         vec = tuple(int(x) for x in mode[len("orbit:") :].split(","))
         ok, size = search.verify_orbit_generates(grp, lat, vec, cap=args.cap)
         payload = {"generates": ok, "orbit_size": size, "vector": list(vec)}
-    elif mode == "diagonal-theta":
-        if gram is None:
-            raise MissingExternalData("diagonal-theta mode needs a gram matrix in the group file")
-        db = theta.diagonal_bound(theta.GramForm(gram), cap=args.cap)
-        payload = {
-            "upper_bound": db.bound,
-            "exactness": "upper_only",
-            "diagonal_norms": sorted(db.diagonal_norms),
-        }
     else:
         raise ValueError(f"unknown mode {mode!r}")
     print(json.dumps(payload, default=str), file=out)
@@ -360,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", required=True)
     p.add_argument("--lattice", default="full", help="matrix JSON file of basis rows, or 'full'")
     p.add_argument("--radius", type=int, default=3)
-    p.add_argument("--mode", default="exact", help="exact | orbit:v1,v2,... | diagonal-theta")
+    p.add_argument("--mode", default="exact", help="exact | orbit:v1,v2,...")
     p.set_defaults(run=cmd_symrank)
 
     p = sub.add_parser("theta", help="theta series coefficients of a Gram form")

@@ -150,7 +150,6 @@ class CyclotomicFactorization:
     """
 
     p: int
-    d: int
     factors: tuple[GF2Poly, ...]
     cosets: tuple[frozenset, ...]
 
@@ -229,7 +228,7 @@ def factor_xp_minus_1(p: int) -> CyclotomicFactorization:
         prod = prod * f
     if prod != total:
         raise AssertionError("factor product does not reconstitute x^p + 1")
-    return CyclotomicFactorization(p, d, factors, (frozenset({0}), *cosets))
+    return CyclotomicFactorization(p, factors, (frozenset({0}), *cosets))
 
 
 # --- mod-2 subspaces -------------------------------------------------------

@@ -47,21 +47,29 @@ def _field(record, key: str, what: str):
         raise ValueError(f"{what} has no {key!r} field") from None
 
 
-def _int_field(record, key: str, what: str) -> int:
-    """:func:`serialize.int_from_json` of record[key], or a ValueError naming the field."""
-    value = _field(record, key, what)
-    try:
-        return int_from_json(value)
-    except ValueError as e:
-        raise ValueError(f"{what} field {key!r}: {e}") from None
-
-
 def _positive_int(value) -> int:
     """:func:`serialize.int_from_json` of value, or a ValueError unless it is at least 1."""
     out = int_from_json(value)
     if out < 1:
         raise ValueError(f"{value!r} is not positive")
     return out
+
+
+def _positive_int_field(record, key: str, what: str) -> int:
+    """:func:`_positive_int` of record[key], or a ValueError naming the field."""
+    value = _field(record, key, what)
+    try:
+        return _positive_int(value)
+    except ValueError as e:
+        raise ValueError(f"{what} field {key!r}: {e}") from None
+
+
+def _typed_field(record, key: str, what: str, kind: type):
+    """record[key], or a ValueError naming the field unless it is a JSON value of type kind."""
+    value = _field(record, key, what)
+    if type(value) is not kind:
+        raise ValueError(f"{what} field {key!r} is not a JSON {'string' if kind is str else 'boolean'}: {value!r}")
+    return value
 
 
 def _n_q(n, q, what: str, null_n: bool) -> tuple[int | None, int]:
@@ -250,11 +258,12 @@ class FamilyRecord:
     dim_bound_formula: str
     bound_kind: str
     expected_remaining: tuple[tuple[int | None, int], ...]
-    note: str | None = None
 
-    def _resolve(self, registry: dict, key: str):
-        if key not in registry:
-            raise UnknownFormula(f"{self.name}: no evaluator for {key!r}")
+    def _resolve(self, registry: dict, field: str):
+        """The evaluator that the formula id in field names; UnknownFormula unless it is a string with one."""
+        key = getattr(self, field)
+        if type(key) is not str or key not in registry:
+            raise UnknownFormula(f"{self.name}: no evaluator for {field} {key!r}")
         return registry[key]
 
     def points(self, q_cap: int, n_cap: int):
@@ -296,31 +305,32 @@ class FamilyRecord:
                     yield (n, q, u, t)
 
     def simple_order(self, n, q, u, t) -> int:
-        return self._resolve(ORDER_FORMULAS, self.order_formula)(n, q, u, t)
+        return self._resolve(ORDER_FORMULAS, "order_formula")(n, q, u, t)
 
     def aut_order(self, n, q, u, t) -> int:
         """Exact |Aut(S)| = |S| * |Out(S)|."""
-        return self.simple_order(n, q, u, t) * self._resolve(OUT_FORMULAS, self.out_formula)(n, q, u, t)
+        return self.simple_order(n, q, u, t) * self._resolve(OUT_FORMULAS, "out_formula")(n, q, u, t)
 
     def scan_aut_bound(self, n, q, u, t) -> int:
         """The scan's conservative automorphism bound (|Aut| * center order)."""
-        return self.aut_order(n, q, u, t) * self._resolve(CENTER_FORMULAS, self.center_formula)(n, q, u, t)
+        return self.aut_order(n, q, u, t) * self._resolve(CENTER_FORMULAS, "center_formula")(n, q, u, t)
 
     def dim_bound(self, n, q, u, t) -> int:
-        return self._resolve(BOUND_FORMULAS, self.dim_bound_formula)(n, q, u, t)
+        return self._resolve(BOUND_FORMULAS, "dim_bound_formula")(n, q, u, t)
 
 
-_FAMILY_KEYS = ("name", "scan", "order_formula", "out_formula", "center_formula", "dim_bound_formula", "bound_kind")
+_FAMILY_KEYS = ("scan", "order_formula", "out_formula", "center_formula", "dim_bound_formula", "bound_kind")
 
 
 def family_records(data: dict) -> list[FamilyRecord]:
     out = []
     for i, raw in enumerate(_field(data, "families", "data file")):
+        what = f"family record {i}"
         out.append(
             FamilyRecord(
-                **{key: _field(raw, key, f"family record {i}") for key in _FAMILY_KEYS},
-                expected_remaining=_expected_remaining(raw.get("expected_remaining", []), f"family record {i}"),
-                note=raw.get("note"),
+                _typed_field(raw, "name", what, str),
+                **{key: _field(raw, key, what) for key in _FAMILY_KEYS},
+                expected_remaining=_expected_remaining(raw.get("expected_remaining", []), what),
             )
         )
     return out
@@ -350,8 +360,9 @@ def sporadic_records(data: dict) -> list[SporadicRecord]:
     out = []
     for i, s in enumerate(_field(data, "sporadics", "data file")):
         what = f"sporadic record {i}"
-        ints = (_int_field(s, key, what) for key in ("aut_order", "rdim"))
-        out.append(SporadicRecord(_field(s, "name", what), *ints, bool(_field(s, "expected_fail", what))))
+        name = _typed_field(s, "name", what, str)
+        ints = (_positive_int_field(s, key, what) for key in ("aut_order", "rdim"))
+        out.append(SporadicRecord(name, *ints, _typed_field(s, "expected_fail", what, bool)))
     return out
 
 
@@ -376,7 +387,6 @@ class FamilyScan:
     points_checked: int
     remaining: tuple[tuple[int | None, int], ...]
     expected_remaining: tuple[tuple[int | None, int], ...]
-    note: str | None
 
     @property
     def matches_expected(self) -> bool:
@@ -403,12 +413,15 @@ class ScanReport:
         return self.sporadics.matches_expected and all(f.matches_expected for f in self.families)
 
 
+def _verdict(b: int, aut: int) -> tuple[bool, bool]:
+    """(the doubling check, the fixed check at dimension 29) for dimension bound b and automorphism bound aut."""
+    return b >= 1 and pow2_at_least(b, 2 * aut * b), TWO_TO_29 >= 58 * aut
+
+
 def check_point(rec: FamilyRecord, n, q, u, t) -> PointVerdict:
     b = rec.dim_bound(n, q, u, t)
     aut = rec.scan_aut_bound(n, q, u, t)
-    holds_doubling = b >= 1 and pow2_at_least(b, 2 * aut * b)
-    holds_29 = TWO_TO_29 >= 58 * aut
-    return PointVerdict(n, q, b, aut, holds_doubling, holds_29)
+    return PointVerdict(n, q, b, aut, *_verdict(b, aut))
 
 
 def almost_simple_scan(
@@ -416,8 +429,8 @@ def almost_simple_scan(
 ) -> ScanReport:
     """Scan every bundled family and sporadic group within the caps.
 
-    A family whose formula id has no evaluator, an empty or null one
-    included, raises ``UnknownFormula`` at its first scan point.
+    A family whose formula id is not a string or has no evaluator, an
+    empty one included, raises ``UnknownFormula`` at its first scan point.
     """
     if q_cap < 2:
         raise ValueError("q_cap must be at least 2, the least prime power")
@@ -434,17 +447,11 @@ def almost_simple_scan(
         expected = tuple(
             (n, q) for n, q in rec.expected_remaining if q <= q_cap and (n is None or n <= n_cap)
         )
-        fams.append(
-            FamilyScan(rec.name, rec.bound_kind, count, tuple(remaining), expected, rec.note)
-        )
-    failing = []
-    for s in sporadic_records(data):
-        holds_doubling = pow2_at_least(s.rdim, 2 * s.aut_order * s.rdim)
-        holds_29 = TWO_TO_29 >= 58 * s.aut_order
-        if not (holds_doubling or holds_29):
-            failing.append(s.name)
-    expected_failing = tuple(s.name for s in sporadic_records(data) if s.expected_fail)
-    return ScanReport(tuple(fams), SporadicScan(tuple(failing), expected_failing))
+        fams.append(FamilyScan(rec.name, rec.bound_kind, count, tuple(remaining), expected))
+    sporadics = sporadic_records(data)
+    failing = tuple(s.name for s in sporadics if not any(_verdict(s.rdim, s.aut_order)))
+    expected_failing = tuple(s.name for s in sporadics if s.expected_fail)
+    return ScanReport(tuple(fams), SporadicScan(failing, expected_failing))
 
 
 def aut_spot_checks(data: dict | None = None) -> list[tuple[str, int, int]]:
@@ -454,7 +461,7 @@ def aut_spot_checks(data: dict | None = None) -> list[tuple[str, int, int]]:
     out = []
     for i, chk in enumerate(data.get("aut_spot_checks", [])):
         what = f"aut spot check {i}"
-        family = _field(chk, "family", what)
+        family = _typed_field(chk, "family", what, str)
         if family not in recs:
             raise ValueError(f"{what} names unknown family {family!r}")
         rec = recs[family]
@@ -463,5 +470,5 @@ def aut_spot_checks(data: dict | None = None) -> list[tuple[str, int, int]]:
         if u_t is None:
             raise ValueError(f"{what} has q = {q}, not a prime power")
         computed = rec.aut_order(n, q, *u_t)
-        out.append((f"{rec.name} @ n={n}, q={q}", computed, _int_field(chk, "expected_aut", what)))
+        out.append((f"{rec.name} @ n={n}, q={q}", computed, _positive_int_field(chk, "expected_aut", what)))
     return out

@@ -195,9 +195,7 @@ class ThreeSublatticeRow:
 class ThreeSublatticeReport:
     p: int
     rows: tuple[ThreeSublatticeRow, ...]
-    middle_orbit: int  # 2p(p-1)
-    two_to_p: int
-    inequality_holds: bool  # 2p(p-1) < 2^p, true for p >= 7
+    inequality_holds: bool  # the L_E orbit, 2p(p-1), is smaller than the L_1 orbit, 2^p: true for p >= 7
 
 
 def _lattice_e(n: int) -> LatticeBasis:
@@ -240,5 +238,4 @@ def three_sublattice_report(p: int) -> ThreeSublatticeReport:
         ThreeSublatticeRow("L_E", e12, full_monomial_orbit_size_binary(p, 2), span_e == le),
         ThreeSublatticeRow("L_1", ones, full_monomial_orbit_size_binary(p, p), span_ones == lo),
     )
-    middle = 2 * p * (p - 1)
-    return ThreeSublatticeReport(p, rows, middle, 2**p, middle < 2**p)
+    return ThreeSublatticeReport(p, rows, rows[1].orbit_size < rows[2].orbit_size)

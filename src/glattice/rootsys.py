@@ -25,8 +25,8 @@ explicitly here:
   conventional label while span verification targets the lattice actually
   spanned;
 * for F_4 the first simple root is long and its orbit spans an index-4
-  sublattice; the short simple root has the same orbit size (24) and does
-  span, so it is used as the span witness.
+  sublattice; the short simple root alpha_3 (short since c_23 = -2) has the
+  same orbit size (24) and does span, so it is the span witness.
 
 Two A rows are not spanned most cheaply by a fundamental weight: for
 A_7 L+4 the orbit of lambda_6 + 2 lambda_7 (size 56) spans, against 70 for
@@ -37,7 +37,6 @@ both values are minimal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, factorial, prod
 
 from .errors import InvalidRank, KindUnavailable
@@ -272,31 +271,6 @@ def weyl_orbit_size(model: WeylModel, v) -> int:
     return model.weyl_order // stabilizer_order_dominant(model, dom)
 
 
-def root_length_squares(model: WeylModel) -> tuple[Fraction, ...]:
-    """Relative squared lengths of the simple roots (min normalized to 1)."""
-    n = model.rank
-    c = model.cartan
-    s: list[Fraction | None] = [None] * n
-    s[0] = Fraction(1)
-    queue = [0]
-    while queue:
-        i = queue.pop()
-        for j in range(n):
-            if j != i and c[i, j] != 0 and s[j] is None:
-                s[j] = s[i] * Fraction(c[j, i], c[i, j])
-                queue.append(j)
-    if any(x is None for x in s):
-        raise AssertionError("Dynkin diagram is disconnected")
-    m = min(s)
-    return tuple(x / m for x in s)
-
-
-def short_simple_root_index(model: WeylModel) -> int:
-    """0-indexed position of the first short simple root."""
-    lengths = root_length_squares(model)
-    return lengths.index(min(lengths))
-
-
 @dataclass(frozen=True)
 class NamedLattice:
     """One of the W-stable lattices between the root and weight lattices."""
@@ -419,7 +393,8 @@ def symrank_table_rows_for(model: WeylModel) -> list[SymrankTableRow]:
         else:
             rows.append(_row(model, "L=Lr", "alpha_1", alpha(0), lattice(model, "root")))
     elif fam == "F":
-        rows.append(_row(model, "L=Lr", "alpha_1", alpha(short_simple_root_index(model)), lattice(model, "root")))
+        # c_23 = -2 makes alpha_3 short; the long alpha_1's orbit spans only an index-4 sublattice
+        rows.append(_row(model, "L=Lr", "alpha_1", alpha(2), lattice(model, "root")))
     elif fam == "G":
         rows.append(_row(model, "L=Lr", "alpha_1", alpha(0), lattice(model, "root")))
     return rows

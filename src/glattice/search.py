@@ -86,7 +86,7 @@ class SymrankResult:
     upper_bound: int
     witness: tuple[IntVector, ...]  # orbit representatives, ambient coordinates
     lower_bound: int
-    exactness: str  # "exact_within_bound" | "upper_only"
+    exactness: str  # "exact_within_bound"
     search_radius: int
     orbit_count: int  # orbits materialized (oversized orbits are pruned unmaterialized)
 

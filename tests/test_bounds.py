@@ -118,6 +118,8 @@ def test_mon_metacyclic_bound():
     assert isinstance(v, BoundVerdict)
     assert v.lhs == 2**7 and v.rhs == 2**7 * 49 * 6  # evaluated, fails
     assert not v.holds
+    with pytest.raises(ValueError):
+        mon_metacyclic_bound(7, 0, 0)
 
 
 def test_prime_of_form_examples():

@@ -144,6 +144,13 @@ def test_verify_low_dims_reports_missing_data(tmp_path):
     assert "partial" in out
 
 
+def test_verify_low_dims_honours_cap(capsys):
+    rc, out = run(["--cap", "10", "verify", "--name", "low-dims"])
+    assert rc == EXIT_CAP_EXCEEDED
+    assert out == ""
+    assert capsys.readouterr().err.splitlines() == ["cap exceeded: orbit exceeded cap 10"]
+
+
 def test_json_verify_low_dims_prints_only_json(capsys):
     """The partial-coverage note goes to stderr alone, so stdout stays JSON lines.
 
@@ -193,27 +200,6 @@ def test_symrank_command_with_ingested_group(tmp_path):
     assert payload["exactness"] == "exact_within_bound"
     rc, out = run(["symrank", "--group", str(gpath), "--mode", "orbit:2,-1"])
     assert json.loads(out) == {"generates": True, "orbit_size": 6, "vector": [2, -1]}
-
-
-def test_symrank_diagonal_theta_mode(tmp_path):
-    gram = IntMatrix.from_rows([(2, -1), (-1, 2)])
-    a2 = build(RootSystemSpec("A", 2))
-    from glattice.matgroup import action_in_row_basis
-
-    g = action_in_row_basis(a2.matgroup(), a2.cartan)
-    gpath = tmp_path / "a2root.json"
-    gpath.write_text(json.dumps(group_to_json(2, list(g.generators), gram=gram)))
-    rc, out = run(["symrank", "--group", str(gpath), "--mode", "diagonal-theta"])
-    assert rc == EXIT_OK
-    payload = json.loads(out)
-    assert payload == {"upper_bound": 6, "exactness": "upper_only", "diagonal_norms": [2]}
-
-
-def test_symrank_diagonal_theta_without_gram_is_missing_data(tmp_path):
-    gpath = tmp_path / "nogram.json"
-    gpath.write_text(json.dumps(group_to_json(1, [IntMatrix.from_rows([(-1,)])])))
-    rc, _ = run(["symrank", "--group", str(gpath), "--mode", "diagonal-theta"])
-    assert rc == EXIT_MISSING_DATA
 
 
 def test_theta_command(tmp_path):
@@ -270,8 +256,9 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 # shifts; p = 73 and p = 257 were recorded from Berlekamp's factorization
 # before x^p - 1 was split by its coset idempotents and the factors labelled
 # by trace signatures; the rootsys and rdim tables while each table row still
-# carried a generator beside its witness and each named lattice a hint.  It
-# must not change by a byte.
+# carried a generator beside its witness and each named lattice a hint; the
+# almost-simple scan while its sporadic groups had their own copy of the two
+# inequalities.  It must not change by a byte.
 GOLDEN_TEXT = {
     "cli_gf2_factor_xp1_p73": ["--format", "json", "gf2", "factor-xp1", "--p", "73"],
     "cli_gf2_factor_xp1_p127": ["--format", "json", "gf2", "factor-xp1", "--p", "127"],
@@ -282,6 +269,8 @@ GOLDEN_TEXT = {
     "cli_gf2_subspaces_p7": ["gf2", "subspaces", "--p", "7"],
     "cli_gf2_subspaces_p31": ["gf2", "subspaces", "--p", "31"],
     "cli_verify_prop515": ["verify", "--name", "prop515"],
+    "cli_verify_almost_simple": ["verify", "--name", "almost-simple"],
+    "cli_verify_almost_simple_json": ["--format", "json", "verify", "--name", "almost-simple"],
     "cli_rootsys_table_rank8": ["rootsys-table", "--max-rank", "8"],
     "cli_rootsys_table_rank8_json": ["--format", "json", "rootsys-table", "--max-rank", "8"],
     "cli_rdim_table_n10": ["rdim-table", "--max-n", "10"],
@@ -319,9 +308,11 @@ def test_synthetic_generator_file_ingestion(tmp_path):
     rc, out = run(["symrank", "--group", str(gpath), "--radius", "2"])
     assert rc == EXIT_OK
     assert json.loads(out)["upper_bound"] == 4  # orbit of e_1 under D_4-symmetry
-    rc, out = run(["symrank", "--group", str(gpath), "--mode", "diagonal-theta"])
+    mpath = tmp_path / "gram.json"
+    mpath.write_text(json.dumps(obj["gram"]))
+    rc, out = run(["--format", "json", "theta", "--gram", str(mpath), "--diagonal-bound"])
     assert rc == EXIT_OK
-    assert json.loads(out)["upper_bound"] == 4
+    assert json.loads(out) == [{"diagonal_norms": [1], "bound": 4}]  # the file's group keeps I_2, so this bounds its symmetric rank
 
 
 def _write(path, obj):
@@ -350,11 +341,24 @@ def _first_family_with(**fields):
     return data
 
 
+def _sporadic_m23_with(**fields):
+    """The bundled data with M23 expected to pass and fields of its record replaced."""
+    data = groupdata.load_data()
+    m23 = next(s for s in data["sporadics"] if s["name"] == "M23")
+    m23.update({"expected_fail": False, **fields})
+    return data
+
+
 def _first_spot_check_with(**fields):
     """The bundled data with fields of the first exact-|Aut| spot check replaced."""
     data = groupdata.load_data()
     data["aut_spot_checks"][0].update(fields)
     return data
+
+
+def _g2_with_identity_gram():
+    g2 = build(RootSystemSpec("G", 2))
+    return group_to_json(2, list(g2.matgroup().generators), gram=IntMatrix.identity(2), label="W(G2)")
 
 
 BAD_INPUTS = {
@@ -397,6 +401,19 @@ BAD_INPUTS = {
     "float gram entry": lambda d: [
         "theta", "--gram", _write(d / "m.json", {"rows": 2, "cols": 2, "entries": ["2", "-1", "-1", 2.5]})
     ],
+    # the diagonal-theta route is gone: theta --diagonal-bound bounds under Aut(X), which W(G2) does not keep
+    "symrank mode diagonal-theta": lambda d: [
+        "symrank", "--group", _write(d / "g2.json", _g2_with_identity_gram()), "--mode", "diagonal-theta"
+    ],
+    "list formula id": lambda d: [
+        "--data", _write(d / "f.json", _first_family_with(order_formula=["psl2"])), "verify", "--name", "almost-simple"
+    ],
+    "list family name": lambda d: [
+        "--data", _write(d / "f.json", _first_family_with(name=["L_2(q)"])), "verify", "--name", "almost-simple"
+    ],
+    "string expected_fail": lambda d: [
+        "--data", _write(d / "f.json", _sporadic_m23_with(expected_fail="false")), "verify", "--name", "almost-simple"
+    ],
 }
 
 
@@ -407,6 +424,19 @@ def test_bad_input_is_one_line_and_exit_5(case, tmp_path, capsys):
     assert rc == EXIT_INPUT_ERROR == 5
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("input error: ")
+
+
+@pytest.mark.parametrize(
+    "field, value", [("rdim", 0), ("rdim", -5), ("aut_order", 0), ("aut_order", "-1")],
+    ids=["rdim 0", "rdim -5", "aut_order 0", "aut_order -1"],
+)
+def test_sporadic_bound_fields_must_be_positive(field, value, tmp_path, capsys):
+    """Such a record held both inequalities vacuously (2^0 >= 0, 2^29 >= 58 A) and the scan passed M23."""
+    data = _write(tmp_path / "f.json", _sporadic_m23_with(**{field: value}))
+    rc, out = run(["--data", data, "verify", "--name", "almost-simple"])
+    err = capsys.readouterr().err
+    assert rc == EXIT_INPUT_ERROR and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("input error: ") and repr(field) in err
 
 
 def test_spot_check_q_as_a_decimal_string_is_accepted(tmp_path):

@@ -175,11 +175,20 @@ def _rename_spot_check_family(data):
         (_set(["families", 5, "scan", "q_parity"], "Odd"), "'q_parity'"),
         (_set(["families", 12, "scan", "n_parity"], "evn"), "'n_parity'"),
         (_set(["families", 4, "scan", "q_mx"], 3), "'q_mx'"),
+        (_set(["families", 0, "order_formula"], ["psl2"]), "order_formula"),
+        (_set(["families", 0, "dim_bound_formula"], {"id": "l2_1mod4"}), "dim_bound_formula"),
+        (_set(["families", 0, "name"], ["L_2(q)"]), "'name'"),
+        (_set(["sporadics", 3, "name"], ["M23"]), "'name'"),
+        (_set(["aut_spot_checks", 0, "family"], ["L_n(q), n >= 3"]), "'family'"),
+        (_set(["sporadics", 3, "expected_fail"], "false"), "'expected_fail'"),
+        (_set(["sporadics", 3, "rdim"], 0), "'rdim'"),
+        (_set(["sporadics", 3, "aut_order"], "-1"), "'aut_order'"),
     ],
     ids=["families", "family field", "scan kind", "sporadic field", "spot check field", "spot check family",
          "float aut order", "boolean rdim", "float expected aut", "string in q_not_in", "float in q_mod4",
          "short exclude pair", "exclude entry not a pair", "unknown kind", "capitalized q parity",
-         "misspelled n parity", "unknown scan key"],
+         "misspelled n parity", "unknown scan key", "list formula id", "object formula id", "list family name",
+         "list sporadic name", "list spot check family", "string expected fail", "zero rdim", "negative aut order"],
 )
 def test_malformed_data_raises_value_error_naming_the_key(edit, named):
     data = json.loads(json.dumps(DATA))

@@ -214,7 +214,7 @@ def test_three_sublattice_exact_values():
 
 def test_three_sublattice_flags_small_prime():
     rep = three_sublattice_report(5)
-    assert rep.middle_orbit == 40 and rep.two_to_p == 32
+    assert [r.orbit_size for r in rep.rows] == [10, 40, 32]
     assert not rep.inequality_holds
 
 

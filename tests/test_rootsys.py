@@ -18,7 +18,6 @@ from glattice.rootsys import (
     expected_symrank,
     lattice,
     rdim_lower_bound,
-    short_simple_root_index,
     stabilizer_order_dominant,
     weyl_symrank_table,
     weyl_orbit_size,
@@ -252,9 +251,10 @@ def test_dominance_reduction():
 
 
 def test_short_root_counts():
-    for fam, n, want in [("G", 2, 6), ("F", 4, 24), ("E", 8, 240), ("B", 5, 10), ("C", 5, 40)]:
+    """Orbit sizes of the first short simple root (0-indexed)."""
+    for fam, n, short, want in [("G", 2, 0, 6), ("F", 4, 2, 24), ("E", 8, 0, 240), ("B", 5, 4, 10), ("C", 5, 0, 40)]:
         model = build(RootSystemSpec(fam, n))
-        assert weyl_orbit_size(model, model.simple_root(short_simple_root_index(model))) == want
+        assert weyl_orbit_size(model, model.simple_root(short)) == want
 
 
 def test_lattice_examples():
