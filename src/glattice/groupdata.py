@@ -256,7 +256,6 @@ class FamilyRecord:
     out_formula: str
     center_formula: str
     dim_bound_formula: str
-    bound_kind: str
     expected_remaining: tuple[tuple[int | None, int], ...]
 
     def _resolve(self, registry: dict, field: str):
@@ -319,7 +318,7 @@ class FamilyRecord:
         return self._resolve(BOUND_FORMULAS, "dim_bound_formula")(n, q, u, t)
 
 
-_FAMILY_KEYS = ("scan", "order_formula", "out_formula", "center_formula", "dim_bound_formula", "bound_kind")
+_FAMILY_KEYS = ("scan", "order_formula", "out_formula", "center_formula", "dim_bound_formula")
 
 
 def family_records(data: dict) -> list[FamilyRecord]:
@@ -383,7 +382,6 @@ class PointVerdict:
 @dataclass(frozen=True)
 class FamilyScan:
     name: str
-    bound_kind: str
     points_checked: int
     remaining: tuple[tuple[int | None, int], ...]
     expected_remaining: tuple[tuple[int | None, int], ...]
@@ -395,6 +393,7 @@ class FamilyScan:
 
 @dataclass(frozen=True)
 class SporadicScan:
+    checked: int
     failing: tuple[str, ...]
     expected_failing: tuple[str, ...]
 
@@ -447,11 +446,11 @@ def almost_simple_scan(
         expected = tuple(
             (n, q) for n, q in rec.expected_remaining if q <= q_cap and (n is None or n <= n_cap)
         )
-        fams.append(FamilyScan(rec.name, rec.bound_kind, count, tuple(remaining), expected))
+        fams.append(FamilyScan(rec.name, count, tuple(remaining), expected))
     sporadics = sporadic_records(data)
     failing = tuple(s.name for s in sporadics if not any(_verdict(s.rdim, s.aut_order)))
     expected_failing = tuple(s.name for s in sporadics if s.expected_fail)
-    return ScanReport(tuple(fams), SporadicScan(failing, expected_failing))
+    return ScanReport(tuple(fams), SporadicScan(len(sporadics), failing, expected_failing))
 
 
 def aut_spot_checks(data: dict | None = None) -> list[tuple[str, int, int]]:

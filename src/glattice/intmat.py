@@ -45,9 +45,6 @@ class IntVector:
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, e in enumerate(self.entries) if e)
 
-    def is_binary(self) -> bool:
-        return all(e in (0, 1) for e in self.entries)
-
 
 def as_vector(v) -> IntVector:
     """Coerce a sequence of ints (or an IntVector) to IntVector."""

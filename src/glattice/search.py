@@ -53,11 +53,15 @@ equal-size combination purely to canonicalize the witness would be
 exponential in the number of equal-size orbits and is deliberately not
 done.)
 
-The depth-first search carries each partial span as canonical HNF rows
-and adds an orbit by inserting its span's rows one at a time.  It stops
-a branch by two prunes: size per unit of rank (no completion can be
-strictly cheaper than the incumbent) and no progress (an orbit that
-leaves the span unchanged is never chosen).
+The branch-and-bound is one routine over orbit records,
+``_min_spanning_selection``, and it searches each distinct span once: a
+later record with the span of an earlier one is never smaller, so a
+minimum that holds it can swap it for the earlier one.  Its depth-first
+search carries each partial span as canonical HNF rows and adds an orbit
+by inserting its span's rows one at a time.  It stops a branch by two
+prunes: size per unit of rank (no completion can be strictly cheaper than
+the incumbent) and no progress (an orbit that leaves the span unchanged
+is never chosen).
 """
 from __future__ import annotations
 
@@ -247,27 +251,30 @@ def _orbit_records(gl: MatGroup, radius: int, orbit_cap: int) -> list[_OrbitReco
     return records
 
 
-def symrank_search(
-    g: MatGroup,
-    l: LatticeBasis,
-    radius: int = 3,
-    orbit_cap: int = DEFAULT_CAP,
-) -> SymrankResult:
-    """Minimal total size of a spanning union of orbits within the box.
+def _min_spanning_selection(records: list[_OrbitRecord], r: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The first least total size of records whose spans together span Z^r, and their reps.
 
-    orbit_cap bounds every enumeration of the search: the box, each orbit
-    BFS and the witness re-verification.  A box of more than orbit_cap
-    vectors raises ``CapExceeded("box", orbit_cap)`` before any is listed.
+    records come in record order, by (size, ``_rep_key(rep)``), and the
+    reps are returned in ``_rep_key`` order.  The depth-first search tries
+    including each record before excluding it, replaces the incumbent only
+    by a strictly smaller selection, never chooses a record that leaves the
+    span unchanged, and returns the first minimum in that order.
+
+    Only the first record of each distinct ``span_rows`` is searched, and
+    this changes neither the size nor the reps returned.  Let i < j share a
+    span, so size(i) <= size(j).  A minimal selection S holding j cannot
+    hold i too, since j after i adds nothing; S - j + i spans, is no
+    larger and so is minimal as well, and each of its records still grows
+    the span, or a smaller selection would exist.  The search reaches
+    S - j + i before S, as it includes i before excluding it, so the first
+    minimum holds no repeated span.  Over the kept records it visits the
+    same selections in the same order, less those that hold a repeat, and
+    both prunes stay sound.
     """
-    if radius < 1:
-        raise ValueError("radius must be at least 1")
-    gl = in_lattice_coordinates(g, l)  # NotGStable unless g keeps l
-    r = l.rank
-    if (2 * radius + 1) ** r - 1 > orbit_cap:
-        raise CapExceeded("box", orbit_cap)
-    if r == 0:
-        return SymrankResult(0, (), 0, "exact_within_bound", radius, 0)
-    records = _orbit_records(gl, radius, orbit_cap)
+    first: dict[tuple[tuple[int, ...], ...], _OrbitRecord] = {}
+    for rec in records:
+        first.setdefault(rec.span_rows, rec)
+    records = list(first.values())
     full_rows = tuple(full_lattice(r).rows())
 
     def insert(span, rows):
@@ -275,10 +282,10 @@ def symrank_search(
             span = _hnf_insert(span, row)
         return span
 
-    # basis coefficient vectors are inside every box with radius >= 1, so a
-    # spanning selection always exists
+    # a spanning selection must exist, or the search below would walk its
+    # whole tree to find none
     if insert((), (row for rec in records for row in rec.span_rows)) != full_rows:
-        raise AssertionError("box orbits fail to span their own lattice")
+        raise AssertionError("records fail to span Z^r")
     # suffix_rate[i] = (a, b): a/b is the least size per unit of rank,
     # s_j / k_j, over records j >= i; an orbit of size s_j whose span has
     # rank k_j raises the rank of a span by at most k_j
@@ -320,6 +327,33 @@ def symrank_search(
     dfs(0, 0, (), [])
     if best_reps is None:
         raise AssertionError("search found no spanning selection")
+    return best_size, best_reps
+
+
+def symrank_search(
+    g: MatGroup,
+    l: LatticeBasis,
+    radius: int = 3,
+    orbit_cap: int = DEFAULT_CAP,
+) -> SymrankResult:
+    """Minimal total size of a spanning union of orbits within the box.
+
+    orbit_cap bounds every enumeration of the search: the box, each orbit
+    BFS and the witness re-verification.  A box of more than orbit_cap
+    vectors raises ``CapExceeded("box", orbit_cap)`` before any is listed.
+    """
+    if radius < 1:
+        raise ValueError("radius must be at least 1")
+    gl = in_lattice_coordinates(g, l)  # NotGStable unless g keeps l
+    r = l.rank
+    if (2 * radius + 1) ** r - 1 > orbit_cap:
+        raise CapExceeded("box", orbit_cap)
+    if r == 0:
+        return SymrankResult(0, (), 0, "exact_within_bound", radius, 0)
+    # basis coefficient vectors are inside every box with radius >= 1, so
+    # the records span Z^r
+    records = _orbit_records(gl, radius, orbit_cap)
+    best_size, best_reps = _min_spanning_selection(records, r)
     # map representatives back to ambient coordinates (rep . basis) and
     # re-verify both the bound and the span in the group's own action
     ambient_reps = tuple(map(IntVector, IntMatrix.from_rows(best_reps).mul(l.basis).to_rows()))
@@ -351,44 +385,3 @@ def verify_orbit_generates(
     orb = orbit(g, vv, cap)
     span = hnf_from_rows(sorted(orb.elements), l.ambient_dim)
     return span == l, orb.size
-
-
-@dataclass(frozen=True)
-class CandidateResult:
-    label: str
-    result: SymrankResult
-
-
-@dataclass(frozen=True)
-class TableMaxReport:
-    """Maximum symrank over user-supplied candidates.
-
-    The report is conditional on the completeness of the candidate list;
-    this tool never claims the list covers all conjugacy classes.
-    """
-
-    dim: int
-    candidates: tuple[CandidateResult, ...]
-    maximum: int
-    tag: str = "conditional on candidate completeness"
-
-
-def table_dimension_maximum(
-    n: int,
-    candidates,
-    radius: int = 3,
-    orbit_cap: int = DEFAULT_CAP,
-) -> TableMaxReport:
-    """Per-candidate search results and their maximum.
-
-    candidates: iterable of (label, MatGroup, LatticeBasis) triples, all in
-    ambient dimension n.
-    """
-    out = []
-    for label, grp, lat in candidates:
-        if grp.dim != n or lat.ambient_dim != n:
-            raise ValueError("candidate dimension mismatch")
-        out.append(CandidateResult(label, symrank_search(grp, lat, radius, orbit_cap)))
-    if not out:
-        raise ValueError("no candidates supplied")
-    return TableMaxReport(n, tuple(out), max(c.result.upper_bound for c in out))

@@ -12,7 +12,7 @@ from hypothesis import strategies as st  # noqa: E402
 from glattice._primes import ceil_log2, pow2_at_least  # noqa: E402
 from glattice.bounds import LOG_FRAC_BITS  # noqa: E402
 from glattice.gf2cyclo import GF2Poly, binary_sublattices, factor_xp_minus_1  # noqa: E402
-from glattice.intmat import IntMatrix, IntVector, LatticeBasis, _xgcd, as_vector, full_lattice, hnf_from_rows, zero_lattice  # noqa: E402
+from glattice.intmat import IntMatrix, IntVector, LatticeBasis, _hnf_insert, _xgcd, as_vector, full_lattice, hnf_from_rows, zero_lattice  # noqa: E402
 from glattice.matgroup import MatGroup, closure, orbit  # noqa: E402
 from glattice.search import _box, _rep_key  # noqa: E402
 
@@ -186,6 +186,64 @@ def orbit_records_oracle(gl: MatGroup, radius: int) -> list[tuple]:
         if span == full and (incumbent is None or len(orb) < incumbent):
             incumbent = len(orb)
     return sorted(records, key=lambda rec: (rec[0], _rep_key(rec[1])))
+
+
+def min_spanning_selection_oracle(records, r: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Oracle for ``search._min_spanning_selection``: the same branch-and-bound over every record.
+
+    No record is dropped for repeating an earlier record's span.
+    """
+    full_rows = tuple(full_lattice(r).rows())
+
+    def insert(span, rows):
+        for row in rows:
+            span = _hnf_insert(span, row)
+        return span
+
+    if insert((), (row for rec in records for row in rec.span_rows)) != full_rows:
+        raise AssertionError("box orbits fail to span their own lattice")
+    # suffix_rate[i] = (a, b): a/b is the least size per unit of rank,
+    # s_j / k_j, over records j >= i; an orbit of size s_j whose span has
+    # rank k_j raises the rank of a span by at most k_j
+    suffix_rate: list[tuple[int, int]] = [(1, 0)] * len(records)
+    rate = (1, 0)  # 1/0 stands for infinity; every k_j is at least 1
+    for i in range(len(records) - 1, -1, -1):
+        s, k = records[i].size, len(records[i].span_rows)
+        if s * rate[1] < rate[0] * k:
+            rate = (s, k)
+        suffix_rate[i] = rate
+
+    best_size = None
+    best_reps: tuple[tuple[int, ...], ...] | None = None
+
+    def dfs(i: int, size: int, span: tuple[tuple[int, ...], ...], chosen: list[int]):
+        nonlocal best_size, best_reps
+        if span == full_rows:
+            # the prunes below let only strictly smaller selections get here
+            best_size = size
+            best_reps = tuple(sorted((records[j].rep for j in chosen), key=_rep_key))
+            return
+        if i == len(records):
+            return
+        if best_size is not None:
+            # records are sorted by size, so any completion costs at least
+            # records[i].size, and closing the rank deficit with records i..
+            # costs at least deficit * a / b: no strictly cheaper completion
+            a, b = suffix_rate[i]
+            if size + records[i].size >= best_size or (r - len(span)) * a > (best_size - size - 1) * b:
+                return
+        rec = records[i]
+        new_span = insert(span, rec.span_rows)
+        if new_span != span:
+            chosen.append(i)
+            dfs(i + 1, size + rec.size, new_span, chosen)
+            chosen.pop()
+        dfs(i + 1, size, span, chosen)
+
+    dfs(0, 0, (), [])
+    if best_reps is None:
+        raise AssertionError("search found no spanning selection")
+    return best_size, best_reps
 
 
 def unimodular_matrices(n: int):

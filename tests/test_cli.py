@@ -444,6 +444,26 @@ def test_spot_check_q_as_a_decimal_string_is_accepted(tmp_path):
     assert run(["--data", data, "verify", "--name", "almost-simple"]) == run(["verify", "--name", "almost-simple"])
 
 
+def test_a_family_that_still_carries_bound_kind_prints_as_before(tmp_path):
+    """Family keys that nothing reads are ignored."""
+    data = _write(tmp_path / "f.json", _first_family_with(bound_kind="p"))
+    assert run(["--data", data, "verify", "--name", "almost-simple"]) == run(["verify", "--name", "almost-simple"])
+
+
+def test_verify_almost_simple_parses_the_sporadic_records_once(monkeypatch):
+    calls = 0
+    parse = groupdata.sporadic_records
+
+    def counted(data):
+        nonlocal calls
+        calls += 1
+        return parse(data)
+
+    monkeypatch.setattr(groupdata, "sporadic_records", counted)
+    assert run(["verify", "--name", "almost-simple"])[0] == EXIT_OK
+    assert calls == 1
+
+
 def test_assertion_error_is_not_an_input_error(monkeypatch):
     def broken(*args):
         raise AssertionError("internal invariant")

@@ -88,7 +88,6 @@ def test_unknown_formula_raises():
         out_formula="out_t",
         center_formula="c1",
         dim_bound_formula="g2q",
-        bound_kind="p",
         expected_remaining=(),
     )
     with pytest.raises(UnknownFormula):
@@ -123,7 +122,6 @@ def test_families_without_formulas_raise_unknown_formula():
             "out_formula": None,
             "center_formula": None,
             "dim_bound_formula": None,
-            "bound_kind": "p",
             "expected_remaining": [],
         }
     )
@@ -159,7 +157,7 @@ def _rename_spot_check_family(data):
     "edit, named",
     [
         (_drop(["families"]), "'families'"),
-        (_drop(["families", 0, "bound_kind"]), "'bound_kind'"),
+        (_drop(["families", 0, "dim_bound_formula"]), "'dim_bound_formula'"),
         (_drop(["families", 0, "scan", "kind"]), "'kind'"),
         (_drop(["sporadics", 3, "rdim"]), "'rdim'"),
         (_drop(["aut_spot_checks", 0, "q"]), "'q'"),

@@ -3,7 +3,7 @@ import itertools
 from dataclasses import replace
 
 import pytest
-from conftest import apply, bfs_orbit, orbit_records_oracle, unimodular_matrices
+from conftest import apply, bfs_orbit, min_spanning_selection_oracle, orbit_records_oracle, unimodular_matrices
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,11 +24,11 @@ from glattice.rootsys import RootSystemSpec, build, expected_symrank, lattice, w
 from glattice.search import (
     RESIDUE_MODULUS,
     _box,
+    _min_spanning_selection,
     _orbit_records,
     _rep_key,
     _residue_orbit_sizes,
     symrank_search,
-    table_dimension_maximum,
     verify_orbit_generates,
 )
 
@@ -146,32 +146,6 @@ def test_verify_orbit_rejects_vector_outside_lattice():
         verify_orbit_generates(a2.matgroup(), lattice(a2, "root").basis, unit_vector(2, 0))
 
 
-def test_table_dimension_maximum_n1():
-    rep = table_dimension_maximum(1, [("pm1", MatGroup(1, [IntMatrix.from_rows([(-1,)])]), full_lattice(1))])
-    assert rep.maximum == 2
-    assert rep.tag.startswith("conditional")
-
-
-def test_table_dimension_maximum_n2():
-    candidates = []
-    for fam in ("A", "B", "G"):
-        model = build(RootSystemSpec(fam, 2))
-        g = model.matgroup()
-        for kind in ("weight", "root"):
-            lat = lattice(model, kind)
-            candidates.append((f"W({fam}2) {kind}", g, lat.basis))
-    rep = table_dimension_maximum(2, candidates, radius=3)
-    assert rep.maximum == 6
-
-
-def test_table_dimension_maximum_n6_e6_root():
-    model = build(RootSystemSpec("E", 6))
-    rep = table_dimension_maximum(
-        6, [("W(E6) root", model.matgroup(), lattice(model, "root").basis)], radius=1
-    )
-    assert rep.maximum == 72
-
-
 def _brute_force_symrank(gens, n, radius):
     """Smallest total size of box orbits whose union spans Z^n (oracle).
 
@@ -199,8 +173,8 @@ def _brute_force_symrank(gens, n, radius):
 
 
 @st.composite
-def _signed_permutation_groups(draw):
-    n = draw(st.integers(1, 3))
+def _signed_permutation_groups(draw, max_n=3):
+    n = draw(st.integers(1, max_n))
 
     def signed_permutation():
         perm = draw(st.permutations(range(n)))
@@ -220,6 +194,22 @@ def test_search_equals_brute_force_minimum_over_orbit_subsets(group, radius):
     res = symrank_search(MatGroup(n, gens), full_lattice(n), radius=radius)
     assert res.upper_bound == _brute_force_symrank(gens, n, radius)
     assert sum(len(bfs_orbit(gens, w.entries)) for w in res.witness) == res.upper_bound
+
+
+@st.composite
+def _signed_permutation_records(draw):
+    """(rank, orbit records) of a random signed-permutation group on Z^n: n <= 3 at radius <= 2, n = 4 at radius 1."""
+    n, gens = draw(_signed_permutation_groups(max_n=4))
+    radius = draw(st.integers(1, 1 if n == 4 else 2))
+    return n, _orbit_records(MatGroup(n, gens), radius, DEFAULT_CAP)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_signed_permutation_records())
+def test_selection_equals_the_unfiltered_search_over_every_record(case):
+    """Searching only the first record of each span returns the unfiltered search's size and reps."""
+    n, records = case
+    assert _min_spanning_selection(records, n) == min_spanning_selection_oracle(records, n)
 
 
 # (upper bound, witness, orbits materialized) at radius 2, pinned exactly:
@@ -306,6 +296,44 @@ def test_partial_span_searches_are_pinned(name):
     n, radius, gens, expected = PARTIAL_SPAN_SEARCHES[name]
     res = symrank_search(MatGroup(n, [IntMatrix.from_rows(h) for h in gens]), full_lattice(n), radius=radius)
     assert (res.upper_bound, [w.entries for w in res.witness], res.orbit_count) == expected
+
+
+# Searches whose orbits have size 1 or 2, so the size-per-rank prune barely
+# cuts and many records repeat the span of an earlier one, each with a
+# ceiling on the search's HNF row insertions: searching each distinct span
+# once takes 117,483 and 42,116, and searching every record 908,335 and
+# 182,399.  (value, witness, orbits materialized) is pinned as above.
+REPEATED_SPAN_SEARCHES = {
+    "Z5 involution": (
+        5, 1,
+        [[(-1, 0, 0, 0, 0), (0, -1, 0, 0, 0), (0, 0, 0, 0, -1), (0, 0, 0, 1, 0), (0, 0, -1, 0, 0)]],
+        (7, [(0, 0, 0, 0, 1), (0, 0, 0, 1, 0), (0, 1, 0, 0, 0), (1, 0, 0, 0, 0)], 125),
+        150_000,
+    ),
+    "Z4 swap and signs": (
+        4, 2,
+        [[(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)], [(-1, 0, 0, 0), (0, 1, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1)]],
+        (7, [(0, 0, 0, 1), (0, 1, 0, 0), (1, 0, 0, 0)], 194),
+        60_000,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPEATED_SPAN_SEARCHES))
+def test_repeated_span_searches_are_pinned_and_insert_each_span_once(name, monkeypatch):
+    n, radius, gens, expected, ceiling = REPEATED_SPAN_SEARCHES[name]
+    calls = 0
+    insert = search._hnf_insert
+
+    def counted(span, row):
+        nonlocal calls
+        calls += 1
+        return insert(span, row)
+
+    monkeypatch.setattr(search, "_hnf_insert", counted)
+    res = symrank_search(MatGroup(n, [IntMatrix.from_rows(h) for h in gens]), full_lattice(n), radius=radius)
+    assert (res.upper_bound, [w.entries for w in res.witness], res.orbit_count) == expected
+    assert calls <= ceiling
 
 
 def test_a_box_over_the_cap_raises_before_any_orbit_is_built():
