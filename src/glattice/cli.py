@@ -232,8 +232,8 @@ def cmd_verify(args, out) -> list:
 
 
 def cmd_symrank(args, out) -> list:
-    dim, gens, _, label = load_group_file(args.group)
-    grp = MatGroup(dim, gens, label=label)
+    dim, gens, _, _ = load_group_file(args.group)
+    grp = MatGroup(dim, gens)
     lat = full_lattice(dim) if args.lattice == "full" else hnf(load_matrix_file(args.lattice))
     mode = args.mode
     if mode == "exact":

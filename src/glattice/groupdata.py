@@ -370,7 +370,6 @@ class PointVerdict:
     n: int | None
     q: int
     dim_bound: int
-    aut_bound: int
     holds_doubling: bool
     holds_29: bool
 
@@ -420,7 +419,7 @@ def _verdict(b: int, aut: int) -> tuple[bool, bool]:
 def check_point(rec: FamilyRecord, n, q, u, t) -> PointVerdict:
     b = rec.dim_bound(n, q, u, t)
     aut = rec.scan_aut_bound(n, q, u, t)
-    return PointVerdict(n, q, b, aut, *_verdict(b, aut))
+    return PointVerdict(n, q, b, *_verdict(b, aut))
 
 
 def almost_simple_scan(

@@ -45,7 +45,6 @@ class MatGroup:
 
     dim: int
     generators: tuple[IntMatrix, ...]
-    label: str | None = None
     images: Callable[[tuple], tuple] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -208,23 +207,23 @@ def orbit(g: MatGroup, v, cap: int = DEFAULT_CAP) -> Orbit:
     return Orbit(frozenset(seen), len(seen))
 
 
-def stable_span(g: MatGroup, v) -> LatticeBasis:
-    """Smallest g-stable lattice containing v, by HNF row insertion.
+def stable_span(g: MatGroup, *vectors) -> LatticeBasis:
+    """Smallest g-stable lattice containing the vectors, by HNF row insertion.
 
-    Equals the span of the orbit of v without listing the orbit: a worklist
-    starts at v, each vector is inserted into the HNF, and the generator
-    images of every vector that grows the span are queued.  A vector that
-    does not grow the span lies in the span of earlier vectors that did,
-    whose images are already queued, so the result is g-stable; every
-    queued vector lies in the orbit, so the result is exactly its span.
-    Every growth is a strict step up an ascending chain of sublattices of
-    Z^n, and such chains are finite, so the worklist runs out.
+    Equals the span of the union of their orbits without listing an orbit:
+    a worklist starts with all the vectors, each vector is inserted into
+    the HNF, and the generator images of every vector that grows the span
+    are queued.  A vector that does not grow the span lies in the span of
+    earlier vectors that did, whose images are already queued, so the
+    result is g-stable; every queued vector lies in one of the orbits, so
+    the result is exactly the span of their union.  Every growth is a
+    strict step up an ascending chain of sublattices of Z^n, and such
+    chains are finite, so the worklist runs out.
     """
-    vv = as_vector(v)
-    if vv.dim != g.dim:
+    todo = [as_vector(v).entries for v in vectors]
+    if any(len(w) != g.dim for w in todo):
         raise ValueError("vector dimension does not match group dimension")
     span: tuple = ()
-    todo = [vv.entries]
     for w in todo:
         grown = _hnf_insert(span, w)
         if grown is not span:
@@ -239,7 +238,7 @@ def conjugate(g: MatGroup, a: IntMatrix) -> MatGroup:
         a_inv = a.inverse_unimodular()
     except ValueError as e:
         raise NonUnimodularConjugator("conjugator is not unimodular") from e
-    return MatGroup(g.dim, tuple(a.mul(h).mul(a_inv) for h in g.generators), label=g.label)
+    return MatGroup(g.dim, tuple(a.mul(h).mul(a_inv) for h in g.generators))
 
 
 def commutant_dimension(g: MatGroup) -> int:
@@ -314,4 +313,4 @@ def in_lattice_coordinates(g: MatGroup, l: LatticeBasis) -> MatGroup:
         # rows[i] = coordinates of h(basis_i); action on coordinate columns
         # is the transpose of this coefficient matrix.
         gens.append(IntMatrix.from_rows(rows).transpose())
-    return MatGroup(l.rank, gens, label=g.label)
+    return MatGroup(l.rank, gens)

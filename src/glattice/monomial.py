@@ -55,7 +55,7 @@ def full_monomial_group(n: int) -> MatGroup:
     gens = [cycle_matrix(n), signed_permutation(tuple(-1 if k == 0 else 1 for k in ident), ident)]
     if n >= 2:
         gens.insert(1, signed_permutation((1,) * n, (1, 0) + ident[2:]))
-    return MatGroup(n, tuple(gens), label=f"Mon_{n}")
+    return MatGroup(n, tuple(gens))
 
 
 @dataclass(frozen=True)

@@ -153,7 +153,7 @@ class WeylModel:
         return IntVector(self.cartan.row(i))
 
     def matgroup(self) -> MatGroup:
-        return MatGroup(self.rank, self.simple_reflections, label=f"W({self.spec})")
+        return MatGroup(self.rank, self.simple_reflections)
 
 
 def _reflection(cartan: IntMatrix, i: int) -> IntMatrix:

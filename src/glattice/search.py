@@ -70,7 +70,7 @@ from dataclasses import dataclass
 from operator import neg
 
 from .errors import CapExceeded, NotInLattice
-from .intmat import IntMatrix, IntVector, LatticeBasis, _hnf_insert, as_vector, full_lattice, hnf_from_rows, member
+from .intmat import IntMatrix, IntVector, LatticeBasis, _hnf_insert, as_vector, full_lattice, member
 from .matgroup import (
     DEFAULT_CAP,
     MatGroup,
@@ -360,7 +360,7 @@ def symrank_search(
     union = set().union(*(orbit(g, rep, orbit_cap).elements for rep in ambient_reps))
     if len(union) != best_size:
         raise AssertionError(f"witness orbits hold {len(union)} vectors, not {best_size}")
-    if hnf_from_rows(sorted(union), l.ambient_dim) != l:
+    if stable_span(g, *ambient_reps) != l:
         raise AssertionError("witness union does not span the target lattice")
     return SymrankResult(
         best_size,
@@ -377,11 +377,12 @@ def verify_orbit_generates(
 ) -> tuple[bool, int]:
     """Whether the orbit of v spans l, along with the orbit size.
 
-    v must lie in l (otherwise its orbit cannot even be a subset).
+    v must lie in l (otherwise its orbit cannot even be a subset).  The
+    orbit is listed first, so an orbit over cap raises ``CapExceeded``;
+    its span is then ``stable_span``, which lists no orbit.
     """
     vv = as_vector(v)
     if not member(vv, l):
         raise NotInLattice(f"{vv.entries} is not in the target lattice")
-    orb = orbit(g, vv, cap)
-    span = hnf_from_rows(sorted(orb.elements), l.ambient_dim)
-    return span == l, orb.size
+    size = orbit(g, vv, cap).size
+    return stable_span(g, vv) == l, size

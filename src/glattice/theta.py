@@ -1,36 +1,37 @@
 """Positive definite integral forms, short-vector enumeration, theta coefficients.
 
-Positive definiteness is certified exactly by the pivots of an LDL^T
-decomposition over Fractions (Sylvester's criterion: they are all positive
-exactly when every leading principal minor is).  The enumeration is
-Fincke-Pohst (Fincke and Pohst 1985; Cohen, *A Course in Computational
-Algebraic Number Theory*, 2.7.3) in integers only.  With X = U^T diag(d) U,
+Positive definiteness is certified exactly by the leading principal
+minors D_1, ..., D_n (Sylvester's criterion: X is positive definite
+exactly when they are all positive), which fraction-free Gaussian
+elimination (Bareiss, "Sylvester's identity and multistep
+integer-preserving Gaussian elimination", Math. Comp. 22, 1968) produces
+in integers.  The enumeration is Fincke-Pohst (Fincke and Pohst 1985;
+Cohen, *A Course in Computational Algebraic Number Theory*, 2.7.3) in
+integers only.  After step i of the elimination, row i holds integers
+a_ij (j >= i) with a_ii = D_{i+1}, and with D_0 = 1
 
-    v^T X v = sum_i d_i (v_i + sum_{j>i} u_ij v_j)^2.
+    v^T X v = sum_i (sum_{j>=i} a_ij v_j)^2 / (D_i D_{i+1}).
 
-Let L_i be the lcm of the denominators in row i of U and M the common
-denominator of the d_i / L_i^2.  Then C_i = sum_{j>i} L_i u_ij v_j and
-e_i = M d_i / L_i^2 are integers, and
+Let M = lcm_i(D_i D_{i+1}), e_i = M / (D_i D_{i+1}), L_i = a_ii and
+C_i = sum_{j>i} a_ij v_j.  Then
 
     M v^T X v = sum_i e_i (L_i v_i + C_i)^2,
 
 so the remaining budget B = M bound - (terms above i) is an integer too.
 The coordinate v_i runs over exactly the integers with
 |L_i v_i + C_i| <= isqrt(B // e_i) (for integer t, e t^2 <= B iff
-t^2 <= B // e), and the norm of a leaf is (M bound - B) / M.  Scaling the
-decomposition is the only rational arithmetic, done once per call, so the
-vector lists and coefficient counts are complete by construction -- no
-pruning heuristic, no floats.
+t^2 <= B // e), and the norm of a leaf is (M bound - B) / M.  Every
+quantity is an integer, so the vector lists and coefficient counts are
+complete by construction -- no pruning heuristic, no fractions, no floats.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt, lcm
 
 from .errors import CapExceeded, FormNotPreserved
-from .intmat import IntMatrix, LatticeBasis, as_vector, hnf_from_rows
-from .matgroup import DEFAULT_CAP, MatGroup, Orbit, orbit
+from .intmat import IntMatrix, LatticeBasis, as_vector
+from .matgroup import DEFAULT_CAP, MatGroup, Orbit, orbit, stable_span
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,7 @@ class GramForm:
     def __post_init__(self):
         if not self.matrix.is_symmetric():
             raise ValueError("Gram matrix must be symmetric")
-        _ldl(self)  # raises ValueError unless every pivot is positive
+        _scaled_ldl(self)  # raises ValueError unless every leading minor is positive
 
     @property
     def dim(self) -> int:
@@ -63,39 +64,29 @@ def identity_form(n: int) -> GramForm:
     return GramForm(IntMatrix.identity(n))
 
 
-def _ldl(form: GramForm) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """X = U^T diag(d) U with U unit upper triangular; both exact rationals.
+def _scaled_ldl(form: GramForm) -> tuple[int, list[int], list[int], list[list[tuple[int, int]]]]:
+    """(M, e, L, rows) with M v^T X v = sum_i e_i (L_i v_i + sum_{(j, c) in rows[i]} c v_j)^2.
 
-    Raises ValueError at the first pivot d[i] <= 0, before dividing by it:
-    the pivots are ratios of consecutive leading principal minors, so they
-    are all positive exactly when X is positive definite.
+    Bareiss elimination: step i divides exactly by the previous pivot
+    D_i, and leaves a_ii = D_{i+1}.  Raises ValueError at the first
+    minor D_{i+1} <= 0, before dividing by it, so the form is positive
+    definite exactly when this returns.
     """
     n = form.dim
-    a = [[Fraction(form.matrix[i, j]) for j in range(n)] for i in range(n)]
-    d = [Fraction(0)] * n
-    u = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    a = [list(form.matrix.row(i)) for i in range(n)]
+    minors = [1]  # D_0, ..., D_n
     for i in range(n):
-        d[i] = a[i][i]
-        if d[i] <= 0:
+        pivot, prev = a[i][i], minors[-1]
+        if pivot <= 0:
             raise ValueError("Gram matrix must be positive definite")
-        for j in range(i + 1, n):
-            u[i][j] = a[i][j] / d[i]
         for r in range(i + 1, n):
             for c in range(i + 1, n):
-                a[r][c] -= a[r][i] * a[i][c] / d[i]
-    return d, u
-
-
-def _scaled_ldl(form: GramForm) -> tuple[int, list[int], list[int], list[list[tuple[int, int]]]]:
-    """(M, e, L, rows) with M v^T X v = sum_i e_i (L_i v_i + sum_{(j, c) in rows[i]} c v_j)^2."""
-    d, u = _ldl(form)
-    n = form.dim
-    scale = [lcm(*(u[i][j].denominator for j in range(i + 1, n))) for i in range(n)]
-    weights = [d[i] / (scale[i] * scale[i]) for i in range(n)]
-    m = lcm(*(w.denominator for w in weights))
-    e = [int(w * m) for w in weights]
-    rows = [[(j, int(u[i][j] * scale[i])) for j in range(i + 1, n) if u[i][j]] for i in range(n)]
-    return m, e, scale, rows
+                a[r][c] = (pivot * a[r][c] - a[r][i] * a[i][c]) // prev
+        minors.append(pivot)
+    m = lcm(*(minors[i] * minors[i + 1] for i in range(n)))
+    e = [m // (minors[i] * minors[i + 1]) for i in range(n)]
+    rows = [[(j, a[i][j]) for j in range(i + 1, n) if a[i][j]] for i in range(n)]
+    return m, e, minors[1:], rows
 
 
 def short_vectors(form: GramForm, bound: int, cap: int = DEFAULT_CAP) -> list[tuple[tuple[int, ...], int]]:
@@ -210,5 +201,5 @@ def orbit_within_norm_class(
         class_size = theta_prefix(form, nm, cap).coefficients[nm]
     else:
         class_size = 1
-    span = hnf_from_rows(sorted(orb.elements), form.dim)
+    span = stable_span(g, vv)
     return NormClassOrbit(orb, nm, class_size, span, span.is_full())

@@ -123,9 +123,9 @@ def coset_labels_oracle(p: int, factors) -> list[tuple[frozenset, GF2Poly]]:
     return out
 
 
-def orbit_span(g: MatGroup, v) -> LatticeBasis:
-    """Oracle for ``stable_span``: HNF basis of the span of the listed orbit of v."""
-    return hnf_from_rows(sorted(orbit(g, v).elements), g.dim)
+def orbit_span(g: MatGroup, *vectors) -> LatticeBasis:
+    """Oracle for ``stable_span``: HNF basis of the span of the listed orbits of the vectors."""
+    return hnf_from_rows(sorted(set().union(*(orbit(g, v).elements for v in vectors))), g.dim)
 
 
 def closure_oracle(g: MatGroup) -> tuple[frozenset, int]:

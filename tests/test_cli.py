@@ -221,19 +221,21 @@ def test_cap_exceeded_exit_code(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "gens, radius, cap, message",
+    "gens, argv, cap, message",
     [
         # {+-I} on Z^3 at radius 3: 7^3 - 1 = 342 box vectors, each orbit of size 2
-        ([IntMatrix.diagonal([-1, -1, -1])], 3, 100, "box exceeded cap 100"),
+        ([IntMatrix.diagonal([-1, -1, -1])], ["--radius", "3"], 100, "box exceeded cap 100"),
         # a shear: 8 box vectors, and the orbit of (0, 1) is infinite
-        ([IntMatrix.from_rows([(1, 1), (0, 1)])], 1, 30, "orbit exceeded cap 30"),
+        ([IntMatrix.from_rows([(1, 1), (0, 1)])], ["--radius", "1"], 30, "orbit exceeded cap 30"),
+        # the same orbit by --mode orbit: its span takes a few steps, so exit 4 shows the orbit is listed first
+        ([IntMatrix.from_rows([(1, 1), (0, 1)])], ["--mode", "orbit:0,1"], 30, "orbit exceeded cap 30"),
     ],
-    ids=["box", "orbit"],
+    ids=["box", "orbit", "orbit mode"],
 )
-def test_symrank_cap_is_one_line_and_exit_4(gens, radius, cap, message, tmp_path, capsys):
+def test_symrank_cap_is_one_line_and_exit_4(gens, argv, cap, message, tmp_path, capsys):
     gpath = tmp_path / "g.json"
     gpath.write_text(json.dumps(group_to_json(gens[0].rows, gens)))
-    rc, out = run(["--cap", str(cap), "symrank", "--group", str(gpath), "--radius", str(radius)])
+    rc, out = run(["--cap", str(cap), "symrank", "--group", str(gpath), *argv])
     assert rc == EXIT_CAP_EXCEEDED == 4
     assert out == ""
     assert capsys.readouterr().err.splitlines() == [f"cap exceeded: {message}"]

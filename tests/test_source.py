@@ -24,6 +24,26 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
+def test_no_fractions_true_division_or_floats_in_the_package():
+    """Every certified path is exact: no ``fractions`` import, no ``/``, no float literal and no ``float``."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                modules = []
+            if (
+                any(m.split(".")[0] == "fractions" for m in modules)
+                or isinstance(getattr(node, "op", None), ast.Div)
+                or (isinstance(node, ast.Constant) and isinstance(node.value, float))
+                or (isinstance(node, ast.Name) and node.id == "float")
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
 def _public_routines():
     """(path, def node) of every public top-level function and top-level class method."""
     for path in sorted(SRC.rglob("*.py")):

@@ -16,6 +16,7 @@ from glattice.theta import (
     GramForm,
     diagonal_bound,
     identity_form,
+    _scaled_ldl,
     orbit_within_norm_class,
     short_vectors,
     theta_prefix,
@@ -75,6 +76,25 @@ def test_positive_definite_iff_leading_minors_positive(m):
         accepted = False
     assert accepted == all(d > 0 for d in minors)
 
+
+@st.composite
+def _forms_with_vectors(draw):
+    """(A^T A + I, v) for a random integer n x n matrix A, n <= 5, and a random integer v."""
+    n = draw(st.integers(1, 5))
+    a = [draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)) for _ in range(n)]
+    m = [[sum(row[i] * row[j] for row in a) + int(i == j) for j in range(n)] for i in range(n)]
+    return IntMatrix.from_rows(m), draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_forms_with_vectors())
+def test_scaled_decomposition_gives_the_scaled_norm(case):
+    """M v^T X v = sum_i e_i (L_i v_i + sum_{(j, c) in rows[i]} c v_j)^2, every term an integer."""
+    m, v = case
+    form = GramForm(m)
+    scale, e, lead, rows = _scaled_ldl(form)
+    terms = [ei * (li * v[i] + sum(c * v[j] for j, c in row)) ** 2 for i, (ei, li, row) in enumerate(zip(e, lead, rows))]
+    assert scale * form.norm(v) == sum(terms)
 
 def test_short_vectors_identity_bound_one():
     got = short_vectors(identity_form(2), 1)
