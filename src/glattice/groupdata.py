@@ -366,19 +366,6 @@ def sporadic_records(data: dict) -> list[SporadicRecord]:
 
 
 @dataclass(frozen=True)
-class PointVerdict:
-    n: int | None
-    q: int
-    dim_bound: int
-    holds_doubling: bool
-    holds_29: bool
-
-    @property
-    def remaining(self) -> bool:
-        return not (self.holds_doubling or self.holds_29)
-
-
-@dataclass(frozen=True)
 class FamilyScan:
     name: str
     points_checked: int
@@ -416,12 +403,6 @@ def _verdict(b: int, aut: int) -> tuple[bool, bool]:
     return b >= 1 and pow2_at_least(b, 2 * aut * b), TWO_TO_29 >= 58 * aut
 
 
-def check_point(rec: FamilyRecord, n, q, u, t) -> PointVerdict:
-    b = rec.dim_bound(n, q, u, t)
-    aut = rec.scan_aut_bound(n, q, u, t)
-    return PointVerdict(n, q, b, *_verdict(b, aut))
-
-
 def almost_simple_scan(
     data: dict | None = None, q_cap: int = 100, n_cap: int = 12
 ) -> ScanReport:
@@ -439,8 +420,7 @@ def almost_simple_scan(
         count = 0
         for n, q, u, t in rec.points(q_cap, n_cap):
             count += 1
-            v = check_point(rec, n, q, u, t)
-            if v.remaining:
+            if not any(_verdict(rec.dim_bound(n, q, u, t), rec.scan_aut_bound(n, q, u, t))):
                 remaining.append((n, q))
         expected = tuple(
             (n, q) for n, q in rec.expected_remaining if q <= q_cap and (n is None or n <= n_cap)

@@ -164,7 +164,7 @@ class DiagonalBound:
 
 def diagonal_bound(form: GramForm, cap: int = DEFAULT_CAP) -> DiagonalBound:
     norms = form.diagonal_norms()
-    top = max(norms)
+    top = max(norms, default=0)
     witnesses = [v for v, nm in short_vectors(form, top, cap) if nm in norms]
     return DiagonalBound(norms, len(witnesses), tuple(witnesses))
 

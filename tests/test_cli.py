@@ -213,6 +213,13 @@ def test_theta_command(tmp_path):
     assert rc == EXIT_OK and "6" in out
 
 
+def test_theta_diagonal_bound_of_the_zero_form(tmp_path):
+    """A 0x0 Gram matrix has no diagonal norms; its only vector is 0, so the bound is 0."""
+    mpath = _write(tmp_path / "zero.json", {"rows": 0, "cols": 0, "entries": []})
+    rc, out = run(["--format", "json", "theta", "--gram", mpath, "--diagonal-bound"])
+    assert (rc, out) == (EXIT_OK, '[{"diagonal_norms": [], "bound": 0}]\n')
+
+
 def test_cap_exceeded_exit_code(tmp_path):
     gpath = tmp_path / "order2.json"
     gpath.write_text(json.dumps(group_to_json(2, [IntMatrix.from_rows([(0, 1), (1, 0)])])))

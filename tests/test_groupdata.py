@@ -6,9 +6,9 @@ import pytest
 from glattice.errors import UnknownFormula
 from glattice.groupdata import (
     FamilyRecord,
+    _verdict,
     almost_simple_scan,
     aut_spot_checks,
-    check_point,
     family_records,
     load_data,
     sporadic_records,
@@ -106,9 +106,9 @@ def test_env_override_roundtrip(tmp_path, monkeypatch):
 
 def test_point_verdict_fields():
     rec = next(r for r in family_records(DATA) if r.name == "S_4(q), q >= 3 odd")
-    v = check_point(rec, 2, 9, 3, 2)
-    assert v.remaining  # the published table keeps q = 9 as a remaining case
-    assert v.dim_bound == 40
+    b = rec.dim_bound(2, 9, 3, 2)
+    assert b == 40
+    assert not any(_verdict(b, rec.scan_aut_bound(2, 9, 3, 2)))  # the published table keeps q = 9 as a remaining case
 
 
 def test_families_without_formulas_raise_unknown_formula():

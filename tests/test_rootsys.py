@@ -131,10 +131,41 @@ def test_e8_weyl_order():
     assert build(RootSystemSpec("E", 8)).weyl_order == 696729600
 
 
-def test_reflections_are_involutions_e7():
-    m = build(RootSystemSpec("E", 7))
-    for s in m.simple_reflections:
-        assert s.mul(s) == IntMatrix.identity(7)
+def _order(g: IntMatrix) -> int | None:
+    """The order of g if it is at most 6, else None."""
+    ident = IntMatrix.identity(g.rows)
+    acc = g
+    for k in range(1, 7):
+        if acc == ident:
+            return k
+        acc = acc.mul(g)
+    return None
+
+
+@pytest.mark.parametrize("spec", _specs_up_to(12), ids=str)
+def test_simple_reflections_satisfy_the_coxeter_relations(spec):
+    """s_i has order 2 and s_i s_j has order m_ij, as the module docstring argues."""
+    m = build(spec)
+    s, c = m.simple_reflections, m.cartan
+    for i in range(m.rank):
+        assert _order(s[i]) == 2
+        for j in range(i + 1, m.rank):
+            assert _order(s[i].mul(s[j])) == {0: 2, 1: 3, 2: 4, 3: 6}[c[i, j] * c[j, i]], (i, j)
+
+
+def test_the_symrank_table_multiplies_no_matrices(monkeypatch):
+    """The table reads its orbit sizes from closed forms, so no model build re-proves its reflections."""
+    calls = 0
+    mul = IntMatrix.mul
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(IntMatrix, "mul", counted)
+    weyl_symrank_table(8)
+    assert calls == 0
 
 
 def test_orbit_size_examples():
