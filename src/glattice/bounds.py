@@ -16,13 +16,21 @@ result is therefore always exact, and rounding is outward: whenever a
 verdict says "holds" the underlying real inequality holds; the reported
 thresholds can exceed the true crossover by at most the rounding
 granularity (2^-12 here keeps them within a few primes).
+
+The metacyclic cases II.i and II.ii read 2^p >= 2^k M, with
+k = ell (p-1)/a + 1 and M = p^2 (p-1) for II.i and k = floor(2p/3) and
+M = a p (p-1) for II.ii.  Since 2^k > 0, this holds exactly when
+2^(p-k) >= M, that is when p - k >= ceil_log2(M) (``pow2_at_least``), so
+the decision forms no integer wider than M, about 3 log2 p bits.  Only
+``prime_case_check`` and ``mon_metacyclic_bound`` form 2^p and 2^k M, to
+report them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
 
-from ._primes import ceil_log2, is_prime, prime_power, prime_powers_upto, primes_upto
+from ._primes import ceil_log2, is_prime, pow2_at_least, prime_power, prime_powers_upto, primes_upto
 from .errors import HorizonTooSmall, InvalidCase, NotOddPrime, NotPrimePower
 
 LOG_FRAC_BITS = 12
@@ -106,7 +114,15 @@ def prime_case_check(p: int, a: int, ell: int, case: str) -> BoundVerdict:
     """
     _require_odd_prime(p)
     _require_case(a, case)
-    return _case_verdict(p, a, ell, case)
+    if case.endswith(".i"):
+        if not 0 <= ell <= a - 1:
+            raise InvalidCase(f"case {case} needs 0 <= ell <= a-1")
+        if (p - 1) % a != 0:
+            raise InvalidCase(f"case {case} needs a | p-1")
+    elif ell != a:
+        raise InvalidCase(f"case {case} is the ell = a subcase")
+    lhs, rhs = _metacyclic_sides(p, a, ell, case) if case.startswith("II.") else _projective_sides(p, a, case)
+    return BoundVerdict(case, lhs, rhs, _case_holds(p, a, ell, case))
 
 
 def _require_case(a: int, case: str):
@@ -116,46 +132,43 @@ def _require_case(a: int, case: str):
         raise ValueError("a must be positive")
 
 
-def _metacyclic_sides(p: int, a: int, ell: int) -> tuple[int, int]:
-    """2^p and 2^(ell (p-1)/a + 1) p^2 (p-1), the sides of the metacyclic-image bound, for a | p - 1."""
-    return 2**p, 2 ** (ell * (p - 1) // a + 1) * p * p * (p - 1)
+def _metacyclic_exponents(p: int, a: int, ell: int, case: str) -> tuple[int, int]:
+    """(k, M) with the case-II inequality 2^p >= 2^k M.
 
-
-def _case_verdict(p: int, a: int, ell: int, case: str) -> BoundVerdict:
-    """The body of :func:`prime_case_check`, for an odd prime p and a checked case and a."""
+    II.i (a | p - 1): k = ell (p-1)/a + 1 and M = p^2 (p-1);
+    II.ii: k = floor(2p/3) and M = a p (p-1).
+    """
     if case == "II.i":
-        if not 0 <= ell <= a - 1:
-            raise InvalidCase("case II.i needs 0 <= ell <= a-1")
-        if (p - 1) % a != 0:
-            raise InvalidCase("case II.i needs a | p-1")
-        lhs, rhs = _metacyclic_sides(p, a, ell)
-        return BoundVerdict("II.i", lhs, rhs, lhs >= rhs)
-    if case == "II.ii":
-        if ell != a:
-            raise InvalidCase("case II.ii is the ell = a subcase")
-        lhs = 2**p
-        rhs = a * 2 ** (2 * p // 3) * p * (p - 1)
-        return BoundVerdict("II.ii", lhs, rhs, lhs >= rhs)
-    # case III: exponent domain with outward-rounded logs, scale 2^(2f)
+        return ell * (p - 1) // a + 1, p * p * (p - 1)
+    return 2 * p // 3, a * p * (p - 1)
+
+
+def _metacyclic_sides(p: int, a: int, ell: int, case: str) -> tuple[int, int]:
+    """2^p and 2^k M, the two sides of a case-II inequality, as integers (for reporting only)."""
+    k, m = _metacyclic_exponents(p, a, ell, case)
+    return 1 << p, m << k
+
+
+def _projective_sides(p: int, a: int, case: str) -> tuple[int, int]:
+    """The sides of case III.i or III.ii: exponents with outward-rounded logs, scaled by 2^(2f)."""
     f = LOG_FRAC_BITS
     ku = log2_fixed_upper(p * p + 1)  # >= 2^f log2(p^2+1)
     kw = log2_fixed_upper(p)  # >= 2^f log2 p
     # log2(log2 p) <= log2(kw / 2^f) = log2(kw) - f, rounded up
     kv = log2_fixed_upper(kw) - (f << f)
     if case == "III.i":
-        if not 0 <= ell <= a - 1:
-            raise InvalidCase("case III.i needs 0 <= ell <= a-1")
-        if (p - 1) % a != 0:
-            raise InvalidCase("case III.i needs a | p-1")
-        lhs = ((p - 1) // a) << (2 * f)
-        rhs = ku * ku + (kv << f) + (kw << f)
-        return BoundVerdict("III.i", lhs, rhs, lhs >= rhs)
-    if ell != a:
-        raise InvalidCase("case III.ii is the ell = a subcase")
+        return ((p - 1) // a) << (2 * f), ku * ku + (kv << f) + (kw << f)
     ka = log2_fixed_upper(a) if a > 1 else 0
-    lhs = p << (2 * f)
-    rhs = 3 * ((ka << f) + ku * ku + (kv << f))
-    return BoundVerdict("III.ii", lhs, rhs, lhs >= rhs)
+    return p << (2 * f), 3 * ((ka << f) + ku * ku + (kv << f))
+
+
+def _case_holds(p: int, a: int, ell: int, case: str) -> bool:
+    """Whether the case inequality holds, for an odd prime p and a valid a, ell and case; case II forms neither side."""
+    if case.startswith("II."):
+        k, m = _metacyclic_exponents(p, a, ell, case)
+        return pow2_at_least(p - k, m)
+    lhs, rhs = _projective_sides(p, a, case)
+    return lhs >= rhs
 
 
 def _default_ell(a: int, case: str) -> int:
@@ -183,7 +196,7 @@ def min_threshold(a: int, case: str, horizon: int = 10007) -> ThresholdReport:
             continue
         if case.endswith(".i") and (p - 1) % a != 0:
             continue
-        verdicts.append((p, _case_verdict(p, a, ell, case).holds))
+        verdicts.append((p, _case_holds(p, a, ell, case)))
     if not verdicts or not verdicts[-1][1]:
         raise HorizonTooSmall(f"inequality does not hold at the horizon {horizon}")
     threshold = None
@@ -204,8 +217,8 @@ def mon_metacyclic_bound(p: int, ell: int, a: int) -> BoundVerdict:
         raise ValueError("a must divide p - 1")
     if not 0 <= ell <= a:
         raise ValueError("ell out of range")
-    lhs, rhs = _metacyclic_sides(p, a, ell)
-    return BoundVerdict("metacyclic", lhs, rhs, lhs >= rhs)
+    lhs, rhs = _metacyclic_sides(p, a, ell, "II.i")
+    return BoundVerdict("metacyclic", lhs, rhs, _case_holds(p, a, ell, "II.i"))
 
 
 @dataclass(frozen=True)

@@ -89,27 +89,29 @@ def _scaled_ldl(form: GramForm) -> tuple[int, list[int], list[int], list[list[tu
     return m, e, minors[1:], rows
 
 
-def short_vectors(form: GramForm, bound: int, cap: int = DEFAULT_CAP) -> list[tuple[tuple[int, ...], int]]:
-    """Complete list of (v, v^T X v) with norm <= bound, lexicographic order.
+def _fincke_pohst(form: GramForm, bound: int, cap: int, leaf) -> None:
+    """Call ``leaf(coords, norm)`` once for every v with v^T X v <= bound.
 
-    Each v is a plain coordinate tuple.  Both v and -v appear (and the
-    zero vector, whenever bound >= 0).
+    ``coords`` is the live coordinate list, valid only during the call.
+    Raises CapExceeded as soon as more than ``cap`` vectors are found.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     n = form.dim
     m, e, scale, rows = _scaled_ldl(form)
     total = m * bound
-    out: list[tuple[tuple[int, ...], int]] = []
     coords = [0] * n
+    found = 0
 
     def descend(i: int, budget: int):
+        nonlocal found
         if i < 0:
             norm, rest = divmod(total - budget, m)
             if rest:
                 raise AssertionError("scaled norm is not a multiple of the scale")
-            out.append((tuple(coords), norm))
-            if len(out) > cap:
+            leaf(coords, norm)
+            found += 1
+            if found > cap:
                 raise CapExceeded("short vector enumeration", cap)
             return
         center = sum(c * coords[j] for j, c in rows[i])
@@ -123,6 +125,16 @@ def short_vectors(form: GramForm, bound: int, cap: int = DEFAULT_CAP) -> list[tu
         coords[i] = 0
 
     descend(n - 1, total)
+
+
+def short_vectors(form: GramForm, bound: int, cap: int = DEFAULT_CAP) -> list[tuple[tuple[int, ...], int]]:
+    """Complete list of (v, v^T X v) with norm <= bound, lexicographic order.
+
+    Each v is a plain coordinate tuple.  Both v and -v appear (and the
+    zero vector, whenever bound >= 0).
+    """
+    out: list[tuple[tuple[int, ...], int]] = []
+    _fincke_pohst(form, bound, cap, lambda coords, norm: out.append((tuple(coords), norm)))
     out.sort()
     return out
 
@@ -143,8 +155,11 @@ def theta_prefix(form: GramForm, horizon: int, cap: int = DEFAULT_CAP) -> ThetaP
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     counts = [0] * (horizon + 1)
-    for _, norm in short_vectors(form, horizon, cap):
+
+    def count(_coords, norm):
         counts[norm] += 1
+
+    _fincke_pohst(form, horizon, cap, count)
     return ThetaPrefix(tuple(counts))
 
 

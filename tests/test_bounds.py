@@ -75,6 +75,49 @@ def test_case_II_ii_a2():
     assert not prime_case_check(29, 2, 2, "II.ii").holds
 
 
+def _metacyclic_oracle(p, a, ell, case):
+    """The two sides of a case-II inequality as integers, straight from its statement."""
+    if case == "II.i":
+        return 2**p, 2 ** (ell * (p - 1) // a + 1) * p * p * (p - 1)
+    return 2**p, a * 2 ** (2 * p // 3) * p * (p - 1)
+
+
+def test_case_II_decisions_equal_the_integer_comparison():
+    """For every odd prime p <= 5003, a <= 6 and valid ell, the exponent-domain decision is lhs >= rhs.
+
+    p = 31, a = 2 (II.i) is a boundary: p - k = 15 = ceil_log2(31^2 * 30),
+    so a strict comparison of the exponents would get it wrong.
+    """
+    checked = 0
+    for p in primes_upto(5003)[1:]:
+        for a in range(1, 7):
+            rows = [("II.ii", a)]
+            if (p - 1) % a == 0:
+                rows += [("II.i", ell) for ell in range(a)]
+            for case, ell in rows:
+                lhs, rhs = _metacyclic_oracle(p, a, ell, case)
+                assert bounds._case_holds(p, a, ell, case) == (lhs >= rhs), (p, a, ell, case)
+                assert prime_case_check(p, a, ell, case) == BoundVerdict(case, lhs, rhs, lhs >= rhs)
+                checked += 1
+            if (p - 1) % a == 0:
+                for ell in range(a + 1):
+                    lhs, rhs = _metacyclic_oracle(p, a, ell, "II.i")
+                    assert mon_metacyclic_bound(p, ell, a) == BoundVerdict("metacyclic", lhs, rhs, lhs >= rhs)
+    assert checked > 6000
+
+
+def test_the_case_II_scan_forms_neither_side(monkeypatch):
+    """min_threshold decides case II without forming 2^p or 2^k M; only the reporting path forms them."""
+    calls = []
+    sides = bounds._metacyclic_sides
+    monkeypatch.setattr(bounds, "_metacyclic_sides", lambda *args: calls.append(args) or sides(*args))
+    rep = min_threshold(2, "II.i", 10007)
+    assert (rep.threshold, rep.anomalies) == (31, ())
+    assert calls == []
+    assert not prime_case_check(29, 2, 1, "II.i").holds
+    assert calls == [(29, 2, 1, "II.i")]
+
+
 def test_case_checks_validate_input():
     with pytest.raises(InvalidCase):
         prime_case_check(31, 2, 1, "IV")

@@ -220,6 +220,18 @@ def test_theta_diagonal_bound_of_the_zero_form(tmp_path):
     assert (rc, out) == (EXIT_OK, '[{"diagonal_norms": [], "bound": 0}]\n')
 
 
+@pytest.mark.parametrize("cap, code", [(240, EXIT_CAP_EXCEEDED), (241, EXIT_OK)])
+def test_theta_cap_counts_every_vector(cap, code, tmp_path, capsys):
+    """E8 has 1 + 240 vectors of norm <= 2: --cap 240 stops at the 241st, --cap 241 counts them all."""
+    rc, out = run(["--cap", str(cap), "theta", "--gram", _e8_gram(tmp_path), "--horizon", "2"])
+    assert rc == code
+    if code == EXIT_OK:
+        assert out.split() == ["norm", "count", "0", "1", "1", "0", "2", "240"]
+    else:
+        assert out == ""
+        assert capsys.readouterr().err.splitlines() == ["cap exceeded: short vector enumeration exceeded cap 240"]
+
+
 def test_cap_exceeded_exit_code(tmp_path):
     gpath = tmp_path / "order2.json"
     gpath.write_text(json.dumps(group_to_json(2, [IntMatrix.from_rows([(0, 1), (1, 0)])])))

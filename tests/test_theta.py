@@ -1,6 +1,7 @@
 """Theta series: enumeration completeness, counts, diagonal bounds."""
 import itertools
 import random
+from collections import Counter
 from math import isqrt, prod
 
 import pytest
@@ -167,6 +168,18 @@ def test_short_vectors_match_brute_force(form, bound):
     got = short_vectors(form, bound)
     assert got == brute_force(form, bound, radii)
     assert all(nm == form.norm(v) for v, nm in got)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_symmetric_matrices().map(_shifted_to_positive_definite), st.integers(0, 8))
+def test_theta_prefix_is_the_norm_histogram_of_short_vectors(form, horizon):
+    """Counting the norms during the enumeration gives the histogram of the listed vectors, and the same cap."""
+    vectors = short_vectors(form, horizon)
+    counts = Counter(nm for _, nm in vectors)
+    assert theta_prefix(form, horizon).coefficients == tuple(counts[i] for i in range(horizon + 1))
+    assert theta_prefix(form, horizon, cap=len(vectors)).coefficients[0] == 1
+    with pytest.raises(CapExceeded):
+        theta_prefix(form, horizon, cap=len(vectors) - 1)
 
 
 def test_theta_prefix_examples():
