@@ -16,11 +16,11 @@ Every command is deterministic (there is no randomized mode).  Exit codes:
        boolean, a sporadic group's ``aut_order`` and ``rdim`` positive, and
        a file value read as an integer must be a JSON integer or a decimal
        string, not a float or a boolean), an argument is out of
-       range or not an odd prime (``verify --name almost-simple`` also
-       rejects a --qcap or --ncap that leaves some family with no scan
-       point), a generator is not unimodular, the lattice is not kept by
-       the group, an orbit vector lies outside the lattice, or the prime
-       horizon is too small for the threshold scan
+       range (``--cap`` below 1) or not an odd prime (``verify --name
+       almost-simple`` also rejects a --qcap or --ncap that leaves some
+       family with no scan point), a generator is not unimodular, the
+       lattice is not kept by the group, an orbit vector lies outside the
+       lattice, or the prime horizon is too small for the threshold scan
   141  the reader closed stdout before all output was written (``... | head``);
        the run stops with nothing on stderr, as if killed by SIGPIPE
 
@@ -394,6 +394,8 @@ def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
     args = build_parser().parse_args(argv)
     try:
+        if args.cap < 1:
+            raise ValueError(f"--cap must be at least 1, not {args.cap}")
         mismatches = args.run(args, out)
         out.flush()
     except BrokenPipeError:

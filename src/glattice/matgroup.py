@@ -12,6 +12,12 @@ Hitting a cap raises :class:`CapExceeded`, which callers treat as a
 first-class outcome (the inequality engines deliberately avoid
 materializing huge groups).  Enumeration order is deterministic: queue
 order (coset order for the closure), then generator index, so every downstream output is reproducible.
+
+There is one span worklist, :func:`_span_rows`: it runs on a kernel and
+raw tuples and returns canonical HNF rows.  It has two callers:
+:func:`stable_span`, which checks its vectors and wraps the rows as a
+lattice for the witness checks, and the search's orbit records, which
+store the rows as they come.
 """
 from __future__ import annotations
 
@@ -223,13 +229,23 @@ def stable_span(g: MatGroup, *vectors) -> LatticeBasis:
     todo = [as_vector(v).entries for v in vectors]
     if any(len(w) != g.dim for w in todo):
         raise ValueError("vector dimension does not match group dimension")
+    return _lattice(_span_rows(g.images, todo), g.dim)
+
+
+def _span_rows(images: Callable, todo: list) -> tuple:
+    """Canonical HNF rows of the smallest stable lattice holding the tuples in todo.
+
+    The one span worklist, for :func:`stable_span` and the search's orbit
+    records: images is a kernel from :func:`_compile_images`, and todo is
+    extended in place by the images of every tuple that grows the span.
+    """
     span: tuple = ()
     for w in todo:
         grown = _hnf_insert(span, w)
         if grown is not span:
             span = grown
-            todo.extend(g.images(w))
-    return _lattice(span, g.dim)
+            todo.extend(images(w))
+    return span
 
 
 def conjugate(g: MatGroup, a: IntMatrix) -> MatGroup:

@@ -6,7 +6,8 @@ reflection sigma_i then fixes every e_j except e_i and sends e_i to
 e_i - alpha_i, where alpha_i expands in the lambda-basis as row i of the
 Cartan matrix (Humphreys ordering and conventions).  These matrices are
 the Weyl group's simple reflections for every Cartan matrix built here,
-so nothing re-checks them at build time:
+so nothing re-checks them when ``WeylModel.simple_reflections`` makes
+them, on first read:
 
 * c_ii = 2, so sigma_i(alpha_i) = -alpha_i and sigma_i^2 = 1;
 * for i != j, sigma_i and sigma_j fix every e_k with k not in {i, j} and
@@ -48,6 +49,7 @@ both values are minimal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb, factorial, prod
 
 from .errors import InvalidRank, KindUnavailable
@@ -150,12 +152,16 @@ class WeylModel:
 
     spec: RootSystemSpec
     cartan: IntMatrix
-    simple_reflections: tuple[IntMatrix, ...]
     weyl_order: int
 
     @property
     def rank(self) -> int:
         return self.spec.rank
+
+    @cached_property
+    def simple_reflections(self) -> tuple[IntMatrix, ...]:
+        """The simple reflections, made on first read: the closed-form table never reads them."""
+        return tuple(_reflection(self.cartan, i) for i in range(self.rank))
 
     def simple_root(self, i: int) -> IntVector:
         """alpha_{i+1} in weight coordinates (0-indexed argument)."""
@@ -174,10 +180,8 @@ def _reflection(cartan: IntMatrix, i: int) -> IntMatrix:
 
 
 def build(spec: RootSystemSpec) -> WeylModel:
-    """The Weyl model of spec: its Cartan matrix, simple reflections and closed-form order."""
-    cartan = cartan_matrix(spec)
-    refl = tuple(_reflection(cartan, i) for i in range(spec.rank))
-    return WeylModel(spec, cartan, refl, weyl_order_closed_form(spec))
+    """The Weyl model of spec: its Cartan matrix and closed-form order."""
+    return WeylModel(spec, cartan_matrix(spec), weyl_order_closed_form(spec))
 
 
 def dominant_representative(model: WeylModel, v) -> IntVector:

@@ -42,6 +42,14 @@ visited from 168,115 to 25,558.  When no class is over the cap, as for
 the trivial group, {+-I} or a coordinate swap, the whole box is walked
 as it is generated, with no sort.
 
+An orbit record is built from plain tuples.  Its span rows come from the
+one span worklist of ``matgroup`` (``_span_rows``), started at the BFS
+start alone, and no lattice object is made per record.  Its
+representative is the least vector of the orbit in ``_rep_key`` order:
+a scan of the orbit for a basis vector, and the BFS start itself for a
+box vector, since a complete BFS from a box vector proves that no
+earlier box vector lies in its orbit (see ``_orbit_records``).
+
 The box holds (2B + 1)^rank - 1 vectors, and a box larger than the
 orbit cap raises ``CapExceeded`` before any vector is listed.
 
@@ -77,6 +85,7 @@ from .matgroup import (
     _compile_images,
     _orbit_bfs,
     _rows_terms,
+    _span_rows,
     in_lattice_coordinates,
     orbit,
     stable_span,
@@ -175,8 +184,10 @@ def _orbit_records(gl: MatGroup, radius: int, orbit_cap: int) -> list[_OrbitReco
     """Group the coefficient box into orbits under the restricted action.
 
     Each record holds the orbit's size, its canonical representative and
-    the canonical HNF rows of its span (from ``stable_span``), which the
-    search inserts into a partial span one row at a time.
+    the canonical HNF rows of its span, which the search inserts into a
+    partial span one row at a time.  The rows come from the span worklist
+    of ``matgroup`` (``_span_rows``) started at the BFS start alone, as
+    plain tuples.
 
     The basis vectors are visited first, then the box vectors that
     ``_listed_box`` lists, in ``_box`` order; ``seen`` holds the box
@@ -205,14 +216,25 @@ def _orbit_records(gl: MatGroup, radius: int, orbit_cap: int) -> list[_OrbitReco
     module docstring).  Vectors outside the box are not kept, and in the
     box phase only listed vectors are, which keeps memory at the size of
     the box.
+
+    The representative is the ``_rep_key`` minimum of the orbit.  In the
+    basis phase it is found by a scan of the orbit, since e_i need not be
+    that minimum.  In the box phase it is the BFS start v itself, when
+    the BFS is complete.  Let w be a vector of v's orbit before v in
+    ``_rep_key`` order.  Its sup-norm is at most v's, so w is in the box;
+    its class mod ``RESIDUE_MODULUS`` lies in the orbit of v's class, which
+    has the same size, so w is listed, and before v.  By w's turn the
+    orbit was built, which put v in ``seen``, or it was abandoned or
+    negation-marked at a cap at least the current one, so it is over the
+    current cap.  Either way v's BFS cannot be complete.
     """
     r = gl.dim
-    full_rows = full_lattice(r).rows()
+    full_rows = tuple(full_lattice(r).rows())
     seen: set[tuple[int, ...]] = set()
     records: list[_OrbitRecord] = []
     incumbent: int | None = None
 
-    def build(v: tuple[int, ...], cap: int, kept) -> bool:
+    def build(v: tuple[int, ...], cap: int, kept, v_is_rep: bool) -> bool:
         """BFS from v within cap, marking ``kept(orbit)`` in seen; record the orbit if complete."""
         nonlocal incumbent
         orb, complete = _orbit_bfs(gl.images, v, cap, seen)
@@ -221,8 +243,9 @@ def _orbit_records(gl: MatGroup, radius: int, orbit_cap: int) -> list[_OrbitReco
         if not complete:
             seen.update(tuple(map(neg, w)) for w in reached)
             return False
-        span = stable_span(gl, v).rows()
-        records.append(_OrbitRecord(len(orb), min(orb, key=_rep_key), tuple(span)))
+        span = _span_rows(gl.images, [v])
+        rep = v if v_is_rep else min(orb, key=_rep_key)
+        records.append(_OrbitRecord(len(orb), rep, span))
         if span == full_rows and (incumbent is None or len(orb) < incumbent):
             incumbent = len(orb)
         return True
@@ -235,7 +258,7 @@ def _orbit_records(gl: MatGroup, radius: int, orbit_cap: int) -> list[_OrbitReco
         if v in seen:
             continue
         cap = orbit_cap if incumbent is None else min(orbit_cap, incumbent)
-        if not build(v, cap, in_box) and incumbent is None:
+        if not build(v, cap, in_box, False) and incumbent is None:
             raise CapExceeded("orbit", cap)
     if incumbent is None:
         incumbent = sum(rec.size for rec in records)
@@ -245,7 +268,7 @@ def _orbit_records(gl: MatGroup, radius: int, orbit_cap: int) -> list[_OrbitReco
     for v in listed:
         if v in seen:
             continue
-        if build(v, cap, listed_set.intersection):
+        if build(v, cap, listed_set.intersection, True):
             cap = min(orbit_cap, incumbent)
     records.sort(key=lambda rec: (rec.size, _rep_key(rec.rep)))
     return records

@@ -447,6 +447,19 @@ def test_bad_input_is_one_line_and_exit_5(case, tmp_path, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("input error: ")
 
 
+@pytest.mark.parametrize("cap", ["0", "-1"])
+@pytest.mark.parametrize("command", ["symrank", "theta"])
+def test_a_cap_below_1_is_an_input_error(command, cap, tmp_path, capsys):
+    """Such a cap used to reach the enumeration and exit 4 with "box exceeded cap -1"."""
+    argv = {
+        "symrank": ["symrank", "--group", _write(tmp_path / "g.json", ONE_GENERATOR)],
+        "theta": ["theta", "--gram", _e8_gram(tmp_path)],
+    }[command]
+    rc, out = run(["--cap", cap, *argv])
+    assert (rc, out) == (EXIT_INPUT_ERROR, "")
+    assert capsys.readouterr().err.splitlines() == [f"input error: --cap must be at least 1, not {cap}"]
+
+
 @pytest.mark.parametrize(
     "field, value", [("rdim", 0), ("rdim", -5), ("aut_order", 0), ("aut_order", "-1")],
     ids=["rdim 0", "rdim -5", "aut_order 0", "aut_order -1"],

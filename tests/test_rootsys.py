@@ -22,6 +22,7 @@ from glattice.rootsys import (
     weyl_symrank_table,
     weyl_orbit_size,
 )
+from glattice import rootsys
 from glattice.search import symrank_search
 
 # ---------------------------------------------------------------------------
@@ -166,6 +167,23 @@ def test_the_symrank_table_multiplies_no_matrices(monkeypatch):
     monkeypatch.setattr(IntMatrix, "mul", counted)
     weyl_symrank_table(8)
     assert calls == 0
+
+
+def test_the_symrank_table_makes_no_reflection(monkeypatch):
+    """A model makes its simple reflections on first read, once; the table reads none."""
+    calls = 0
+    reflection = rootsys._reflection
+
+    def counted(cartan, i):
+        nonlocal calls
+        calls += 1
+        return reflection(cartan, i)
+
+    monkeypatch.setattr(rootsys, "_reflection", counted)
+    weyl_symrank_table(8)
+    assert calls == 0
+    m = build(RootSystemSpec("E", 8))
+    assert m.simple_reflections is m.simple_reflections and calls == 8
 
 
 def test_orbit_size_examples():

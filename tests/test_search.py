@@ -336,6 +336,24 @@ def test_repeated_span_searches_are_pinned_and_insert_each_span_once(name, monke
     assert calls <= ceiling
 
 
+def test_records_are_built_without_stable_span(monkeypatch):
+    """Record spans come from the span worklist on raw tuples: ``stable_span`` only re-verifies the witness.
+
+    The trivial group on Z^3 at radius 3 has 342 records, one per box vector.
+    """
+    calls = 0
+    span = search.stable_span
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return span(*args)
+
+    monkeypatch.setattr(search, "stable_span", counted)
+    res = symrank_search(MatGroup.trivial(3), full_lattice(3), radius=3)
+    assert (res.upper_bound, res.orbit_count, calls) == (3, 342, 1)
+
+
 def test_a_box_over_the_cap_raises_before_any_orbit_is_built():
     """The trivial group on Z^3 at radius 3 has 7^3 - 1 = 342 box vectors, each its own orbit."""
     with pytest.raises(CapExceeded) as exc:
