@@ -28,6 +28,7 @@ report them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import gcd
 
 from ._primes import ceil_log2, is_prime, pow2_at_least, prime_power, prime_powers_upto, primes_upto
@@ -149,13 +150,21 @@ def _metacyclic_sides(p: int, a: int, ell: int, case: str) -> tuple[int, int]:
     return 1 << p, m << k
 
 
-def _projective_sides(p: int, a: int, case: str) -> tuple[int, int]:
-    """The sides of case III.i or III.ii: exponents with outward-rounded logs, scaled by 2^(2f)."""
+@cache
+def _prime_logs(p: int) -> tuple[int, int, int]:
+    """(ku, kw, kv): outward-rounded logs of p, scaled by 2^f, shared by cases III.i and III.ii."""
     f = LOG_FRAC_BITS
     ku = log2_fixed_upper(p * p + 1)  # >= 2^f log2(p^2+1)
     kw = log2_fixed_upper(p)  # >= 2^f log2 p
     # log2(log2 p) <= log2(kw / 2^f) = log2(kw) - f, rounded up
     kv = log2_fixed_upper(kw) - (f << f)
+    return ku, kw, kv
+
+
+def _projective_sides(p: int, a: int, case: str) -> tuple[int, int]:
+    """The sides of case III.i or III.ii: exponents with outward-rounded logs, scaled by 2^(2f)."""
+    f = LOG_FRAC_BITS
+    ku, kw, kv = _prime_logs(p)
     if case == "III.i":
         return ((p - 1) // a) << (2 * f), ku * ku + (kv << f) + (kw << f)
     ka = log2_fixed_upper(a) if a > 1 else 0

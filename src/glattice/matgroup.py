@@ -3,15 +3,20 @@
 A :class:`MatGroup` is an immutable value that carries one compiled
 generator-action kernel, ``images`` (:func:`_compile_images`): a function
 from a vector to the tuple of its images under the generators, the one form
-in which generators act on vectors.  Orbits, stable spans, lattice checks
-and the closure run on such kernels.  Orbits are a breadth-first search
-with a hard cap (:func:`_orbit_bfs`); the closure lists the group coset by
-coset (Dimino's algorithm, :func:`_group_closure`), with one kernel per
-generator acting on the identity's entries by right multiplication.
-Hitting a cap raises :class:`CapExceeded`, which callers treat as a
-first-class outcome (the inequality engines deliberately avoid
-materializing huge groups).  Enumeration order is deterministic: queue
-order (coset order for the closure), then generator index, so every downstream output is reproducible.
+in which generators act on vectors.  Orbits, stable spans and lattice
+checks run on such kernels.  Orbits are a breadth-first search with a hard
+cap (:func:`_orbit_bfs`).  The closure lists the group coset by coset
+(Dimino's algorithm, :func:`_group_closure`) as permutations: the group
+acts faithfully on the union X of the orbits of the basis vectors, built
+by that BFS (|X| <= n |G|; for a Weyl group in the weight basis, X is the
+union of the fundamental-weight orbits), and an element is the tuple of
+the indices in X of its n columns.  A generator multiplies on the left
+through a compiled lookup kernel (:func:`_lookup_kernel`), n lookups per
+element instead of n^2 sums.  Hitting a cap raises :class:`CapExceeded`,
+which callers treat as a first-class outcome (the inequality engines
+deliberately avoid materializing huge groups).  Enumeration order is
+deterministic: queue order (coset order for the closure), then generator
+index, so every downstream output is reproducible.
 
 There is one span worklist, :func:`_span_rows`: it runs on a kernel and
 raw tuples and returns canonical HNF rows.  It has two callers:
@@ -21,8 +26,10 @@ store the rows as they come.
 """
 from __future__ import annotations
 
+from collections.abc import Set
 from dataclasses import dataclass, field
-from itertools import count
+from functools import cache
+from itertools import chain, count
 from typing import Callable
 
 from .errors import CapExceeded, NonUnimodularConjugator, NonUnimodularGenerator, NotGStable
@@ -76,26 +83,81 @@ class Orbit:
     size: int
 
 
-def closure(g: MatGroup, cap: int = DEFAULT_CAP) -> tuple[frozenset, int]:
+def closure(g: MatGroup, cap: int = DEFAULT_CAP) -> tuple[Set, int]:
     """Full element set (as row-major entry tuples) and exact order.
 
-    The elements are listed coset by coset by :func:`_group_closure`, on
-    one kernel per generator over the n^2 entries that multiplies on the
-    right: entry (i, b) of x h is the sum over a of x[i, a] h[a, b], so a
-    generator acts on the entries as n copies of h^T.  A finite matrix
-    group is closed under products of generators alone (every element has
-    finite order), so no explicit inverses are needed.
+    The group acts faithfully on the set X of points, the union of the
+    orbits of the basis vectors e_1..e_n (capped BFS, :func:`_orbit_bfs`):
+    X is G-stable, so each generator permutes it, and a matrix is
+    determined by its columns g e_j, which lie in X.  An orbit is at most
+    |G|, so |X| <= n |G|, and an orbit over the cap means a group over it.
+    An element g is kept as its columns' indices in X, the tuple
+    (index of g e_1, ..., index of g e_n), and a generator t acts on it by
+    left multiplication, column j of t g being t (g e_j): one lookup
+    kernel per generator (:func:`_lookup_kernel`) over t's permutation of
+    X, so an element costs n lookups.  The elements are listed coset by coset by
+    :func:`_group_closure`.  A finite matrix group is closed under products
+    of generators alone (every element has finite order), so no explicit
+    inverses are needed.
+
+    The set is an :class:`_Elements` view over the index tuples: it
+    compares, hashes, iterates and tests membership as the frozenset of
+    row-major entry tuples would, and forms a matrix only when it is
+    iterated or queried.
     """
     n = g.dim
-    blocks = (
-        tuple(tuple((i * n + a, c) for a, c in row) for i in range(n) for row in _rows_terms(h.transpose()))
-        for h in g.generators
-    )
-    kernels = [_compile_images(n * n, (terms,)) for terms in blocks]
-    seen, complete = _group_closure(kernels, IntMatrix.identity(n).entries, cap)
+    basis = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    points: list = []
+    index: dict = {}
+    for e in basis:
+        if e in index:
+            continue
+        orb, complete = _orbit_bfs(g.images, e, cap)
+        if not complete:
+            raise CapExceeded("group closure", cap)
+        for x in orb:
+            index[x] = len(points)
+            points.append(x)
+    images = [g.images(x) for x in points]
+    bind = _lookup_kernel(n)
+    kernels = [bind(tuple(index[imgs[t]] for imgs in images)) for t in range(len(g.generators))]
+    seen, complete = _group_closure(kernels, tuple(index[e] for e in basis), cap)
     if not complete:
         raise CapExceeded("group closure", cap)
-    return frozenset(seen), len(seen)
+    return _Elements(seen, points, index, n), len(seen)
+
+
+class _Elements(Set):
+    """Read-only set of matrices as row-major entry tuples, kept as column indices.
+
+    cols holds each element as the indices in points of its columns; a
+    query splits an entry tuple into columns and looks them up in index.
+    """
+
+    __slots__ = ("_cols", "_points", "_index", "_dim")
+
+    def __init__(self, cols: set, points: list, index: dict, dim: int):
+        self._cols, self._points, self._index, self._dim = cols, points, index, dim
+
+    def __len__(self) -> int:
+        return len(self._cols)
+
+    def __iter__(self):
+        points = self._points
+        for c in self._cols:
+            yield tuple(chain.from_iterable(zip(*[points[k] for k in c])))
+
+    def __contains__(self, entries) -> bool:
+        n = self._dim
+        if not isinstance(entries, tuple) or len(entries) != n * n:
+            return False
+        return tuple(self._index.get(entries[j::n]) for j in range(n)) in self._cols
+
+    __hash__ = Set._hash
+
+    @classmethod
+    def _from_iterable(cls, it) -> frozenset:
+        return frozenset(it)
 
 
 def _rows_terms(h: IntMatrix) -> tuple:
@@ -125,9 +187,6 @@ def _compile_images(dim: int, gens: tuple, modulus: int | None = None) -> Callab
     ``<matgroup images #N>``, so profiles and tracebacks tell kernels
     apart.
     """
-    def tup(items) -> str:
-        return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
-
     def entry(terms) -> str:
         if modulus is not None:
             terms = [(j, c % modulus) for j, c in terms if c % modulus]
@@ -137,11 +196,38 @@ def _compile_images(dim: int, gens: tuple, modulus: int | None = None) -> Callab
             return f"({total}) % {int(modulus)}"
         return total or "0"
 
-    body = tup([tup([entry(row) for row in rows]) for rows in gens])
-    source = f"def images(v):\n    {tup([f'v{j}' for j in range(dim)])} = v\n    return {body}\n"
+    body = _tuple_source([_tuple_source([entry(row) for row in rows]) for rows in gens])
+    source = f"def images(v):\n    {_tuple_source([f'v{j}' for j in range(dim)])} = v\n    return {body}\n"
     namespace: dict = {}
     exec(compile(source, f"<matgroup images #{next(_KERNEL_IDS)}>", "exec"), {}, namespace)
     return namespace["images"]
+
+
+@cache
+def _lookup_kernel(dim: int) -> Callable[[tuple], Callable[[tuple], tuple]]:
+    """perm -> the kernel v -> (perm[v0], ..., perm[v(dim-1)]) on tuples of indices.
+
+    With perm the permutation of a point set by t and v an element's column
+    indices, the kernel is left multiplication by t; with perm and v
+    permutations of range(dim), it is the composite perm o v.  The source
+    depends on dim alone, so it is compiled once per dim, like
+    :func:`_compile_images` from generated source, and each call binds a
+    perm in a closure.  It holds only the names ``perm``, ``v``, ``v0``,
+    ``v1``, ..., and its file name is ``<matgroup lookup #N>``.
+    """
+    names = [f"v{j}" for j in range(dim)]
+    source = (
+        f"def bind(perm):\n    def act(v):\n        {_tuple_source(names)} = v\n"
+        f"        return {_tuple_source([f'perm[{x}]' for x in names])}\n    return act\n"
+    )
+    namespace: dict = {}
+    exec(compile(source, f"<matgroup lookup #{next(_KERNEL_IDS)}>", "exec"), {}, namespace)
+    return namespace["bind"]
+
+
+def _tuple_source(items: list) -> str:
+    """Source of a tuple display of the given expressions."""
+    return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
 
 
 def _orbit_bfs(images: Callable, start: tuple, cap: int, stop=frozenset()) -> tuple[set, bool]:
@@ -164,19 +250,19 @@ def _orbit_bfs(images: Callable, start: tuple, cap: int, stop=frozenset()) -> tu
 
 
 def _group_closure(kernels, identity: tuple, cap: int) -> tuple[set, bool]:
-    """The group generated by right multiplications, listed coset by coset (Dimino).
+    """The group generated by left multiplications, listed coset by coset (Dimino).
 
-    Each kernel is a one-generator kernel from :func:`_compile_images`
-    that sends an element x to (x t,).  Generators are added one at a
-    time.  With H = <t_1..t_{i-1}> listed, <H, t_i> is a union of right
-    cosets H r, and the listing keeps coset k at positions k|H| to
-    (k+1)|H| - 1 with its elements h r in the order of H, so its first
+    Each kernel sends an element x to t x for its generator t (for
+    instance a kernel from :func:`_lookup_kernel`).  Generators are added
+    one at a time.  With H = <t_1..t_{i-1}> listed, <H, t_i> is a union of
+    left cosets r H, and the listing keeps coset k at positions k|H| to
+    (k+1)|H| - 1 with its elements r h in the order of H, so its first
     element is its rep r.
-    The cosets partition the group, so for each rep r and each t_j with
-    j <= i, the coset H r t_j is new exactly when its rep r t_j is new;
-    then the whole coset is t_j applied to the listed coset H r, with no
-    membership test per element.  Once every rep is handled the set is
-    closed under all t_j, so it is the group.
+    The cosets partition the group and t (r H) = (t r) H, so for each rep r
+    and each t_j with j <= i, the coset t_j r H is new exactly when its rep
+    t_j r is new; then the whole coset is t_j applied to the listed coset
+    r H, with no membership test per element.  Once every rep is handled
+    the set is closed under all t_j, so it is the group.
 
     Returns the set reached and whether it is the whole group.  The
     listing stops early, incomplete, before a coset would make the set
@@ -192,10 +278,10 @@ def _group_closure(kernels, identity: tuple, cap: int) -> tuple[set, bool]:
         while k < len(elements):
             coset = elements[k : k + m]
             for t in gens:
-                if t(coset[0])[0] not in seen:
-                    new = [t(x)[0] for x in coset]
+                if t(coset[0]) not in seen:
                     if len(seen) + m > cap:
                         return seen, False
+                    new = list(map(t, coset))
                     seen.update(new)
                     elements.extend(new)
             k += m

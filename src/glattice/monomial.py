@@ -10,6 +10,10 @@ signed-permutation image is one copied or negated entry.  The two closures
 are listed coset by coset by :func:`matgroup._group_closure`: a coset of
 the group built so far is new exactly when its rep is, and the cosets
 partition the group, so no element is tested for membership on its own.
+Both multiply on the left through lookup kernels on n-int tuples: the
+permutation image on permutations of range(n), the matrix closure on
+column indices into the signed unit vectors +-e_j that the group reaches
+(at most 2n points).
 """
 from __future__ import annotations
 
@@ -28,7 +32,7 @@ from .intmat import (
     ones_vector,
     unit_vector,
 )
-from .matgroup import DEFAULT_CAP, MatGroup, _compile_images, _group_closure, closure
+from .matgroup import DEFAULT_CAP, MatGroup, _group_closure, _lookup_kernel, closure
 
 
 def signed_permutation(signs, perm) -> IntMatrix:
@@ -85,12 +89,12 @@ def project_pi(g: MatGroup, cap: int = DEFAULT_CAP) -> PiSummary:
     """Closure of the permutation parts, with n-cycle detection.
 
     Listed coset by coset by :func:`matgroup._group_closure`, with one
-    kernel per generator perm that sends cur to the composite with entries
-    cur[perm[i]], a right multiplication.
+    lookup kernel per generator perm that sends cur to the composite
+    perm o cur, with entries perm[cur[i]], a left multiplication.
     """
     n = g.dim
-    gens = [_permutation(h) for h in g.generators]
-    kernels = [_compile_images(n, (tuple(((j, 1),) for j in p),)) for p in gens]
+    bind = _lookup_kernel(n)
+    kernels = [bind(_permutation(h)) for h in g.generators]
     seen, complete = _group_closure(kernels, tuple(range(n)), cap)
     if not complete:
         raise CapExceeded("permutation closure", cap)

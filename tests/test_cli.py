@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from glattice import cli, groupdata
+from glattice import bounds, cli, groupdata
 from glattice.cli import (
     EXIT_CAP_EXCEEDED,
     EXIT_CLOSED_STDOUT,
@@ -496,6 +496,25 @@ def test_verify_almost_simple_parses_the_sporadic_records_once(monkeypatch):
     monkeypatch.setattr(groupdata, "sporadic_records", counted)
     assert run(["verify", "--name", "almost-simple"])[0] == EXIT_OK
     assert calls == 1
+
+
+def test_verify_thma2_takes_each_prime_log_once(monkeypatch):
+    """Cases III.i and III.ii scan the same 303 odd primes up to 2003 and share
+    the three logs of each (p^2 + 1, p and the scaled log2 p); III.ii adds log2 a.
+    Taking them per case made 7 calls per prime, 2,121 in all."""
+    calls = 0
+    interval = bounds._log2_interval
+
+    def counted(x, bits):
+        nonlocal calls
+        calls += 1
+        return interval(x, bits)
+
+    bounds._prime_logs.cache_clear()
+    monkeypatch.setattr(bounds, "_log2_interval", counted)
+    rc, out = run(["--format", "json", "verify", "--name", "thmA2"])
+    assert rc == EXIT_OK and out == GOLDEN_JSON["thmA2"]
+    assert calls == 4 * 303
 
 
 def test_assertion_error_is_not_an_input_error(monkeypatch):

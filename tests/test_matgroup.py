@@ -279,6 +279,24 @@ def test_closure_equals_matrix_product_oracle(case):
         assert (err.value.what, err.value.cap) == ("group closure", order - 1)
 
 
+@settings(max_examples=80, deadline=None)
+@example((2, [IntMatrix.from_rows([(1, 0), (0, -1)])]))  # e_2 lies outside the orbit of e_1
+@given(st.one_of(SIGNED_PERMUTATION_GENERATORS, CONJUGATED_WEYL_GENERATORS))
+def test_closure_view_iterates_and_answers_membership_like_the_oracle(case):
+    """closure(g)[0] against the oracle's frozenset: iteration, len, hash and `in`."""
+    dim, gens = case
+    elements, order = closure_oracle(MatGroup(dim, gens))
+    view = closure(MatGroup(dim, gens))[0]
+    assert len(view) == order and sorted(view) == sorted(elements)
+    assert all(e in view for e in elements)
+    assert view == elements and elements == view and hash(view) == hash(elements)
+    doubled = tuple(2 * x for x in IntMatrix.identity(dim).entries)
+    first_column_everywhere = tuple(int(i == 0) for i in range(dim) for _ in range(dim))
+    assert doubled not in view and IntMatrix.identity(dim).entries + (0,) not in view
+    for stranger in (first_column_everywhere, None):
+        assert (stranger in view) == (stranger in elements)
+
+
 def _redundant_generator_cases():
     """(group, the same group on a reduced generator list) for the coset listing's skip rule."""
     a3 = wgroup("A", 3).generators
@@ -312,6 +330,21 @@ ROT4 = IntMatrix.from_rows([(0, -1), (1, 0)])
 def test_infinite_group_raises_at_the_cap(gens, cap):
     with pytest.raises(CapExceeded) as err:
         closure(MatGroup(2, gens), cap=cap)
+    assert (err.value.what, err.value.cap) == ("group closure", cap)
+
+
+# e_1 is fixed; the orbit of e_2 has 4 points under the quarter turn and no end under the shear.
+@pytest.mark.parametrize(
+    "gens, cap",
+    [
+        ((IntMatrix.from_rows([(1, 0, 0), (0, 0, -1), (0, 1, 0)]),), 3),
+        ((IntMatrix.from_rows([(1, 0, 0), (0, 1, 0), (0, 1, 1)]),), 1000),
+    ],
+    ids=["quarter turn", "shear"],
+)
+def test_closure_raises_when_a_basis_vector_orbit_exceeds_the_cap(gens, cap):
+    with pytest.raises(CapExceeded) as err:
+        closure(MatGroup(3, gens), cap=cap)
     assert (err.value.what, err.value.cap) == ("group closure", cap)
 
 
