@@ -26,6 +26,11 @@ Every command is deterministic (there is no randomized mode).  Exit codes:
 
 Table-emitting commands compare their output against bundled fixtures of
 the published tables and fail with exit code 2 on any cell mismatch.
+
+In-process use: ``main(argv, out)`` may be called any number of times in
+one process.  It builds its argument parser on the first call and reuses it
+(:func:`build_parser`), and it looks each command's handler up by name in
+this module when the command runs.
 """
 from __future__ import annotations
 
@@ -34,6 +39,7 @@ import csv
 import json
 import os
 import sys
+from functools import cache
 
 from . import bounds as bounds_mod
 from . import groupdata, monomial, rootsys, search, theta
@@ -328,9 +334,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT_ERROR, f"input error: {message}\n")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser; each (sub)command's ``run`` default is its handler."""
-    ap = _Parser(prog="glattice", description=__doc__)
+    """The argument parser, built on the first call and shared by every later one.
+
+    Each (sub)command's ``run`` default is the name of its handler in this
+    module, which :func:`main` looks up when it runs the command, so a
+    handler replaced after the parser was built is the one that runs.
+    Parsing keeps no state in the parser: each call gets a new namespace.
+    """
+    # --help shows the module docstring up to its in-process note (no docstring under -OO)
+    ap = _Parser(prog="glattice", description=__doc__ and __doc__.partition("\nIn-process use")[0])
     ap.add_argument("--format", choices=("text", "csv", "json"), default="text")
     ap.add_argument("--cap", type=int, default=DEFAULT_CAP, help="enumeration cap")
     ap.add_argument("--data", default=None, help="override data directory file path")
@@ -338,34 +352,34 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rootsys-table", help="emit the Weyl symmetric-rank table")
     p.add_argument("--max-rank", type=int, default=8)
-    p.set_defaults(run=cmd_rootsys_table)
+    p.set_defaults(run="cmd_rootsys_table")
 
     p = sub.add_parser("rdim-table", help="emit the lower-bound table")
     p.add_argument("--max-n", type=int, default=10)
-    p.set_defaults(run=cmd_rdim_table)
+    p.set_defaults(run="cmd_rdim_table")
 
     p = sub.add_parser("verify", help="run a named verification")
     p.add_argument("--name", required=True, choices=tuple(VERIFY))
     p.add_argument("--qcap", type=int, default=50)
     p.add_argument("--ncap", type=int, default=10)
-    p.set_defaults(run=cmd_verify)
+    p.set_defaults(run="cmd_verify")
 
     p = sub.add_parser("symrank", help="symmetric-rank search for an ingested group")
     p.add_argument("--group", required=True)
     p.add_argument("--lattice", default="full", help="matrix JSON file of basis rows, or 'full'")
     p.add_argument("--radius", type=int, default=3)
     p.add_argument("--mode", default="exact", help="exact | orbit:v1,v2,...")
-    p.set_defaults(run=cmd_symrank)
+    p.set_defaults(run="cmd_symrank")
 
     p = sub.add_parser("theta", help="theta series coefficients of a Gram form")
     p.add_argument("--gram", required=True)
     p.add_argument("--horizon", type=int, default=4)
     p.add_argument("--diagonal-bound", action="store_true")
-    p.set_defaults(run=cmd_theta)
+    p.set_defaults(run="cmd_theta")
 
     p = sub.add_parser("gf2", help="GF(2) cyclotomic tooling")
     gsub = p.add_subparsers(dest="gf2_command", required=True)
-    for name, run in (("factor-xp1", cmd_gf2_factor), ("subspaces", cmd_gf2_subspaces)):
+    for name, run in (("factor-xp1", "cmd_gf2_factor"), ("subspaces", "cmd_gf2_subspaces")):
         gp = gsub.add_parser(name)
         gp.add_argument("--p", type=int, required=True)
         gp.set_defaults(run=run)
@@ -374,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     msub = p.add_subparsers(dest="monomial_command", required=True)
     mp = msub.add_parser("classify")
     mp.add_argument("--p", type=int, required=True)
-    mp.set_defaults(run=cmd_monomial_classify)
+    mp.set_defaults(run="cmd_monomial_classify")
 
     p = sub.add_parser("bounds", help="inequality engines")
     bsub = p.add_subparsers(dest="bounds_command", required=True)
@@ -382,11 +396,11 @@ def build_parser() -> argparse.ArgumentParser:
     bp.add_argument("--a", type=int, required=True)
     bp.add_argument("--case", choices=bounds_mod.CASES, default=None)
     bp.add_argument("--horizon", type=int, default=10007)
-    bp.set_defaults(run=cmd_bounds_prime)
+    bp.set_defaults(run="cmd_bounds_prime")
     bp = bsub.add_parser("prime-of-form")
     bp.add_argument("--qmax", type=int, required=True)
     bp.add_argument("--mmax", type=int, required=True)
-    bp.set_defaults(run=cmd_prime_of_form)
+    bp.set_defaults(run="cmd_prime_of_form")
     return ap
 
 
@@ -396,7 +410,7 @@ def main(argv=None, out=None) -> int:
     try:
         if args.cap < 1:
             raise ValueError(f"--cap must be at least 1, not {args.cap}")
-        mismatches = args.run(args, out)
+        mismatches = globals()[args.run](args, out)
         out.flush()
     except BrokenPipeError:
         # the reader closed stdout: send the unwritten rest to the null

@@ -402,10 +402,14 @@ def in_lattice_coordinates(g: MatGroup, l: LatticeBasis) -> MatGroup:
 
     The resulting group acts on Z^rank(l); the change of basis is not a
     GL_n(Z) conjugation when l is a proper sublattice, but the restricted
-    matrices are integral exactly because l is stable.
+    matrices are integral exactly because l is stable.  On all of Z^n
+    (basis the identity) coordinates are ambient coordinates, so the
+    result is g itself.
     """
     if l.ambient_dim != g.dim:
         raise ValueError("lattice dimension does not match group dimension")
+    if l.is_full():
+        return g
     images = [g.images(b) for b in l.rows()]
     gens = []
     for k in range(len(g.generators)):

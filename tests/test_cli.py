@@ -526,6 +526,70 @@ def test_assertion_error_is_not_an_input_error(monkeypatch):
         run(["rootsys-table", "--max-rank", "2"])
 
 
+# One process shares one parser across main calls.
+
+
+def test_a_value_given_in_one_call_does_not_reach_the_next(tmp_path):
+    gpath = _write(tmp_path / "swap.json", SWAP)
+    rc, out = run(["symrank", "--group", gpath, "--radius", "1"])
+    assert rc == EXIT_OK and json.loads(out)["radius"] == 1
+    rc, out = run(["symrank", "--group", gpath])
+    assert rc == EXIT_OK and json.loads(out)["radius"] == 3
+
+    text = run(["rootsys-table", "--max-rank", "2"])
+    assert text[1].startswith("root_system  lattice")
+    rc, out = run(["--format", "json", "rootsys-table", "--max-rank", "2"])
+    assert rc == EXIT_OK and json.loads(out)
+    assert run(["rootsys-table", "--max-rank", "2"]) == text
+
+
+def test_a_usage_error_between_two_calls_is_still_exit_5(capsys):
+    argv = ["gf2", "factor-xp1", "--p", "7"]
+    first = run(argv)
+    assert first[0] == EXIT_OK
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run(["rootsys-table", "--max-rank", "abc"])
+    assert exc.value.code == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("input error: ")
+    assert run(argv) == first
+
+
+def test_main_builds_the_parser_once(monkeypatch):
+    """Every (sub)parser is a cli._Parser; after the first call none is made."""
+    made = 0
+    init = cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        nonlocal made
+        made += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    assert run(["gf2", "factor-xp1", "--p", "7"])[0] == EXIT_OK
+    assert made > 1
+    first = made
+    assert run(["bounds", "prime-of-form", "--qmax", "10", "--mmax", "3"])[0] == EXIT_OK
+    assert made == first
+
+
+def test_a_handler_replaced_after_the_first_call_runs(monkeypatch):
+    assert run(["rootsys-table", "--max-rank", "2"])[0] == EXIT_OK
+    seen = []
+
+    def replaced(args, out):
+        seen.append(args.max_rank)
+        print("replaced", file=out)
+        return []
+
+    monkeypatch.setattr(cli, "cmd_rootsys_table", replaced)
+    assert run(["rootsys-table", "--max-rank", "3"]) == (EXIT_OK, "replaced\n")
+    assert seen == [3]
+
+
 def _cli(flags, argv) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(SRC))
     return subprocess.run([sys.executable, *flags, "-m", "glattice", *argv], env=env, capture_output=True)

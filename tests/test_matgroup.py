@@ -229,6 +229,26 @@ def test_action_in_row_basis_rejects_dependent_rows(rows):
         action_in_row_basis(wgroup("A", 2), IntMatrix.from_rows(rows))
 
 
+@pytest.mark.parametrize("fam, n", [("A", 3), ("B", 3), ("D", 4)])
+def test_lattice_coordinates_of_the_full_lattice_are_the_group(fam, n):
+    """In the identity basis coordinates are ambient coordinates, so g itself comes back."""
+    g = wgroup(fam, n)
+    assert in_lattice_coordinates(g, full_lattice(n)) is g
+    assert in_lattice_coordinates(g, hnf(IntMatrix.identity(n))) is g
+    with pytest.raises(ValueError):
+        in_lattice_coordinates(g, full_lattice(n + 1))
+
+
+def test_lattice_coordinates_of_a_proper_sublattice_are_rewritten():
+    """The A2 root lattice has full rank and index 3 in the weight lattice: its action is a new group."""
+    g = wgroup("A", 2)
+    root = hnf(IntMatrix.from_rows([(2, -1), (-1, 2)]))
+    gl = in_lattice_coordinates(g, root)
+    assert gl is not g and gl.generators != g.generators
+    assert [h.to_rows() for h in gl.generators] == [[(-1, 0), (1, 1)], [(2, 3), (-1, -2)]]
+    assert closure(gl)[1] == closure(g)[1] == 6
+
+
 @pytest.mark.parametrize("rows", [[(1, 0), (0, 2)], [(1, 0)]], ids=["full rank", "rank 1"])
 def test_action_in_row_basis_rejects_unstable_lattices(rows):
     g = wgroup("A", 2)
