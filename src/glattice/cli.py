@@ -252,7 +252,10 @@ def cmd_symrank(args, out) -> list:
             "witness": [vector_to_json(w) for w in res.witness],
         }
     elif mode.startswith("orbit:"):
-        vec = tuple(int(x) for x in mode[len("orbit:") :].split(","))
+        try:
+            vec = tuple(int(x) for x in mode[len("orbit:") :].split(","))
+        except ValueError:
+            raise ValueError(f"--mode takes orbit:v1,v2,... with integer entries, not {mode!r}") from None
         ok, size = search.verify_orbit_generates(grp, lat, vec, cap=args.cap)
         payload = {"generates": ok, "orbit_size": size, "vector": list(vec)}
     else:

@@ -8,47 +8,31 @@ box*: a generating orbit of a farther vector could in principle be
 smaller, so unconditional minimality is only claimed when the bound
 meets the certified lower bound (the rank).
 
-The box is generated in canonical niceness order (sup-norm, then absolute
-values, then positive signs first), so the whole box is never sorted.
-One ``seen`` set of box vectors, those whose orbit was built or abandoned
-as too large, decides which vectors still start a BFS and stops a BFS that
-reaches an abandoned orbit.
+Orbits are built by one routine, ``_orbit_records``, over a listing of
+candidates: the basis vectors first, as a seed, then the listed vectors
+in order.  Its docstring states the three conditions a listing meets and
+shows from them that the records are those of the unfiltered candidates
+and that a listed orbit's representative is its BFS start.  A record is
+plain tuples: its span rows come from the one span worklist of
+``matgroup`` (``_span_rows``), and no lattice object is made per record.
 
-An abandoned BFS also marks the negations of the box vectors it reached.
-This is sound because -I commutes with every generator: the orbit of -v
-is minus the orbit of v and has the same size, the box is symmetric, and
-the orbit-size cap never rises, so the orbit of -v is over every later
-cap and would be abandoned too.
-
-Most box vectors never start a BFS, by an exact lower bound on their
-orbit size.  Reduction mod m commutes with every integer matrix, so the
-orbit of v maps onto the orbit of v mod m in (Z/m)^r and
-|orbit(v)| >= |orbit(v mod m)|.  With m = ``RESIDUE_MODULUS`` = 3 the
-orbit sizes of all 3^r classes come from one table per search, built by
-a BFS on the generators' compiled mod-m kernel (``_compile_images`` with
-a modulus), one kernel call per class; 3 <= 2 * radius + 1, so the table
-never has more entries than the box.  After the basis vectors, only the
-box vectors in classes whose size is at most the cap are listed, class
-by class, then sorted into ``_box`` order.  The listing is filtered
-once, against the cap at listing time.  A box vector that is not listed
-has an orbit over that cap, and the cap never rises, so a BFS from it
-would be abandoned.  A listed vector whose class is over a cap that fell
-later starts a BFS under the running cap, and that BFS is abandoned.
-The records, their count and the witness are those of visiting the whole
-box: an orbit is kept exactly when its size is at most the cap at its
-first box vector in ``_box`` order.  Over the 14 Weyl lattices of rank 5
-and 6 at radius 2, BFS starts fall from 16,183 to 1,050 and vectors
-visited from 168,115 to 25,558.  When no class is over the cap, as for
-the trivial group, {+-I} or a coordinate swap, the whole box is walked
-as it is generated, with no sort.
-
-An orbit record is built from plain tuples.  Its span rows come from the
-one span worklist of ``matgroup`` (``_span_rows``), started at the BFS
-start alone, and no lattice object is made per record.  Its
-representative is the least vector of the orbit in ``_rep_key`` order:
-a scan of the orbit for a basis vector, and the BFS start itself for a
-box vector, since a complete BFS from a box vector proves that no
-earlier box vector lies in its orbit (see ``_orbit_records``).
+The search's listing (``_listed_box``) is the box in ``_rep_key`` order
+(sup-norm, then absolute values, then positive signs first) less the
+vectors that an exact lower bound puts over the cap.  Reduction mod m
+commutes with every integer matrix, so the orbit of v maps onto the
+orbit of v mod m in (Z/m)^r and |orbit(v)| >= |orbit(v mod m)|, a bound
+that is the same on the whole orbit.  With m = ``RESIDUE_MODULUS`` = 3
+the orbit sizes of all 3^r classes come from one table per search
+(``_residue_orbit_sizes``), built by a BFS on the generators' compiled
+mod-m kernel (``_compile_images`` with a modulus), one kernel call per
+class; 3 <= 2 * radius + 1, so the table never has more entries than the
+box.  The box vectors of the classes within the cap at listing time are
+listed class by class and sorted into that order.  When no class is over
+the cap, as for the trivial group, {+-I} or a coordinate swap, the whole
+box is listed as ``_box`` generates it, with no sort.  The least vector
+of an orbit has the least sup-norm, so it is in the box when any member
+is, and its class lies in the same class orbit, so it is listed, and
+first, when any member is.
 
 The box holds (2B + 1)^rank - 1 vectors, and a box larger than the
 orbit cap raises ``CapExceeded`` before any vector is listed.
@@ -180,53 +164,55 @@ def _listed_box(r: int, radius: int, sizes: dict[tuple[int, ...], int], cap: int
     return listed
 
 
-def _orbit_records(gl: MatGroup, radius: int, orbit_cap: int) -> list[_OrbitRecord]:
-    """Group the coefficient box into orbits under the restricted action.
+def _orbit_records(gl: MatGroup, listing, orbit_cap: int) -> list[_OrbitRecord]:
+    """Group the basis vectors, then the candidates that listing gives, into orbits.
 
-    Each record holds the orbit's size, its canonical representative and
-    the canonical HNF rows of its span, which the search inserts into a
-    partial span one row at a time.  The rows come from the span worklist
-    of ``matgroup`` (``_span_rows``) started at the BFS start alone, as
-    plain tuples.
+    Each record holds the orbit's size, its representative (the
+    ``_rep_key`` least vector of the orbit) and the canonical HNF rows of
+    its span, which the search inserts into a partial span one row at a
+    time.  The rows come from the span worklist of ``matgroup``
+    (``_span_rows``) started at the BFS start alone, as plain tuples.
 
-    The basis vectors are visited first, then the box vectors that
-    ``_listed_box`` lists, in ``_box`` order; ``seen`` holds the box
-    vectors whose orbit was built or abandoned, so each orbit is built at
-    most once.  BFS of a new orbit is capped at the incumbent bound once
-    one is known: an orbit strictly larger than an already-found spanning
-    configuration can never occur in a minimal solution, so abandoning it
-    is sound.  The first incumbent is the size of a single spanning orbit
-    or, once the basis vectors are visited, the total size of their
-    distinct orbits, whose union spans.
+    The basis vectors are the seed, and their orbits span Z^r.  The first
+    incumbent is the size of a single spanning orbit among them or, once
+    they are all visited, the total size of their distinct orbits.  Then
+    ``listing(cap)``, called once at the cap the seed left, returns a list
+    of candidate tuples in the order in which they start a BFS.  BFS of a new
+    orbit is capped at the incumbent once one is known: an orbit strictly
+    larger than a spanning configuration already found can never occur in
+    a minimal solution, so abandoning it is sound.  The incumbent only
+    falls, so the cap never rises.
 
-    A box vector whose class mod ``RESIDUE_MODULUS`` has an orbit over the
-    cap at listing time is never listed: its own orbit is at least as
-    large (see the module docstring).  A listed vector is not checked
-    again when the cap falls; if its orbit is over the running cap, its
-    BFS is abandoned.
+    ``seen`` holds the vectors whose orbit was built or abandoned: all
+    that a seed BFS reached (a seed orbit is held by its BFS anyway), and
+    the listed ones that a listed BFS reached, so each orbit is built at
+    most once.  Generator BFS in a finite group reaches only vectors of
+    the start's orbit, and orbits are disjoint, so a vector in ``seen``
+    that a BFS reaches lies in an orbit abandoned at a cap no lower than
+    the BFS's own, and ``seen`` is its stop set.  An abandoned BFS also
+    puts the negations of the vectors it kept in ``seen``: -I commutes
+    with every generator, so the orbit of -w is minus the orbit of w, of
+    the same size, and would be abandoned too.
 
-    Generator BFS in a finite group reaches only vectors of the start's
-    orbit, and orbits are disjoint, so a BFS never reaches a vector of an
-    orbit that was built: a vector in ``seen`` that it reaches lies in an
-    abandoned orbit, and ``seen`` is its stop set.  The incumbent only
-    falls, so the cap in force when that orbit was abandoned is never below
-    a later cap: the later BFS is in an orbit over its own cap and stops
-    there.  An abandoned BFS also puts the negations of the box vectors it
-    reached in ``seen``: they lie in an orbit of the same size (see the
-    module docstring).  Vectors outside the box are not kept, and in the
-    box phase only listed vectors are, which keeps memory at the size of
-    the box.
+    The listing meets three conditions:
 
-    The representative is the ``_rep_key`` minimum of the orbit.  In the
-    basis phase it is found by a scan of the orbit, since e_i need not be
-    that minimum.  In the box phase it is the BFS start v itself, when
-    the BFS is complete.  Let w be a vector of v's orbit before v in
-    ``_rep_key`` order.  Its sup-norm is at most v's, so w is in the box;
-    its class mod ``RESIDUE_MODULUS`` lies in the orbit of v's class, which
-    has the same size, so w is listed, and before v.  By w's turn the
-    orbit was built, which put v in ``seen``, or it was abandoned or
-    negation-marked at a cap at least the current one, so it is over the
-    current cap.  Either way v's BFS cannot be complete.
+    1. a candidate is left out only by a lower bound on its orbit size
+       that is the same on its whole orbit and is over the cap;
+    2. if an orbit has a listed member, its ``_rep_key`` least member is
+       listed and comes before its other listed members;
+    3. the cap never rises.
+
+    By 1 and 3 an orbit with a candidate left out is over every cap from
+    the listing on, so its BFS would have been abandoned, and the records
+    are those of the unfiltered candidates: an orbit is kept exactly when
+    its size is at most the cap at its first vector, basis vectors first.
+    A seed orbit's representative is found by a scan of the orbit, since
+    e_i need not be its least member.  A listed orbit's is its BFS start
+    v.  Let w be a member of v's orbit before v in ``_rep_key`` order.  By
+    2, w is listed, and before v.  By w's turn the orbit was built, which
+    put v in ``seen``, or it was abandoned or negation-marked at a cap no
+    lower than the current one, by 3, so it is over the current cap.
+    Either way v's BFS cannot be complete.
     """
     r = gl.dim
     full_rows = tuple(full_lattice(r).rows())
@@ -234,41 +220,36 @@ def _orbit_records(gl: MatGroup, radius: int, orbit_cap: int) -> list[_OrbitReco
     records: list[_OrbitRecord] = []
     incumbent: int | None = None
 
-    def build(v: tuple[int, ...], cap: int, kept, v_is_rep: bool) -> bool:
-        """BFS from v within cap, marking ``kept(orbit)`` in seen; record the orbit if complete."""
+    def build(v: tuple[int, ...], cap: int, listed: set | None) -> bool:
+        """BFS from v within cap; mark the reach in seen (past the seed, its listed part); record the orbit if complete."""
         nonlocal incumbent
         orb, complete = _orbit_bfs(gl.images, v, cap, seen)
-        reached = kept(orb)
-        seen.update(reached)
+        kept = orb if listed is None else listed.intersection(orb)
+        seen.update(kept)
         if not complete:
-            seen.update(tuple(map(neg, w)) for w in reached)
+            seen.update(tuple(map(neg, w)) for w in kept)
             return False
         span = _span_rows(gl.images, [v])
-        rep = v if v_is_rep else min(orb, key=_rep_key)
+        rep = min(orb, key=_rep_key) if listed is None else v
         records.append(_OrbitRecord(len(orb), rep, span))
         if span == full_rows and (incumbent is None or len(orb) < incumbent):
             incumbent = len(orb)
         return True
-
-    def in_box(orb) -> list[tuple[int, ...]]:
-        return [w for w in orb if max(map(abs, w)) <= radius]
 
     for i in range(r):
         v = tuple(int(i == j) for j in range(r))
         if v in seen:
             continue
         cap = orbit_cap if incumbent is None else min(orbit_cap, incumbent)
-        if not build(v, cap, in_box, False) and incumbent is None:
+        if not build(v, cap, None) and incumbent is None:
             raise CapExceeded("orbit", cap)
     if incumbent is None:
         incumbent = sum(rec.size for rec in records)
     cap = min(orbit_cap, incumbent)
-    listed = _listed_box(r, radius, _residue_orbit_sizes(gl), cap)
+    listed = listing(cap)
     listed_set = set(listed)
     for v in listed:
-        if v in seen:
-            continue
-        if build(v, cap, listed_set.intersection, True):
+        if v not in seen and build(v, cap, listed_set):
             cap = min(orbit_cap, incumbent)
     records.sort(key=lambda rec: (rec.size, _rep_key(rec.rep)))
     return records
@@ -373,9 +354,9 @@ def symrank_search(
         raise CapExceeded("box", orbit_cap)
     if r == 0:
         return SymrankResult(0, (), 0, "exact_within_bound", radius, 0)
-    # basis coefficient vectors are inside every box with radius >= 1, so
-    # the records span Z^r
-    records = _orbit_records(gl, radius, orbit_cap)
+    # the seed's basis vectors lie in every box with radius >= 1, so every
+    # record is an orbit of the box
+    records = _orbit_records(gl, lambda cap: _listed_box(r, radius, _residue_orbit_sizes(gl), cap), orbit_cap)
     best_size, best_reps = _min_spanning_selection(records, r)
     # map representatives back to ambient coordinates (rep . basis) and
     # re-verify both the bound and the span in the group's own action
@@ -400,10 +381,12 @@ def verify_orbit_generates(
 ) -> tuple[bool, int]:
     """Whether the orbit of v spans l, along with the orbit size.
 
-    v must lie in l (otherwise its orbit cannot even be a subset).  The
+    g must keep l (``NotGStable`` otherwise, as in :func:`symrank_search`)
+    and v must lie in l (otherwise its orbit cannot even be a subset).  The
     orbit is listed first, so an orbit over cap raises ``CapExceeded``;
     its span is then ``stable_span``, which lists no orbit.
     """
+    in_lattice_coordinates(g, l)  # NotGStable unless g keeps l
     vv = as_vector(v)
     if not member(vv, l):
         raise NotInLattice(f"{vv.entries} is not in the target lattice")

@@ -14,7 +14,7 @@ from glattice.bounds import LOG_FRAC_BITS  # noqa: E402
 from glattice.gf2cyclo import GF2Poly, binary_sublattices, factor_xp_minus_1  # noqa: E402
 from glattice.intmat import IntMatrix, IntVector, LatticeBasis, _hnf_insert, _xgcd, as_vector, full_lattice, hnf_from_rows, zero_lattice  # noqa: E402
 from glattice.matgroup import MatGroup, closure, orbit  # noqa: E402
-from glattice.search import _box, _rep_key  # noqa: E402
+from glattice.search import _rep_key  # noqa: E402
 
 
 def log2_upper(x: int) -> int:
@@ -155,16 +155,16 @@ def bfs_orbit(gens, v) -> frozenset:
     return frozenset(seen)
 
 
-def orbit_records_oracle(gl: MatGroup, radius: int) -> list[tuple]:
+def orbit_records_oracle(gl: MatGroup, order) -> list[tuple]:
     """Oracle for ``search._orbit_records``: (size, rep, span rows) of each kept orbit, sorted.
 
     Runs a full BFS from the first vector of each orbit in the order of
-    the basis vectors, then the whole box in ``_box`` order.  An orbit is
-    kept exactly when its size is at most the cap in force at its first
-    vector in that order; the cap is the incumbent, which starts as the
-    total size of the basis vectors' orbits (or a smaller spanning orbit
-    among them) and falls to the size of each smaller kept orbit that
-    spans Z^r.
+    the basis vectors, then the candidates of order.  An orbit is kept
+    exactly when its size is at most the cap in force at its first vector
+    in that order; the cap is the incumbent, which starts as the total
+    size of the basis vectors' orbits (or a smaller spanning orbit among
+    them) and falls to the size of each smaller kept orbit that spans
+    Z^r.  The rep is the ``_rep_key`` least vector of the orbit.
     """
     r = gl.dim
     full = full_lattice(r)
@@ -172,7 +172,7 @@ def orbit_records_oracle(gl: MatGroup, radius: int) -> list[tuple]:
     visited: set[tuple[int, ...]] = set()
     records = []
     incumbent = None
-    for k, v in enumerate(basis_vectors + list(_box(r, radius))):
+    for k, v in enumerate(basis_vectors + list(order)):
         if k == r and incumbent is None:
             incumbent = sum(size for size, _, _ in records)
         if v in visited:

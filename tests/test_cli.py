@@ -684,6 +684,29 @@ def test_raised_input_errors_are_one_line_and_exit_5(case, tmp_path):
     assert "Traceback" not in err
 
 
+# symrank --mode orbit: on the line spanned by (1, 1), which diag(-1, 1) does
+# not keep.  The lattice used to be checked in exact mode only, so orbit:1,1
+# printed "generates": false and exited 0; a malformed vector used to print
+# int()'s message, which names no option.
+ORBIT_MODE_ERRORS = {
+    "orbit:1,1": "input error: lattice is not stable under a generator",
+    "orbit:1,x": "input error: --mode takes orbit:v1,v2,... with integer entries, not 'orbit:1,x'",
+    "orbit:": "input error: --mode takes orbit:v1,v2,... with integer entries, not 'orbit:'",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(ORBIT_MODE_ERRORS))
+def test_orbit_mode_input_errors_exit_5(mode, tmp_path, capsys):
+    argv = [
+        "symrank", "--group", _write(tmp_path / "g.json", group_to_json(2, [IntMatrix.diagonal([-1, 1])])),
+        "--lattice", _write(tmp_path / "l.json", matrix_to_json(IntMatrix.from_rows([(1, 1)]))),
+    ]
+    assert run([*argv, "--mode", "exact"]) == (EXIT_INPUT_ERROR, "")
+    capsys.readouterr()
+    assert run([*argv, "--mode", mode]) == (EXIT_INPUT_ERROR, "")
+    assert capsys.readouterr().err.splitlines() == [ORBIT_MODE_ERRORS[mode]]
+
+
 # Command lines that argparse rejects; it used to exit 2, the fixture-mismatch code.
 USAGE_ERRORS = {
     "max-rank not an integer": ["rootsys-table", "--max-rank", "abc"],

@@ -15,15 +15,17 @@ from glattice.matgroup import (
     _compile_images,
     _orbit_bfs,
     _rows_terms,
+    closure,
     conjugate,
     in_lattice_coordinates,
     orbit,
 )
-from glattice import search
+from glattice import matgroup, search
 from glattice.rootsys import RootSystemSpec, build, expected_symrank, lattice, weyl_symrank_table
 from glattice.search import (
     RESIDUE_MODULUS,
     _box,
+    _listed_box,
     _min_spanning_selection,
     _orbit_records,
     _rep_key,
@@ -93,8 +95,8 @@ def test_a_wrong_witness_record_size_is_caught(monkeypatch, delta):
     """The bound is re-checked against the witness orbits in the group's own action."""
     b3 = build(RootSystemSpec("B", 3))
 
-    def off_by_delta(gl, radius, orbit_cap):
-        return [replace(rec, size=rec.size + delta) for rec in _orbit_records(gl, radius, orbit_cap)]
+    def off_by_delta(gl, listing, orbit_cap):
+        return [replace(rec, size=rec.size + delta) for rec in _orbit_records(gl, listing, orbit_cap)]
 
     monkeypatch.setattr(search, "_orbit_records", off_by_delta)
     with pytest.raises(AssertionError, match="witness orbits hold 8 vectors"):
@@ -144,6 +146,13 @@ def test_verify_orbit_rejects_vector_outside_lattice():
     a2 = build(RootSystemSpec("A", 2))
     with pytest.raises(NotInLattice):
         verify_orbit_generates(a2.matgroup(), lattice(a2, "root").basis, unit_vector(2, 0))
+
+
+def test_verify_orbit_rejects_a_lattice_the_group_does_not_keep():
+    """diag(-1, 1) sends (1, 1) to (-1, 1), outside the line it spans; the orbit of (1, 1) used to be checked anyway."""
+    g = MatGroup(2, [IntMatrix.diagonal([-1, 1])])
+    with pytest.raises(NotGStable):
+        verify_orbit_generates(g, hnf_from_rows([(1, 1)], 2), (1, 1))
 
 
 def _brute_force_symrank(gens, n, radius):
@@ -196,12 +205,18 @@ def test_search_equals_brute_force_minimum_over_orbit_subsets(group, radius):
     assert sum(len(bfs_orbit(gens, w.entries)) for w in res.witness) == res.upper_bound
 
 
+def _box_listing(gl, radius):
+    """The listing that ``symrank_search`` passes: the box, less the classes mod 3 over the cap."""
+    return lambda cap: _listed_box(gl.dim, radius, _residue_orbit_sizes(gl), cap)
+
+
 @st.composite
 def _signed_permutation_records(draw):
     """(rank, orbit records) of a random signed-permutation group on Z^n: n <= 3 at radius <= 2, n = 4 at radius 1."""
     n, gens = draw(_signed_permutation_groups(max_n=4))
     radius = draw(st.integers(1, 1 if n == 4 else 2))
-    return n, _orbit_records(MatGroup(n, gens), radius, DEFAULT_CAP)
+    gl = MatGroup(n, gens)
+    return n, _orbit_records(gl, _box_listing(gl, radius), DEFAULT_CAP)
 
 
 @settings(max_examples=60, deadline=None)
@@ -253,6 +268,32 @@ def test_weyl_search_rows_are_pinned(row):
     model = build(RootSystemSpec(family, rank))
     res = symrank_search(model.matgroup(), lattice(model, kind, d).basis, radius=2)
     assert (res.upper_bound, [w.entries for w in res.witness], res.orbit_count) == WEYL_SEARCH_RADIUS2[row]
+
+
+def test_weyl_search_rows_stay_within_their_bfs_and_span_insertion_counts(monkeypatch):
+    """All fourteen rows: at most 1,163 orbit BFS runs, residue tables
+    included, and 3,247 span-row insertions in ``matgroup``.
+
+    Wall time on a small machine misses a regression in the box path by a
+    few percent; these deterministic counts do not.
+    """
+    counts = {"bfs": 0, "insert": 0}
+    bfs, insert = search._orbit_bfs, matgroup._hnf_insert
+
+    def counted_bfs(*args):
+        counts["bfs"] += 1
+        return bfs(*args)
+
+    def counted_insert(*args):
+        counts["insert"] += 1
+        return insert(*args)
+
+    monkeypatch.setattr(search, "_orbit_bfs", counted_bfs)
+    monkeypatch.setattr(matgroup, "_hnf_insert", counted_insert)
+    for family, rank, kind, d in [*RANK5_RADIUS2, *WEYL_SEARCH_RADIUS2]:
+        model = build(RootSystemSpec(family, rank))
+        symrank_search(model.matgroup(), lattice(model, kind, d).basis, radius=2)
+    assert counts["bfs"] <= 1_163 and counts["insert"] <= 3_247
 
 
 # {+-I}: every orbit has size 2 and rank 1, so the size-per-rank prune cuts
@@ -399,8 +440,8 @@ def test_orbit_matches_plain_bfs_and_raises_at_the_cap():
             assert exc.value.cap == len(want) - 1
 
 
-def _records(gl, radius):
-    return [(rec.size, rec.rep, rec.span_rows) for rec in _orbit_records(gl, radius, DEFAULT_CAP)]
+def _records(gl, listing):
+    return [(rec.size, rec.rep, rec.span_rows) for rec in _orbit_records(gl, listing, DEFAULT_CAP)]
 
 
 # Groups without -I (A2, A3, A4), where -O and O are distinct orbits, and
@@ -426,7 +467,7 @@ def test_orbit_records_equal_the_full_bfs_oracle_on_weyl_lattices(row):
     family, rank, kind, d = row
     model = build(RootSystemSpec(family, rank))
     gl = in_lattice_coordinates(model.matgroup(), lattice(model, kind, d).basis)
-    assert _records(gl, 2) == orbit_records_oracle(gl, 2)
+    assert _records(gl, _box_listing(gl, 2)) == orbit_records_oracle(gl, _box(gl.dim, 2))
 
 
 def _perm(n, *images):
@@ -454,7 +495,7 @@ SMALL_GROUPS = {
 def test_orbit_records_equal_the_full_bfs_oracle_on_conjugated_small_groups(name, conj, radius):
     n, u = conj
     g = conjugate(MatGroup(n, SMALL_GROUPS[name](n)), u)
-    assert _records(g, radius) == orbit_records_oracle(g, radius)
+    assert _records(g, _box_listing(g, radius)) == orbit_records_oracle(g, _box(g.dim, radius))
 
 
 WEYL_RANK_LE_4 = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4),
@@ -473,7 +514,38 @@ C3_CONJUGATED = MatGroup(3, [
 
 
 def test_orbit_records_equal_the_full_bfs_oracle_when_the_incumbent_falls_in_the_box():
-    assert _records(C3_CONJUGATED, 2) == orbit_records_oracle(C3_CONJUGATED, 2)
+    assert _records(C3_CONJUGATED, _box_listing(C3_CONJUGATED, 2)) == orbit_records_oracle(C3_CONJUGATED, _box(3, 2))
+
+
+def _invariant_norm_order(g, radius):
+    """The box sorted by (v^T X v, ``_rep_key``), where X = sum over h in G of h^T h.
+
+    (h v)^T X (h v) = v^T X v for h in G, so the norm is the same on an
+    orbit, and an orbit's least vector in ``_rep_key`` order is in the box
+    when any member is and comes before the orbit's other box vectors: a
+    second listing that meets the conditions of ``_orbit_records``.
+    """
+    n = g.dim
+    x = [[0] * n for _ in range(n)]
+    for h in closure(g)[0]:
+        for k in range(n):
+            row = h[k * n : (k + 1) * n]
+            for i in range(n):
+                for j in range(n):
+                    x[i][j] += row[i] * row[j]
+
+    def norm(v):
+        return sum(v[i] * x[i][j] * v[j] for i in range(n) for j in range(n))
+
+    return sorted(_box(n, radius), key=lambda v: (norm(v), _rep_key(v)))
+
+
+def test_orbit_records_equal_the_full_bfs_oracle_over_invariant_norm_order():
+    """In norm order the incumbent falls before the size-24 orbit of (0, 1, 1) is reached, so that box record is abandoned."""
+    order = _invariant_norm_order(C3_CONJUGATED, 2)
+    records = _records(C3_CONJUGATED, lambda cap: order)
+    assert records == orbit_records_oracle(C3_CONJUGATED, order)
+    assert records != _records(C3_CONJUGATED, _box_listing(C3_CONJUGATED, 2))
 
 
 @settings(max_examples=30, deadline=None)
@@ -482,9 +554,12 @@ def test_orbit_records_equal_the_full_bfs_oracle_when_the_incumbent_falls_in_the
     st.integers(1, 2),
 )
 def test_orbit_records_equal_the_full_bfs_oracle_on_conjugated_weyl_groups(conj, radius):
+    """Over the box listing, and over the box in invariant-norm order."""
     spec, u = conj
     g = conjugate(build(RootSystemSpec(*spec)).matgroup(), u)
-    assert _records(g, radius) == orbit_records_oracle(g, radius)
+    assert _records(g, _box_listing(g, radius)) == orbit_records_oracle(g, _box(g.dim, radius))
+    order = _invariant_norm_order(g, radius)
+    assert _records(g, lambda cap: order) == orbit_records_oracle(g, order)
 
 
 def _residue_bfs(gens, c, m):
