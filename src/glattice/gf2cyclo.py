@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from ._primes import is_prime, multiplicative_order
 from .errors import CapExceeded, NotOddPrime
-from .intmat import IntMatrix, LatticeBasis, _lattice, zero_lattice
+from .intmat import IntMatrix, LatticeBasis, zero_lattice
 
 SUBSET_CAP = 4096  # most component subsets enumerated by one call
 
@@ -267,11 +267,10 @@ def preimage(masks, n: int) -> LatticeBasis:
         return int(format(m, f"0{n}b")[::-1], 2)
 
     by_pivot = {(m & -m).bit_length() - 1: m for m in map(flip, _rref_masks([flip(m) for m in masks]))}
-    rows = [
+    return LatticeBasis(n, tuple(
         tuple(by_pivot[j] >> k & 1 for k in range(n)) if j in by_pivot else tuple(2 * (k == j) for k in range(n))
         for j in range(n)
-    ]
-    return _lattice(rows, n)
+    ))
 
 
 def cp_stable_subspaces(p: int) -> dict[frozenset, tuple[int, ...]]:

@@ -13,10 +13,10 @@ Conventions fixed here and relied on everywhere else:
   generators act through the kernel compiled from their entries
   (``MatGroup.images`` in :mod:`matgroup`), not through a matrix-vector
   product here;
-* a lattice is stored as the rows of a basis matrix in row-style Hermite
-  normal form: pivots positive, zeros below each pivot, entries above a
-  pivot reduced into ``[0, pivot)``.  The HNF basis is a unique canonical
-  form, so two lattices are equal iff their ``LatticeBasis`` are equal.
+* a lattice is stored as its canonical HNF rows, the tuples of ints that
+  ``_hnf_insert`` returns: row-style Hermite normal form, pivots positive,
+  zeros below each pivot, entries above a pivot reduced into
+  ``[0, pivot)``.  Two lattices are equal exactly when those rows are.
 """
 from __future__ import annotations
 
@@ -90,10 +90,6 @@ class IntMatrix:
         return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
     @classmethod
-    def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, (0,) * (rows * cols))
-
-    @classmethod
     def diagonal(cls, diag) -> "IntMatrix":
         diag = tuple(diag)
         n = len(diag)
@@ -158,24 +154,29 @@ class IntMatrix:
 
 @dataclass(frozen=True)
 class LatticeBasis:
-    """Sublattice of Z^n given by basis rows in canonical HNF.
+    """Sublattice of Z^n held as its canonical HNF rows, as ``_hnf_insert`` returns them.
 
-    Use :func:`hnf` to construct one; the constructor trusts its input.
+    Use :func:`hnf` or :func:`hnf_from_rows` to construct one; the
+    constructor trusts its input.
     """
 
     ambient_dim: int
-    basis: IntMatrix
+    hnf_rows: tuple[tuple[int, ...], ...]
 
     @property
     def rank(self) -> int:
-        return self.basis.rows
+        return len(self.hnf_rows)
 
     def rows(self) -> list[tuple[int, ...]]:
-        return self.basis.to_rows()
+        return list(self.hnf_rows)
 
     def is_full(self) -> bool:
-        """Whether this lattice is all of Z^n."""
-        return self.rank == self.ambient_dim and self.basis == IntMatrix.identity(self.ambient_dim)
+        """Whether this lattice is all of Z^n: n rows, each with pivot 1.
+
+        n rows in n columns pivot on the diagonal, so row[i] is row i's
+        pivot, and an entry above a pivot 1 is 0.
+        """
+        return self.rank == self.ambient_dim and all(row[i] == 1 for i, row in enumerate(self.hnf_rows))
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -246,7 +247,7 @@ def _hnf_insert(rows: tuple[tuple[int, ...], ...], v) -> tuple[tuple[int, ...], 
     return tuple(basis)
 
 
-def _hnf_rows(rows) -> list[tuple[int, ...]]:
+def _hnf_rows(rows) -> tuple[tuple[int, ...], ...]:
     """Row-style HNF of the span of ``rows``, one row insertion at a time.
 
     Positive pivots, zeros below each pivot, entries above a pivot in
@@ -255,42 +256,33 @@ def _hnf_rows(rows) -> list[tuple[int, ...]]:
     basis: tuple[tuple[int, ...], ...] = ()
     for r in rows:
         basis = _hnf_insert(basis, r)
-    return list(basis)
-
-
-def _lattice(rows, ambient_dim: int) -> LatticeBasis:
-    """The lattice whose canonical HNF rows are ``rows`` (possibly none)."""
-    return LatticeBasis(ambient_dim, IntMatrix.from_rows(rows) if rows else IntMatrix.zero(0, ambient_dim))
+    return basis
 
 
 def hnf(m: IntMatrix) -> LatticeBasis:
     """Canonical HNF basis of the row span of m (zero matrix -> rank 0)."""
-    return _lattice(_hnf_rows(m.to_rows()), m.cols)
+    return LatticeBasis(m.cols, _hnf_rows(m.to_rows()))
 
 
 def hnf_from_rows(rows, ambient_dim: int) -> LatticeBasis:
     """HNF basis of the span of arbitrary integer rows."""
+    if ambient_dim < 0:
+        raise ValueError("negative ambient dimension")
     rows = [as_vector(r).entries for r in rows]
     for r in rows:
         if len(r) != ambient_dim:
             raise ValueError("row dimension mismatch")
-    return _lattice(_hnf_rows(rows), ambient_dim)
+    return LatticeBasis(ambient_dim, _hnf_rows(rows))
 
 
 def zero_lattice(ambient_dim: int) -> LatticeBasis:
-    return LatticeBasis(ambient_dim, IntMatrix.zero(0, ambient_dim))
+    return hnf_from_rows((), ambient_dim)
 
 
 def full_lattice(ambient_dim: int) -> LatticeBasis:
-    return LatticeBasis(ambient_dim, IntMatrix.identity(ambient_dim))
-
-
-def _pivot_columns(basis: IntMatrix) -> list[int]:
-    cols = []
-    for i in range(basis.rows):
-        r = basis.row(i)
-        cols.append(next(j for j, e in enumerate(r) if e))
-    return cols
+    if ambient_dim < 0:
+        raise ValueError("negative ambient dimension")
+    return LatticeBasis(ambient_dim, tuple(tuple(int(i == j) for j in range(ambient_dim)) for i in range(ambient_dim)))
 
 
 def coordinates_in(v, lattice: LatticeBasis) -> tuple[int, ...] | None:
@@ -298,16 +290,15 @@ def coordinates_in(v, lattice: LatticeBasis) -> tuple[int, ...] | None:
     vv = list(as_vector(v).entries)
     if len(vv) != lattice.ambient_dim:
         raise ValueError("vector dimension does not match ambient dimension")
-    basis = lattice.basis
     coeffs = []
-    for i, col in enumerate(_pivot_columns(basis)):
-        p = basis[i, col]
+    for row in lattice.hnf_rows:
+        col = next(j for j, e in enumerate(row) if e)
+        p = row[col]
         if vv[col] % p != 0:
             return None
         c = vv[col] // p
         coeffs.append(c)
         if c:
-            row = basis.row(i)
             for j in range(col, lattice.ambient_dim):
                 vv[j] -= c * row[j]
     if any(vv):
@@ -327,7 +318,8 @@ def index(sub: LatticeBasis, sup: LatticeBasis) -> int:
     when the ranks differ (the index is then infinite).  Nested lattices of
     equal rank span the same rational space, so their HNF bases share
     pivot columns and the coordinate matrix of sub in sup is triangular:
-    the index is the product over i of sub's pivot i over sup's pivot i.
+    the index is the product over i of sub's pivot i over sup's pivot i,
+    each the first nonzero entry of its row.
     """
     if sub.ambient_dim != sup.ambient_dim:
         raise ValueError("ambient dimension mismatch")
@@ -336,6 +328,4 @@ def index(sub: LatticeBasis, sup: LatticeBasis) -> int:
             raise NotASublattice(f"row {r} is not in the claimed superlattice")
     if sub.rank != sup.rank:
         raise ValueError("a lattice of lower rank has infinite index")
-    return prod(
-        sub.basis[i, c] // sup.basis[i, c] for i, c in enumerate(_pivot_columns(sup.basis))
-    )
+    return prod(next(filter(None, a)) // next(filter(None, b)) for a, b in zip(sub.hnf_rows, sup.hnf_rows))

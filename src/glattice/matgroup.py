@@ -37,7 +37,6 @@ from .intmat import (
     IntMatrix,
     LatticeBasis,
     _hnf_insert,
-    _lattice,
     as_vector,
     coordinates_in,
     hnf,
@@ -315,7 +314,7 @@ def stable_span(g: MatGroup, *vectors) -> LatticeBasis:
     todo = [as_vector(v).entries for v in vectors]
     if any(len(w) != g.dim for w in todo):
         raise ValueError("vector dimension does not match group dimension")
-    return _lattice(_span_rows(g.images, todo), g.dim)
+    return LatticeBasis(g.dim, _span_rows(g.images, todo))
 
 
 def _span_rows(images: Callable, todo: list) -> tuple:
@@ -391,7 +390,7 @@ def action_in_row_basis(g: MatGroup, basis: IntMatrix) -> MatGroup:
     lat = hnf(basis)
     if lat.rank < basis.rows:
         raise NotGStable("basis rows are dependent")
-    # basis = U @ lat.basis with U unimodular, so coordinates in the basis
+    # basis = U @ lat.hnf_rows with U unimodular, so coordinates in the basis
     # are those in lat under the change of basis U^T.
     u = IntMatrix.from_rows([coordinates_in(b, lat) for b in basis.to_rows()])
     return conjugate(in_lattice_coordinates(g, lat), u.transpose().inverse_unimodular())

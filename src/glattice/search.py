@@ -14,7 +14,8 @@ in order.  Its docstring states the three conditions a listing meets and
 shows from them that the records are those of the unfiltered candidates
 and that a listed orbit's representative is its BFS start.  A record is
 plain tuples: its span rows come from the one span worklist of
-``matgroup`` (``_span_rows``), and no lattice object is made per record.
+``matgroup`` (``_span_rows``) and are the rows a ``LatticeBasis`` of that
+span holds.
 
 The search's listing (``_listed_box``) is the box in ``_rep_key`` order
 (sup-norm, then absolute values, then positive signs first) less the
@@ -59,10 +60,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import neg
+from operator import mul, neg
 
 from .errors import CapExceeded, NotInLattice
-from .intmat import IntMatrix, IntVector, LatticeBasis, _hnf_insert, as_vector, full_lattice, member
+from .intmat import IntVector, LatticeBasis, _hnf_insert, as_vector, full_lattice, member
 from .matgroup import (
     DEFAULT_CAP,
     MatGroup,
@@ -215,7 +216,7 @@ def _orbit_records(gl: MatGroup, listing, orbit_cap: int) -> list[_OrbitRecord]:
     Either way v's BFS cannot be complete.
     """
     r = gl.dim
-    full_rows = tuple(full_lattice(r).rows())
+    full_rows = full_lattice(r).hnf_rows
     seen: set[tuple[int, ...]] = set()
     records: list[_OrbitRecord] = []
     incumbent: int | None = None
@@ -279,7 +280,7 @@ def _min_spanning_selection(records: list[_OrbitRecord], r: int) -> tuple[int, t
     for rec in records:
         first.setdefault(rec.span_rows, rec)
     records = list(first.values())
-    full_rows = tuple(full_lattice(r).rows())
+    full_rows = full_lattice(r).hnf_rows
 
     def insert(span, rows):
         for row in rows:
@@ -358,9 +359,9 @@ def symrank_search(
     # record is an orbit of the box
     records = _orbit_records(gl, lambda cap: _listed_box(r, radius, _residue_orbit_sizes(gl), cap), orbit_cap)
     best_size, best_reps = _min_spanning_selection(records, r)
-    # map representatives back to ambient coordinates (rep . basis) and
+    # map representatives back to ambient coordinates (rep . hnf_rows) and
     # re-verify both the bound and the span in the group's own action
-    ambient_reps = tuple(map(IntVector, IntMatrix.from_rows(best_reps).mul(l.basis).to_rows()))
+    ambient_reps = tuple(IntVector(tuple(sum(map(mul, rep, col)) for col in zip(*l.hnf_rows))) for rep in best_reps)
     union = set().union(*(orbit(g, rep, orbit_cap).elements for rep in ambient_reps))
     if len(union) != best_size:
         raise AssertionError(f"witness orbits hold {len(union)} vectors, not {best_size}")

@@ -55,6 +55,8 @@ def group_to_json(dim: int, generators, gram: IntMatrix | None = None, label: st
 
 def group_from_json(obj: dict) -> tuple[int, list[IntMatrix], IntMatrix | None, str | None]:
     dim = int_from_json(obj["dim"])
+    if dim < 0:
+        raise ValueError("group dim is negative")
     gens = [matrix_from_json(g) for g in obj["generators"]]
     for g in gens:
         if g.rows != dim or g.cols != dim:

@@ -42,7 +42,7 @@ def is_primitive(lattice: LatticeBasis) -> bool:
     if lattice.rank == 0:
         return False
     g = 0
-    for e in lattice.basis.entries:
+    for e in sum(lattice.hnf_rows, ()):
         g = gcd(g, e)
     return g == 1
 

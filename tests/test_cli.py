@@ -460,6 +460,15 @@ def test_a_cap_below_1_is_an_input_error(command, cap, tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [f"input error: --cap must be at least 1, not {cap}"]
 
 
+def test_a_negative_group_dim_is_an_input_error_naming_the_file(tmp_path, capsys):
+    """Such a file used to exit 5 with "negative matrix dimensions", which names neither the file nor the field."""
+    path = _write(tmp_path / "g.json", {"dim": -1, "generators": []})
+    assert run(["symrank", "--group", path]) == (EXIT_INPUT_ERROR, "")
+    assert capsys.readouterr().err.splitlines() == [
+        f"input error: {path}: not a group file (ValueError: group dim is negative)"
+    ]
+
+
 @pytest.mark.parametrize(
     "field, value", [("rdim", 0), ("rdim", -5), ("aut_order", 0), ("aut_order", "-1")],
     ids=["rdim 0", "rdim -5", "aut_order 0", "aut_order -1"],

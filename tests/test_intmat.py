@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from glattice.errors import NotASublattice
+from glattice.gf2cyclo import preimage
 from glattice.intmat import (
     IntMatrix,
     _hnf_insert,
@@ -18,6 +19,8 @@ from glattice.intmat import (
     member,
     zero_lattice,
 )
+from glattice.matgroup import MatGroup, stable_span
+from glattice.monomial import full_monomial_group
 
 
 def test_hnf_already_canonical():
@@ -50,7 +53,7 @@ def test_hnf_index_two_sublattice():
 
 
 def test_hnf_zero_matrix():
-    assert hnf(IntMatrix.zero(3, 4)).rank == 0
+    assert hnf(IntMatrix(3, 4, (0,) * 12)).rank == 0
 
 
 def test_hnf_idempotent_and_span_preserving_random():
@@ -59,11 +62,34 @@ def test_hnf_idempotent_and_span_preserving_random():
         n = rng.randint(1, 4)
         k = rng.randint(0, 5)
         rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(k)]
-        m = IntMatrix.from_rows(rows) if rows else IntMatrix.zero(0, n)
+        m = IntMatrix.from_rows(rows) if rows else IntMatrix(0, n, ())
         l = hnf(m)
-        assert hnf(l.basis) == l
+        assert hnf_from_rows(l.rows(), n) == l
         for r in rows:
             assert member(r, l)
+
+
+def test_a_lattice_built_any_way_is_the_same_rows():
+    """Each builder hands back the tuples of ints that _hnf_insert makes, so equal lattices are equal values."""
+    even_weight = [
+        preimage([3 << j for j in range(4)], 5),
+        hnf_from_rows([tuple(int(k in (j, j + 1)) for k in range(5)) for j in range(4)] + [(2, 0, 0, 0, 0)], 5),
+        stable_span(full_monomial_group(5), (1, 1, 0, 0, 0)),
+    ]
+    z3 = [full_lattice(3), hnf(IntMatrix.identity(3)), stable_span(MatGroup.trivial(3), (1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    for same in (even_weight, z3):
+        assert all(l == same[0] and hash(l) == hash(same[0]) for l in same)
+        for l in same:
+            assert type(l.hnf_rows) is tuple
+            assert all(type(row) is tuple and all(type(e) is int for e in row) for row in l.hnf_rows)
+    assert even_weight[0].rank == 5 and index(even_weight[0], full_lattice(5)) == 2
+    assert z3[0].is_full() and not even_weight[0].is_full()
+
+
+@pytest.mark.parametrize("make", [full_lattice, zero_lattice])
+def test_a_negative_ambient_dimension_is_refused(make):
+    with pytest.raises(ValueError):
+        make(-1)
 
 
 def test_snf_identity():
