@@ -11,9 +11,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from glattice.intmat import IntMatrix
-from glattice.matgroup import action_in_row_basis
+from glattice.matgroup import MatGroup, orbit, stable_span
 from glattice.rootsys import RootSystemSpec, build
-from glattice.theta import GramForm, diagonal_bound, identity_form, orbit_within_norm_class, theta_prefix
+from glattice.theta import GramForm, diagonal_bound, identity_form, theta_prefix
 
 print("Theta coefficients of small forms (N_0..N_6):")
 for label, form in [
@@ -29,8 +29,11 @@ for label, form in [
 print()
 print("Orbit inside a norm class (Weyl group of A2 in the root basis):")
 a2 = build(RootSystemSpec("A", 2))
-g = action_in_row_basis(a2.matgroup(), a2.cartan)
-res = orbit_within_norm_class(g, GramForm(IntMatrix.from_rows([(2, -1), (-1, 2)])), (1, 0))
-print(f"  orbit of a root: size {res.orbit.size}, norm {res.norm}, norm-class size {res.class_size},"
-      f" spans Z^2: {res.spans_ambient}")
+# the simple reflections act on weight coordinates; the Cartan matrix of A2 is symmetric,
+# so their transposes are the action on root coordinates
+g = MatGroup(2, [s.transpose() for s in a2.simple_reflections])
+norm = a2.cartan[0, 0]  # the root (1, 0) is e_1, so its norm is the first diagonal entry of the Gram matrix
+class_size = theta_prefix(GramForm(a2.cartan), norm).coefficients[norm]
+print(f"  orbit of a root: size {orbit(g, (1, 0)).size}, norm {norm}, norm-class size {class_size},"
+      f" spans Z^2: {stable_span(g, (1, 0)).is_full()}")
 print("  (orbit size <= class size, and the orbit already generates the lattice)")

@@ -24,10 +24,6 @@ class NonUnimodularGenerator(GLatticeError, ValueError):
     """A group generator is not invertible over the integers."""
 
 
-class NonUnimodularConjugator(GLatticeError):
-    """A conjugating matrix is not invertible over the integers."""
-
-
 class NotASublattice(GLatticeError):
     """Containment check failed in an index computation."""
 
@@ -46,10 +42,6 @@ class InvalidRank(GLatticeError):
 
 class KindUnavailable(GLatticeError):
     """Requested named lattice does not exist for this root system."""
-
-
-class FormNotPreserved(GLatticeError):
-    """A group generator does not preserve the given Gram form."""
 
 
 class NotOddPrime(GLatticeError, ValueError):

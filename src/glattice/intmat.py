@@ -4,8 +4,8 @@ All arithmetic is arbitrary precision (plain Python ints); no floating
 point appears anywhere in this module. Every public object is immutable
 after construction and every operation is a pure function, so values can
 be shared freely between threads.  Hermite normal form by row insertion
-is the only elimination: rank, membership, index, inverse and the
-unimodularity test all go through it.
+is the only elimination: rank, membership, index and the unimodularity
+test all go through it.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -136,20 +136,6 @@ class IntMatrix:
 
     def is_unimodular(self) -> bool:
         return self.rows == self.cols and hnf(self).is_full()
-
-    def inverse_unimodular(self) -> "IntMatrix":
-        """Exact inverse of a matrix with determinant +-1.
-
-        The HNF of [A | I] is [I | A^-1] exactly when A is unimodular.
-        """
-        n = self.rows
-        if n != self.cols:
-            raise ValueError("inverse of a non-square matrix")
-        aug = [list(self.row(i)) + [int(i == j) for j in range(n)] for i in range(n)]
-        rows = _hnf_rows(aug)
-        if [r[:n] for r in rows] != IntMatrix.identity(n).to_rows():
-            raise ValueError("matrix is not unimodular")
-        return IntMatrix(n, n, tuple(e for r in rows for e in r[n:]))
 
 
 @dataclass(frozen=True)

@@ -32,14 +32,13 @@ from functools import cache
 from itertools import chain, count
 from typing import Callable
 
-from .errors import CapExceeded, NonUnimodularConjugator, NonUnimodularGenerator, NotGStable
+from .errors import CapExceeded, NonUnimodularGenerator, NotGStable
 from .intmat import (
     IntMatrix,
     LatticeBasis,
     _hnf_insert,
     as_vector,
     coordinates_in,
-    hnf,
     hnf_from_rows,
 )
 
@@ -68,10 +67,6 @@ class MatGroup:
                 raise NonUnimodularGenerator(f"generator {i} is not unimodular")
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "images", _compile_images(self.dim, tuple(map(_rows_terms, gens))))
-
-    @classmethod
-    def trivial(cls, dim: int) -> "MatGroup":
-        return cls(dim, ())
 
 
 @dataclass(frozen=True)
@@ -333,15 +328,6 @@ def _span_rows(images: Callable, todo: list) -> tuple:
     return span
 
 
-def conjugate(g: MatGroup, a: IntMatrix) -> MatGroup:
-    """Group with generators a h a^-1; a must be unimodular."""
-    try:
-        a_inv = a.inverse_unimodular()
-    except ValueError as e:
-        raise NonUnimodularConjugator("conjugator is not unimodular") from e
-    return MatGroup(g.dim, tuple(a.mul(h).mul(a_inv) for h in g.generators))
-
-
 def commutant_dimension(g: MatGroup) -> int:
     """Dimension over Q of {X : X h = h X for all generators h}.
 
@@ -377,23 +363,6 @@ def irreducibility_certificate(g: MatGroup) -> str:
     the verdict is "not certified" -- never "reducible".
     """
     return CERTIFIED_IRREDUCIBLE if commutant_dimension(g) == 1 else NOT_CERTIFIED
-
-
-def action_in_row_basis(g: MatGroup, basis: IntMatrix) -> MatGroup:
-    """The action of g rewritten in an arbitrary basis given by matrix rows.
-
-    The basis rows must be independent and span a g-stable lattice; the
-    rewritten generators are integral exactly in that case.  Unlike
-    :func:`in_lattice_coordinates` the basis need not be in HNF (use this
-    to work in a root basis, for example).
-    """
-    lat = hnf(basis)
-    if lat.rank < basis.rows:
-        raise NotGStable("basis rows are dependent")
-    # basis = U @ lat.hnf_rows with U unimodular, so coordinates in the basis
-    # are those in lat under the change of basis U^T.
-    u = IntMatrix.from_rows([coordinates_in(b, lat) for b in basis.to_rows()])
-    return conjugate(in_lattice_coordinates(g, lat), u.transpose().inverse_unimodular())
 
 
 def in_lattice_coordinates(g: MatGroup, l: LatticeBasis) -> MatGroup:

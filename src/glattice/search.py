@@ -88,10 +88,6 @@ class SymrankResult:
     search_radius: int
     orbit_count: int  # orbits materialized (oversized orbits are pruned unmaterialized)
 
-    @property
-    def unconditional(self) -> bool:
-        return self.upper_bound == self.lower_bound
-
 
 @dataclass(frozen=True)
 class _OrbitRecord:

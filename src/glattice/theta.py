@@ -29,9 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt, lcm
 
-from .errors import CapExceeded, FormNotPreserved
-from .intmat import IntMatrix, LatticeBasis, as_vector
-from .matgroup import DEFAULT_CAP, MatGroup, Orbit, orbit, stable_span
+from .errors import CapExceeded
+from .intmat import IntMatrix
+from .matgroup import DEFAULT_CAP
 
 
 @dataclass(frozen=True)
@@ -48,13 +48,6 @@ class GramForm:
     @property
     def dim(self) -> int:
         return self.matrix.rows
-
-    def norm(self, v) -> int:
-        """v^T X v, exact."""
-        vv = as_vector(v)
-        m = self.matrix
-        n = self.dim
-        return sum(vv[i] * m[i, j] * vv[j] for i in range(n) for j in range(n))
 
     def diagonal_norms(self) -> frozenset:
         return frozenset(self.matrix[i, i] for i in range(self.dim))
@@ -182,39 +175,3 @@ def diagonal_bound(form: GramForm, cap: int = DEFAULT_CAP) -> DiagonalBound:
     top = max(norms, default=0)
     witnesses = [v for v, nm in short_vectors(form, top, cap) if nm in norms]
     return DiagonalBound(norms, len(witnesses), tuple(witnesses))
-
-
-@dataclass(frozen=True)
-class NormClassOrbit:
-    orbit: Orbit
-    norm: int
-    class_size: int
-    span: LatticeBasis
-    spans_ambient: bool
-
-
-def orbit_within_norm_class(
-    g: MatGroup, form: GramForm, v, cap: int = DEFAULT_CAP
-) -> NormClassOrbit:
-    """Orbit of v under a form-preserving group, checked against its norm class.
-
-    Verifies that every generator preserves the form, that the whole orbit
-    sits inside one norm class, and reports whether the orbit spans Z^n.
-    """
-    if g.dim != form.dim:
-        raise ValueError("group and form dimensions differ")
-    for h in g.generators:
-        if h.transpose().mul(form.matrix).mul(h) != form.matrix:
-            raise FormNotPreserved("a generator does not preserve the form")
-    vv = as_vector(v)
-    nm = form.norm(vv)
-    orb = orbit(g, vv, cap)
-    for e in orb.elements:
-        if form.norm(e) != nm:
-            raise AssertionError("orbit left its norm class despite preserved form")
-    if nm > 0:
-        class_size = theta_prefix(form, nm, cap).coefficients[nm]
-    else:
-        class_size = 1
-    span = stable_span(g, vv)
-    return NormClassOrbit(orb, nm, class_size, span, span.is_full())

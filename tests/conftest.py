@@ -12,9 +12,10 @@ from hypothesis import strategies as st  # noqa: E402
 from glattice._primes import ceil_log2, pow2_at_least  # noqa: E402
 from glattice.bounds import LOG_FRAC_BITS  # noqa: E402
 from glattice.gf2cyclo import GF2Poly, binary_sublattices, factor_xp_minus_1  # noqa: E402
-from glattice.intmat import IntMatrix, IntVector, LatticeBasis, _hnf_insert, _xgcd, as_vector, full_lattice, hnf_from_rows, zero_lattice  # noqa: E402
+from glattice.intmat import IntMatrix, IntVector, LatticeBasis, _hnf_insert, _hnf_rows, _xgcd, as_vector, full_lattice, hnf_from_rows, zero_lattice  # noqa: E402
 from glattice.matgroup import MatGroup, closure, orbit  # noqa: E402
 from glattice.search import _rep_key  # noqa: E402
+from glattice.theta import GramForm  # noqa: E402
 
 
 def log2_upper(x: int) -> int:
@@ -260,6 +261,35 @@ def unimodular_matrices(n: int):
         return IntMatrix.from_rows(rows)
 
     return st.lists(op, max_size=12).map(product)
+
+
+def inverse_unimodular(m: IntMatrix) -> IntMatrix:
+    """Exact inverse of a matrix with determinant +-1.
+
+    The HNF of [A | I] is [I | A^-1] exactly when A is unimodular.
+    """
+    n = m.rows
+    if n != m.cols:
+        raise ValueError("inverse of a non-square matrix")
+    aug = [list(m.row(i)) + [int(i == j) for j in range(n)] for i in range(n)]
+    rows = _hnf_rows(aug)
+    if [r[:n] for r in rows] != IntMatrix.identity(n).to_rows():
+        raise ValueError("matrix is not unimodular")
+    return IntMatrix(n, n, tuple(e for r in rows for e in r[n:]))
+
+
+def conjugate(g: MatGroup, a: IntMatrix) -> MatGroup:
+    """Group with generators a h a^-1; a must be unimodular."""
+    a_inv = inverse_unimodular(a)
+    return MatGroup(g.dim, tuple(a.mul(h).mul(a_inv) for h in g.generators))
+
+
+def form_norm(form: GramForm, v) -> int:
+    """v^T X v, exact (oracle for the norms ``short_vectors`` carries)."""
+    vv = as_vector(v)
+    m = form.matrix
+    n = form.dim
+    return sum(vv[i] * m[i, j] * vv[j] for i in range(n) for j in range(n))
 
 
 def apply(m: IntMatrix, v) -> IntVector:

@@ -2,7 +2,7 @@
 import random
 
 import pytest
-from conftest import det, is_primitive, snf, unimodular_matrices
+from conftest import det, inverse_unimodular, is_primitive, snf, unimodular_matrices
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -76,7 +76,7 @@ def test_a_lattice_built_any_way_is_the_same_rows():
         hnf_from_rows([tuple(int(k in (j, j + 1)) for k in range(5)) for j in range(4)] + [(2, 0, 0, 0, 0)], 5),
         stable_span(full_monomial_group(5), (1, 1, 0, 0, 0)),
     ]
-    z3 = [full_lattice(3), hnf(IntMatrix.identity(3)), stable_span(MatGroup.trivial(3), (1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    z3 = [full_lattice(3), hnf(IntMatrix.identity(3)), stable_span(MatGroup(3, ()), (1, 0, 0), (0, 1, 0), (0, 0, 1))]
     for same in (even_weight, z3):
         assert all(l == same[0] and hash(l) == hash(same[0]) for l in same)
         for l in same:
@@ -264,14 +264,14 @@ def test_is_primitive():
 
 def test_unimodular_inverse():
     m = IntMatrix.from_rows([(1, 2), (1, 3)])
-    inv = m.inverse_unimodular()
+    inv = inverse_unimodular(m)
     assert m.mul(inv) == IntMatrix.identity(2)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 6).flatmap(unimodular_matrices))
 def test_inverse_unimodular_of_elementary_products(a):
-    inv = a.inverse_unimodular()
+    inv = inverse_unimodular(a)
     assert a.mul(inv) == IntMatrix.identity(a.rows)
     assert inv.mul(a) == IntMatrix.identity(a.rows)
 
@@ -283,7 +283,7 @@ def test_inverse_unimodular_of_elementary_products(a):
 )
 def test_inverse_unimodular_rejects_other_matrices(rows):
     with pytest.raises(ValueError):
-        IntMatrix.from_rows(rows).inverse_unimodular()
+        inverse_unimodular(IntMatrix.from_rows(rows))
 
 
 def _hnf_oracle(rows, ncols):

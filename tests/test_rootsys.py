@@ -3,7 +3,7 @@ import random
 from math import comb
 
 import pytest
-from conftest import apply, det, orbit_span, snf
+from conftest import apply, det, inverse_unimodular, orbit_span, snf
 
 from glattice.errors import InvalidRank, KindUnavailable
 from glattice.intmat import IntMatrix, IntVector, LatticeBasis, full_lattice, hnf, hnf_from_rows, index, member, unit_vector
@@ -80,7 +80,7 @@ def membership_matrix_from_snf(model: WeylModel) -> IntMatrix:
     span of P^-1 D is the root lattice.
     """
     dec = snf(model.cartan.transpose())
-    return dec.P.inverse_unimodular().mul(dec.D)
+    return inverse_unimodular(dec.P).mul(dec.D)
 
 
 def root_membership_by_snf(model: WeylModel, v) -> bool:

@@ -3,7 +3,7 @@ import itertools
 from dataclasses import replace
 
 import pytest
-from conftest import apply, bfs_orbit, min_spanning_selection_oracle, orbit_records_oracle, unimodular_matrices
+from conftest import apply, bfs_orbit, conjugate, min_spanning_selection_oracle, orbit_records_oracle, unimodular_matrices
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +16,6 @@ from glattice.matgroup import (
     _orbit_bfs,
     _rows_terms,
     closure,
-    conjugate,
     in_lattice_coordinates,
     orbit,
 )
@@ -50,10 +49,10 @@ def test_g2_root_lattice():
 
 
 def test_trivial_group_standard_basis():
-    res = symrank_search(MatGroup.trivial(3), full_lattice(3), radius=3)
+    res = symrank_search(MatGroup(3, ()), full_lattice(3), radius=3)
     assert res.upper_bound == 3
     assert sorted(w.entries for w in res.witness) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
-    assert res.unconditional  # upper bound meets the rank lower bound
+    assert res.upper_bound == res.lower_bound  # upper bound meets the rank lower bound
 
 
 def test_not_g_stable():
@@ -66,7 +65,7 @@ def test_not_g_stable():
 
 def test_rank_zero_lattice_is_checked_against_the_group():
     """The rank-0 shortcut comes after the lattice check, so a wrong ambient dimension still fails."""
-    g = MatGroup.trivial(2)
+    g = MatGroup(2, ())
     assert symrank_search(g, hnf_from_rows([], 2), radius=1).upper_bound == 0
     with pytest.raises(ValueError, match="dimension"):
         symrank_search(g, hnf_from_rows([], 3), radius=1)
@@ -391,16 +390,16 @@ def test_records_are_built_without_stable_span(monkeypatch):
         return span(*args)
 
     monkeypatch.setattr(search, "stable_span", counted)
-    res = symrank_search(MatGroup.trivial(3), full_lattice(3), radius=3)
+    res = symrank_search(MatGroup(3, ()), full_lattice(3), radius=3)
     assert (res.upper_bound, res.orbit_count, calls) == (3, 342, 1)
 
 
 def test_a_box_over_the_cap_raises_before_any_orbit_is_built():
     """The trivial group on Z^3 at radius 3 has 7^3 - 1 = 342 box vectors, each its own orbit."""
     with pytest.raises(CapExceeded) as exc:
-        symrank_search(MatGroup.trivial(3), full_lattice(3), radius=3, orbit_cap=341)
+        symrank_search(MatGroup(3, ()), full_lattice(3), radius=3, orbit_cap=341)
     assert (exc.value.what, exc.value.cap) == ("box", 341)
-    assert symrank_search(MatGroup.trivial(3), full_lattice(3), radius=3, orbit_cap=342).upper_bound == 3
+    assert symrank_search(MatGroup(3, ()), full_lattice(3), radius=3, orbit_cap=342).upper_bound == 3
 
 
 @pytest.mark.parametrize("r, radius", [(r, radius) for r in range(1, 5) for radius in range(1, 4)])
@@ -428,7 +427,7 @@ def test_orbit_matches_plain_bfs_and_raises_at_the_cap():
         (b3.matgroup(), (1, 2, -1)),
         (a2.matgroup(), (2, -1)),
         (MatGroup(3, [swap, IntMatrix.identity(3)]), (1, 2, 3)),
-        (MatGroup.trivial(3), (0, 5, 0)),
+        (MatGroup(3, ()), (0, 5, 0)),
     ]
     for g, v in cases:
         want = bfs_orbit(g.generators, v)
@@ -638,7 +637,7 @@ def test_mod_m_kernel_equals_the_integer_kernel_reduced_mod_m(g, m, data):
 @pytest.mark.parametrize("m", [2, 3, 5])
 def test_mod_m_kernel_without_generators_and_in_dimension_one(m):
     neg = IntMatrix.from_rows([(-1,)])
-    for g in (MatGroup.trivial(3), MatGroup.trivial(1), MatGroup(1, [neg]), MatGroup(1, [IntMatrix.identity(1), neg])):
+    for g in (MatGroup(3, ()), MatGroup(1, ()), MatGroup(1, [neg]), MatGroup(1, [IntMatrix.identity(1), neg])):
         _assert_mod_kernel_reduces(g, m, [(x,) * g.dim for x in (-7, -1, 0, 1, 4, 2**70)])
     # every coefficient vanishes mod m: the entry is the literal 0
     assert _compile_images(2, ((((0, m), (1, -2 * m)), ((1, 1),)),), m)((5, 7)) == ((0, 7 % m),)

@@ -1,6 +1,5 @@
 """Properties of the package source itself."""
 import ast
-import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -45,35 +44,52 @@ def test_no_fractions_true_division_or_floats_in_the_package():
     assert found == []
 
 def _public_routines():
-    """(path, def node) of every public top-level function and top-level class method."""
+    """(path, def node) of every public top-level function and method of a public top-level class.
+
+    Methods of private classes are skipped: their callers may be outside the
+    package (argparse calls ``_Parser.error``).
+    """
     for path in sorted(SRC.rglob("*.py")):
         for node in ast.parse(path.read_text()).body:
-            defs = node.body if isinstance(node, ast.ClassDef) else [node]
+            if isinstance(node, ast.ClassDef):
+                defs = [] if node.name.startswith("_") else node.body
+            else:
+                defs = [node]
             for d in defs:
                 if isinstance(d, ast.FunctionDef) and not d.name.startswith("_"):
                     yield path, d
 
 
+def _referenced_names() -> set:
+    """Every name the code uses in the package, the demos, perfbench and the acceptance suite.
+
+    A use is a name, an attribute or an imported name in the syntax tree (a
+    word in a docstring or a comment is none), or a string in ``cli`` that
+    names one of its functions: ``cli.main`` looks each command's handler up
+    by that name.
+    """
+    paths = [*sorted(SRC.rglob("*.py")), *sorted((ROOT / "demos").rglob("*.py")),
+             *sorted((ROOT / "perfbench").rglob("*.py")), ROOT / "tests" / "test_acceptance.py"]
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update(alias.name for alias in node.names)
+    cli = ast.parse((SRC / "cli.py").read_text())
+    handlers = {node.name for node in cli.body if isinstance(node, ast.FunctionDef)}
+    names.update(node.value for node in ast.walk(cli) if isinstance(node, ast.Constant) and node.value in handlers)
+    return names
+
+
 def _uncalled_routines():
-    """(path, def node) of every public routine named nowhere besides its own def
-    line: elsewhere in the package, in the demos, in perfbench or in the
-    acceptance suite."""
-    src_lines = [
-        (path, lineno, line)
-        for path in sorted(SRC.rglob("*.py"))
-        for lineno, line in enumerate(path.read_text().splitlines(), 1)
-    ]
-    outside = "\n".join(
-        p.read_text()
-        for p in [*sorted((ROOT / "demos").rglob("*.py")), *sorted((ROOT / "perfbench").rglob("*.py")),
-                  ROOT / "tests" / "test_acceptance.py"]
-    )
+    """(path, def node) of every public routine that no code outside the unit tests uses."""
+    used = _referenced_names()
     for path, node in _public_routines():
-        word = re.compile(rf"\b{node.name}\b")
-        named = word.search(outside) or any(
-            word.search(line) for p, lineno, line in src_lines if (p, lineno) != (path, node.lineno)
-        )
-        if not named:
+        if node.name not in used:
             yield path, node
 
 

@@ -5,20 +5,19 @@ from collections import Counter
 from math import isqrt, prod
 
 import pytest
-from conftest import apply, det
+from conftest import apply, det, form_norm
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from glattice.errors import CapExceeded, FormNotPreserved
+from glattice.errors import CapExceeded
 from glattice.intmat import IntMatrix
-from glattice.matgroup import MatGroup, action_in_row_basis
+from glattice.matgroup import MatGroup
 from glattice.rootsys import RootSystemSpec, build
 from glattice.theta import (
     GramForm,
     diagonal_bound,
     identity_form,
     _scaled_ldl,
-    orbit_within_norm_class,
     short_vectors,
     theta_prefix,
 )
@@ -32,7 +31,7 @@ def brute_force(form, bound, radii=None):
     radii = radii or [bound + 1] * n
     out = []
     for v in itertools.product(*(range(-r, r + 1) for r in radii)):
-        nm = form.norm(v)
+        nm = form_norm(form, v)
         if nm <= bound:
             out.append((v, nm))
     return sorted(out)
@@ -95,7 +94,7 @@ def test_scaled_decomposition_gives_the_scaled_norm(case):
     form = GramForm(m)
     scale, e, lead, rows = _scaled_ldl(form)
     terms = [ei * (li * v[i] + sum(c * v[j] for j, c in row)) ** 2 for i, (ei, li, row) in enumerate(zip(e, lead, rows))]
-    assert scale * form.norm(v) == sum(terms)
+    assert scale * form_norm(form, v) == sum(terms)
 
 def test_short_vectors_identity_bound_one():
     got = short_vectors(identity_form(2), 1)
@@ -167,7 +166,7 @@ def test_short_vectors_match_brute_force(form, bound):
     assume(prod(2 * r + 1 for r in radii) <= 20000)
     got = short_vectors(form, bound)
     assert got == brute_force(form, bound, radii)
-    assert all(nm == form.norm(v) for v, nm in got)
+    assert all(nm == form_norm(form, v) for v, nm in got)
 
 
 @settings(max_examples=200, deadline=None)
@@ -216,29 +215,7 @@ def test_diagonal_bound_witnesses_contain_basis_and_are_stable():
     assert (1, 0) in ents and (0, 1) in ents
     # stability under an automorphism of the form (Weyl action in root basis)
     a2 = build(RootSystemSpec("A", 2))
-    g = action_in_row_basis(a2.matgroup(), a2.cartan)
+    g = MatGroup(2, [s.transpose() for s in a2.simple_reflections])
     for h in g.generators:
         for w in db.witnesses:
             assert apply(h, w).entries in ents
-
-
-def test_orbit_within_norm_class_weyl():
-    a2 = build(RootSystemSpec("A", 2))
-    g = action_in_row_basis(a2.matgroup(), a2.cartan)
-    res = orbit_within_norm_class(g, GRAM_A2, (1, 0))
-    assert res.orbit.size == 6 and res.norm == 2 and res.class_size == 6
-    assert res.spans_ambient
-
-
-def test_orbit_within_norm_class_trivial_cases():
-    minus = MatGroup(2, [IntMatrix.from_rows([(-1, 0), (0, -1)])])
-    res = orbit_within_norm_class(minus, identity_form(2), (1, 0))
-    assert res.orbit.size == 2 and res.norm == 1 and res.span.rank == 1
-    res0 = orbit_within_norm_class(minus, identity_form(2), (0, 0))
-    assert res0.orbit.size == 1 and res0.span.rank == 0
-
-
-def test_orbit_within_norm_class_rejects_bad_group():
-    shear = MatGroup(2, [IntMatrix.from_rows([(1, 1), (0, 1)])])
-    with pytest.raises(FormNotPreserved):
-        orbit_within_norm_class(shear, identity_form(2), (1, 0))
