@@ -12,10 +12,14 @@ Orbits are built by one routine, ``_orbit_records``, over a listing of
 candidates: the basis vectors first, as a seed, then the listed vectors
 in order.  Its docstring states the three conditions a listing meets and
 shows from them that the records are those of the unfiltered candidates
-and that a listed orbit's representative is its BFS start.  A record is
-plain tuples: its span rows come from the one span worklist of
-``matgroup`` (``_span_rows``) and are the rows a ``LatticeBasis`` of that
-span holds.
+and that a listed orbit's representative is its BFS start.  A record
+holds its size, its representative, the group's kernel and a bound on the
+rank of its span, min(rank, |O|/2 if -v is in O, else |O|).  Its span
+rows are computed the first time they are read and then kept: they come
+from the one span worklist of ``matgroup`` (``_span_rows``) started at
+the representative, and are the rows a ``LatticeBasis`` of that span
+holds.  The search reads only the spans it needs, often a handful where
+the box holds hundreds of orbits.
 
 The search's listing (``_listed_box``) is the box in ``_rep_key`` order
 (sup-norm, then absolute values, then positive signs first) less the
@@ -52,15 +56,19 @@ later record with the span of an earlier one is never smaller, so a
 minimum that holds it can swap it for the earlier one.  Its depth-first
 search carries each partial span as canonical HNF rows and adds an orbit
 by inserting its span's rows one at a time.  It stops a branch by two
-prunes: size per unit of rank (no completion can be strictly cheaper than
-the incumbent) and no progress (an orbit that leaves the span unchanged
-is never chosen).
+prunes, both before it reads the next record's span: size per unit of
+rank, with each record's rank bound in place of its rank (no completion
+can be strictly cheaper than the incumbent), and no progress (an orbit
+that leaves the span unchanged is never chosen).  A record whose span an
+earlier record has is skipped when the search reaches it.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from operator import mul, neg
+from typing import Callable
 
 from .errors import CapExceeded, NotInLattice
 from .intmat import IntVector, LatticeBasis, _hnf_insert, as_vector, full_lattice, member
@@ -91,9 +99,16 @@ class SymrankResult:
 
 @dataclass(frozen=True)
 class _OrbitRecord:
+    """A kept orbit: its size, rep, a bound on its span's rank and, read on demand, that span's rows."""
+
     size: int
     rep: tuple[int, ...]
-    span_rows: tuple[tuple[int, ...], ...]
+    rank_bound: int  # min(r, |O| / 2 if -rep is in O else |O|)
+    images: Callable = field(repr=False, compare=False)  # the group's kernel
+
+    @cached_property
+    def span_rows(self) -> tuple[tuple[int, ...], ...]:
+        return _span_rows(self.images, [self.rep])
 
 
 RESIDUE_MODULUS = 3  # m in |orbit(v)| >= |orbit(v mod m)|; 3 <= 2 * radius + 1, so no more classes than box vectors
@@ -165,10 +180,15 @@ def _orbit_records(gl: MatGroup, listing, orbit_cap: int) -> list[_OrbitRecord]:
     """Group the basis vectors, then the candidates that listing gives, into orbits.
 
     Each record holds the orbit's size, its representative (the
-    ``_rep_key`` least vector of the orbit) and the canonical HNF rows of
-    its span, which the search inserts into a partial span one row at a
-    time.  The rows come from the span worklist of ``matgroup``
-    (``_span_rows``) started at the BFS start alone, as plain tuples.
+    ``_rep_key`` least vector of the orbit), the kernel, and a bound on
+    the rank of its span: min(r, |O|/2 if -v is in O, else |O|), since if
+    -v is in O then O = -O, and each pair +-w spans one line.  The
+    canonical HNF rows of the span, which the search inserts into a
+    partial span one row at a time, are read on demand: the span worklist
+    of ``matgroup`` (``_span_rows``) runs from the representative alone,
+    as plain tuples, the first time a record's ``span_rows`` is read.
+    Only a span of rank r can be Z^r, so a record is read here only when
+    its rank bound is r and it is smaller than the incumbent.
 
     The basis vectors are the seed, and their orbits span Z^r.  The first
     incumbent is the size of a single spanning orbit among them or, once
@@ -226,11 +246,12 @@ def _orbit_records(gl: MatGroup, listing, orbit_cap: int) -> list[_OrbitRecord]:
         if not complete:
             seen.update(tuple(map(neg, w)) for w in kept)
             return False
-        span = _span_rows(gl.images, [v])
-        rep = min(orb, key=_rep_key) if listed is None else v
-        records.append(_OrbitRecord(len(orb), rep, span))
-        if span == full_rows and (incumbent is None or len(orb) < incumbent):
-            incumbent = len(orb)
+        size = len(orb)
+        rank_bound = min(r, size // 2 if tuple(map(neg, v)) in orb else size)
+        rec = _OrbitRecord(size, min(orb, key=_rep_key) if listed is None else v, rank_bound, gl.images)
+        records.append(rec)
+        if rank_bound == r and (incumbent is None or size < incumbent) and rec.span_rows == full_rows:
+            incumbent = size
         return True
 
     for i in range(r):
@@ -268,14 +289,22 @@ def _min_spanning_selection(records: list[_OrbitRecord], r: int) -> tuple[int, t
     larger and so is minimal as well, and each of its records still grows
     the span, or a smaller selection would exist.  The search reaches
     S - j + i before S, as it includes i before excluding it, so the first
-    minimum holds no repeated span.  Over the kept records it visits the
-    same selections in the same order, less those that hold a repeat, and
-    both prunes stay sound.
+    minimum holds no repeated span.
+
+    The check is made when the search reaches a record, after the prunes:
+    it reads the record's span then, and skips the record when
+    ``first.setdefault(span, i) != i``.  The search reaches record i only
+    from record i - 1, after that record's prunes, so the span of every
+    earlier record is in ``first`` before record i is first reached, and
+    no later record is reached before it; a record is skipped exactly when
+    an earlier record has its span.  The size-per-rank prune takes, for
+    each record j, its rank bound k_j = min(r, |O_j|/2 if -v is in O_j,
+    else |O_j|) in place of the rank of its span, which is no larger, and
+    takes the least rate over every later record, repeats included.  So
+    both prunes stay sound and are no stronger than over the distinct
+    spans with exact ranks: they cut no branch that holds a strictly
+    smaller selection, and the first minimum in record order is the same.
     """
-    first: dict[tuple[tuple[int, ...], ...], _OrbitRecord] = {}
-    for rec in records:
-        first.setdefault(rec.span_rows, rec)
-    records = list(first.values())
     full_rows = full_lattice(r).hnf_rows
 
     def insert(span, rows):
@@ -284,19 +313,26 @@ def _min_spanning_selection(records: list[_OrbitRecord], r: int) -> tuple[int, t
         return span
 
     # a spanning selection must exist, or the search below would walk its
-    # whole tree to find none
-    if insert((), (row for rec in records for row in rec.span_rows)) != full_rows:
+    # whole tree to find none; the spans are read in record order until
+    # they span Z^r
+    span = ()
+    for rec in records:
+        span = insert(span, rec.span_rows)
+        if span == full_rows:
+            break
+    else:
         raise AssertionError("records fail to span Z^r")
     # suffix_rate[i] = (a, b): a/b is the least size per unit of rank,
-    # s_j / k_j, over records j >= i; an orbit of size s_j whose span has
-    # rank k_j raises the rank of a span by at most k_j
+    # s_j / k_j, over records j >= i; an orbit of size s_j raises the rank
+    # of a span by at most its rank bound k_j
     suffix_rate: list[tuple[int, int]] = [(1, 0)] * len(records)
     rate = (1, 0)  # 1/0 stands for infinity; every k_j is at least 1
     for i in range(len(records) - 1, -1, -1):
-        s, k = records[i].size, len(records[i].span_rows)
+        s, k = records[i].size, records[i].rank_bound
         if s * rate[1] < rate[0] * k:
             rate = (s, k)
         suffix_rate[i] = rate
+    first: dict[tuple[tuple[int, ...], ...], int] = {}  # span rows -> index of its first record
 
     best_size = None
     best_reps: tuple[tuple[int, ...], ...] | None = None
@@ -318,11 +354,12 @@ def _min_spanning_selection(records: list[_OrbitRecord], r: int) -> tuple[int, t
             if size + records[i].size >= best_size or (r - len(span)) * a > (best_size - size - 1) * b:
                 return
         rec = records[i]
-        new_span = insert(span, rec.span_rows)
-        if new_span != span:
-            chosen.append(i)
-            dfs(i + 1, size + rec.size, new_span, chosen)
-            chosen.pop()
+        if first.setdefault(rec.span_rows, i) == i:
+            new_span = insert(span, rec.span_rows)
+            if new_span != span:
+                chosen.append(i)
+                dfs(i + 1, size + rec.size, new_span, chosen)
+                chosen.pop()
         dfs(i + 1, size, span, chosen)
 
     dfs(0, 0, (), [])

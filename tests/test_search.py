@@ -218,14 +218,6 @@ def _signed_permutation_records(draw):
     return n, _orbit_records(gl, _box_listing(gl, radius), DEFAULT_CAP)
 
 
-@settings(max_examples=60, deadline=None)
-@given(_signed_permutation_records())
-def test_selection_equals_the_unfiltered_search_over_every_record(case):
-    """Searching only the first record of each span returns the unfiltered search's size and reps."""
-    n, records = case
-    assert _min_spanning_selection(records, n) == min_spanning_selection_oracle(records, n)
-
-
 # (upper bound, witness, orbits materialized) at radius 2, pinned exactly:
 # pruning and orbit bookkeeping may make the search faster, never change
 # which minimum it returns.
@@ -271,7 +263,7 @@ def test_weyl_search_rows_are_pinned(row):
 
 def test_weyl_search_rows_stay_within_their_bfs_and_span_insertion_counts(monkeypatch):
     """All fourteen rows: at most 1,163 orbit BFS runs, residue tables
-    included, and 3,247 span-row insertions in ``matgroup``.
+    included, and 1,970 span-row insertions in ``matgroup``.
 
     Wall time on a small machine misses a regression in the box path by a
     few percent; these deterministic counts do not.
@@ -292,7 +284,7 @@ def test_weyl_search_rows_stay_within_their_bfs_and_span_insertion_counts(monkey
     for family, rank, kind, d in [*RANK5_RADIUS2, *WEYL_SEARCH_RADIUS2]:
         model = build(RootSystemSpec(family, rank))
         symrank_search(model.matgroup(), lattice(model, kind, d).basis, radius=2)
-    assert counts["bfs"] <= 1_163 and counts["insert"] <= 3_247
+    assert counts["bfs"] <= 1_163 and counts["insert"] <= 1_970
 
 
 # {+-I}: every orbit has size 2 and rank 1, so the size-per-rank prune cuts
@@ -379,19 +371,27 @@ def test_repeated_span_searches_are_pinned_and_insert_each_span_once(name, monke
 def test_records_are_built_without_stable_span(monkeypatch):
     """Record spans come from the span worklist on raw tuples: ``stable_span`` only re-verifies the witness.
 
-    The trivial group on Z^3 at radius 3 has 342 records, one per box vector.
+    The trivial group on Z^3 at radius 3 has 342 records, one per box
+    vector, each of rank bound 1, so none is read to test the incumbent.
+    The 12 span-row insertions in ``matgroup`` are the spans the search
+    reads and the 3 of the witness re-verification; reading every
+    record's span takes 345.
     """
-    calls = 0
-    span = search.stable_span
+    calls = {"stable_span": 0, "insert": 0}
+    span, insert = search.stable_span, matgroup._hnf_insert
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
+    def counted_span(*args):
+        calls["stable_span"] += 1
         return span(*args)
 
-    monkeypatch.setattr(search, "stable_span", counted)
+    def counted_insert(*args):
+        calls["insert"] += 1
+        return insert(*args)
+
+    monkeypatch.setattr(search, "stable_span", counted_span)
+    monkeypatch.setattr(matgroup, "_hnf_insert", counted_insert)
     res = symrank_search(MatGroup(3, ()), full_lattice(3), radius=3)
-    assert (res.upper_bound, res.orbit_count, calls) == (3, 342, 1)
+    assert (res.upper_bound, res.orbit_count, calls["stable_span"], calls["insert"]) == (3, 342, 1, 12)
 
 
 def test_a_box_over_the_cap_raises_before_any_orbit_is_built():
@@ -559,6 +559,40 @@ def test_orbit_records_equal_the_full_bfs_oracle_on_conjugated_weyl_groups(conj,
     assert _records(g, _box_listing(g, radius)) == orbit_records_oracle(g, _box(g.dim, radius))
     order = _invariant_norm_order(g, radius)
     assert _records(g, lambda cap: order) == orbit_records_oracle(g, order)
+
+
+@st.composite
+def _conjugated_small_group_records(draw):
+    """(rank, orbit records) of a group of ``SMALL_GROUPS`` on Z^3 or Z^4, conjugated, at radius <= 2."""
+    n = draw(st.integers(3, 4))
+    g = conjugate(MatGroup(n, SMALL_GROUPS[draw(st.sampled_from(sorted(SMALL_GROUPS)))](n)), draw(unimodular_matrices(n)))
+    return n, _orbit_records(g, _box_listing(g, draw(st.integers(1, 2))), DEFAULT_CAP)
+
+
+@st.composite
+def _conjugated_weyl_records(draw):
+    """(rank, orbit records) of a Weyl group of rank <= 3, conjugated, at radius <= 2."""
+    spec = draw(st.sampled_from([s for s in WEYL_RANK_LE_4 if s[1] <= 3]))
+    g = conjugate(build(RootSystemSpec(*spec)).matgroup(), draw(unimodular_matrices(spec[1])))
+    return g.dim, _orbit_records(g, _box_listing(g, draw(st.integers(1, 2))), DEFAULT_CAP)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(_signed_permutation_records(), _conjugated_small_group_records()))
+def test_selection_equals_the_unfiltered_search_over_every_record(case):
+    """Searching only the first record of each span, read when the search reaches it, returns the
+    size and reps of the search over every record with every span read and every exact rank."""
+    n, records = case
+    assert _min_spanning_selection(records, n) == min_spanning_selection_oracle(records, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_signed_permutation_records(), _conjugated_weyl_records()))
+def test_rank_bound_is_at_least_the_rank_of_the_span(case):
+    """The swap orbit of (1, 2, 0) has size 2 and rank 2: halving the size is sound only when -v is in the orbit."""
+    n, records = case
+    for rec in records:
+        assert len(rec.span_rows) <= rec.rank_bound <= n
 
 
 def _residue_bfs(gens, c, m):
