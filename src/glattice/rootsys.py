@@ -40,17 +40,15 @@ explicitly here:
   sublattice; the short simple root alpha_3 (short since c_23 = -2) has the
   same orbit size (24) and does span, so it is the span witness.
 
-Two A rows are not spanned most cheaply by a fundamental weight: for
-A_7 L+4 the orbit of lambda_6 + 2 lambda_7 (size 56) spans, against 70 for
-lambda_4, and for A_8 L+3 the orbit of lambda_7 + lambda_8 (size 72),
-against 84 for lambda_3.  :func:`expected_symrank` gives the argument that
-both values are minimal.
+An A_n L+d row is spanned by lambda_d or by a lambda_{n-1} + b lambda_n
+(:func:`_a_intermediate_witness`), whichever has the smaller orbit;
+:func:`expected_symrank` argues that this size is minimal.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb, factorial, prod
+from math import comb, factorial, gcd, prod
 
 from .errors import InvalidRank, KindUnavailable
 from .intmat import (
@@ -107,7 +105,7 @@ def cartan_matrix(spec: RootSystemSpec) -> IntMatrix:
     if fam in ("A", "B", "C"):
         for i in range(n - 1):
             edge(i, i + 1)
-        if fam == "B" and n >= 2:
+        if fam == "B":
             c[n - 2][n - 1] = -2
         if fam == "C":
             c[n - 1][n - 2] = -2
@@ -135,12 +133,13 @@ def cartan_matrix(spec: RootSystemSpec) -> IntMatrix:
 
 def weyl_order_closed_form(spec: RootSystemSpec) -> int:
     n = spec.rank
+    if spec.family == "E":
+        return {6: 51840, 7: 2903040, 8: 696729600}[n]
     return {
         "A": factorial(n + 1),
         "B": 2**n * factorial(n),
         "C": 2**n * factorial(n),
         "D": 2 ** (n - 1) * factorial(n),
-        "E": {6: 51840, 7: 2903040, 8: 696729600}.get(n, 0),
         "F": 1152,
         "G": 12,
     }[spec.family]
@@ -315,8 +314,8 @@ class SymrankTableRow:
     simple root with the same orbit size); ``spans_labelled_lattice``
     records whether the conventional lattice label names the lattice the
     orbit spans (it does not for the even-D weight row; see the module
-    docstring).  For A_7 L+4 and A_8 L+3 the witness is not a fundamental
-    weight.
+    docstring).  An A_n L+d row whose lambda_d orbit has more than n(n+1)
+    vectors has a witness of support {n-1, n} (:func:`_a_intermediate_witness`).
     """
 
     family: str
@@ -335,12 +334,27 @@ def _row(model: WeylModel, label: str, gen_label: str, witness: IntVector, targe
     return SymrankTableRow(model.spec.family, model.rank, label, size, gen_label, witness, target, spans)
 
 
-# (rank, d) -> witness of the A_n L+d row where a smaller orbit than
-# lambda_d's spans; see expected_symrank
-_A_INTERMEDIATE_WITNESS = {
-    (7, 4): ("lambda_6+2lambda_7", IntVector((0, 0, 0, 0, 0, 1, 2))),
-    (8, 3): ("lambda_7+lambda_8", IntVector((0, 0, 0, 0, 0, 0, 1, 1))),
-}
+def _a_intermediate_witness(n: int, d: int) -> tuple[str, IntVector]:
+    """Label and witness of the A_n L+d row, for d | n+1 with 1 < d <= n.
+
+    lambda_d, of C(n+1, d) images, when that is at most n(n+1); otherwise
+    v = a lambda_{n-1} + b lambda_n with gcd(a, b) = 1, class -(2a + b)
+    generating dZ/(n+1) in P/Q = Z/(n+1), and the least a + b = t (at most
+    one pair qualifies: the values 2a + b = t + a are t - 1 < d consecutive
+    integers).  Its stabilizer is W(A_{n-2}), so it has n(n+1) images; as
+    s_{n-1} v - v = -a alpha_{n-1}, s_n v - v = -b alpha_n and W moves a root
+    to every root, its orbit spans Z v + aQ + bQ = Z v + Q = L+d.  The pair
+    (1, d - 2) qualifies, so the loop ends by t = d - 1.
+    """
+    if comb(n + 1, d) <= n * (n + 1):
+        return f"lambda_{d}", unit_vector(n, d - 1)
+    for total in range(2, d):
+        for b in range(1, total):
+            a = total - b
+            if gcd(a, b) == 1 and gcd(2 * a + b, n + 1) == d:
+                label = "+".join(f"{'' if c == 1 else c}lambda_{i}" for c, i in ((a, n - 1), (b, n)))
+                return label, IntVector((0,) * (n - 2) + (a, b))
+    raise AssertionError(f"no witness for A{n} L+{d}")
 
 
 def symrank_table_rows_for(model: WeylModel) -> list[SymrankTableRow]:
@@ -354,7 +368,7 @@ def symrank_table_rows_for(model: WeylModel) -> list[SymrankTableRow]:
         rows.append(_row(model, "L", "lambda_1", lam(1), lattice(model, "weight")))
         for d in range(2, n + 1):
             if (n + 1) % d == 0:
-                gen_label, witness = _A_INTERMEDIATE_WITNESS.get((n, d), (f"lambda_{d}", lam(d)))
+                gen_label, witness = _a_intermediate_witness(n, d)
                 rows.append(_row(model, f"L+{d}", gen_label, witness, lattice(model, "intermediate", d)))
         rows.append(_row(model, "Lr", "alpha_1", alpha(0), lattice(model, "root")))
     elif fam == "B":
@@ -418,31 +432,16 @@ def expected_symrank(row: SymrankTableRow) -> int:
     """Closed-form value for a table row (independent of orbit machinery).
 
     For A_n L+d (L+d = Q + Z lambda_d, the weights whose class in
-    P/Q = Z/(n+1) is a multiple of d) the value is C(n+1, d), the size of
-    the lambda_d orbit, except in two rows where a smaller orbit spans.
-    Both values there are minimal under W:
-
-    * A_7 L+4: 56, the orbit of lambda_6 + 2 lambda_7.  The orbit of a
-      dominant weight v with support S has size 8!/|W_{S^c}|, and it is
-      below 56 only for S = {1} or {7} (size 8) and {2} or {6} (size 28).
-      A multiple a lambda_i lies in L+4 only if 4 | a for i = 1, 7 and
-      2 | a for i = 2, 6, so a is even for such a v, and
-      w v - v = a (w lambda_i - lambda_i) lies in aQ, inside 2L, for every
-      w in W.  A union of k such orbits therefore spans at most
-      Z v_1 + ... + Z v_k + 2L, which is L only if k >= dim L/2L = 7, so
-      its size is at least 7 * 8 = 56.  Any other orbit has size at least
-      56 on its own.
-    * A_8 L+3: 72, the orbit of lambda_7 + lambda_8.  Below 72 the orbit
-      sizes are 9 (S = {1}, {8}) and 36 (S = {2}, {7}); a lambda_i lies in
-      L+3 only if 3 | a for each of these i, so by the same argument with
-      3L a union of such orbits needs at least 8 of them, of total size
-      at least 8 * 9 = 72.
-
-    The box search agrees with every value of rank at most 8 where it has
-    been run: every row of rank at most 4 at radius 3, of rank 5 and 6 at
-    radius 2, and the A7 and A8 rows at radius 1.  Past rank 8, C(n+1, d)
-    is only the size of the lambda_d orbit, an upper bound that nothing
-    here checks against smaller spanning orbits.
+    P/Q = Z/(n+1) is a multiple of d) the value is min(C(n+1, d), n(n+1)),
+    the orbit size of the witness of :func:`_a_intermediate_witness`.  The
+    box search confirms it up to rank 6 (rank <= 4 at radius 3, 5 and 6 at
+    radius 2).  For n >= 7 every W-orbit below n(n+1) is that of some
+    a lambda_i with i in {1, 2, n-1, n}.  Fix a prime q | d, odd unless d is
+    a power of 2: such an a lambda_i lies in L+d only if q | a, so every
+    such orbit in L+d lies in qP, which misses the root alpha_1 of L+d.  No
+    union of them spans L+d, and any other orbit has n(n+1) vectors or
+    more.  For d = 2, q = 2 and the orbits of a lambda_1 and a lambda_n,
+    the only ones below C(n+1, 2), give C(n+1, 2) the same way.
     """
     n = row.rank
     fam = row.family
@@ -451,7 +450,7 @@ def expected_symrank(row: SymrankTableRow) -> int:
         if label == "L":
             return n + 1
         if label.startswith("L+"):
-            return {(7, "L+4"): 56, (8, "L+3"): 72}.get((n, label), comb(n + 1, int(label[2:])))
+            return min(comb(n + 1, int(label[2:])), n * (n + 1))
         return n * (n + 1)
     if fam == "B":
         return 2**n if label == "L" else 2 * n

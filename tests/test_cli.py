@@ -18,7 +18,7 @@ from glattice.cli import (
     main,
 )
 from glattice.intmat import IntMatrix
-from glattice.rootsys import RootSystemSpec, build, cartan_matrix, lattice
+from glattice.rootsys import RootSystemSpec, build, cartan_matrix, lattice, weyl_symrank_table
 from glattice.serialize import group_to_json, matrix_to_json
 
 
@@ -76,11 +76,22 @@ def test_rootsys_table_rank8_matches_fixture():
 
 
 def test_rootsys_table_rank8_a_rows_with_a_smaller_orbit():
-    rc, out = run(["rootsys-table", "--max-rank", "8"])
-    assert rc == EXIT_OK
-    rows = {tuple(line.split()[:2]): line.split()[2:] for line in out.strip().splitlines()[1:]}
-    assert rows[("A7", "L+4")] == ["56", "lambda_6+2lambda_7"]
-    assert rows[("A8", "L+3")] == ["72", "lambda_7+lambda_8"]
+    pins = {
+        "8": {("A7", "L+4"): ["56", "lambda_6+2lambda_7"], ("A8", "L+3"): ["72", "lambda_7+lambda_8"]},
+        "12": {
+            ("A9", "L+5"): ["90", "2lambda_8+lambda_9"],
+            ("A11", "L+3"): ["132", "lambda_10+lambda_11"],
+            ("A11", "L+4"): ["132", "lambda_10+2lambda_11"],
+            ("A11", "L+6"): ["132", "lambda_10+4lambda_11"],
+        },
+    }
+    for max_rank, want in pins.items():
+        rc, out = run(["rootsys-table", "--max-rank", max_rank])
+        assert rc == EXIT_OK
+        rows = {tuple(line.split()[:2]): line.split()[2:] for line in out.strip().splitlines()[1:]}
+        assert {key: rows[key] for key in want} == want
+    a19 = next(r for r in weyl_symrank_table(20) if (r.family, r.rank, r.lattice_label) == ("A", 19, "L+10"))
+    assert (a19.symrank, a19.generator_label) == (380, "3lambda_18+4lambda_19")
 
 
 def test_rootsys_table_csv_stable_columns():

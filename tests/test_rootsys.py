@@ -6,8 +6,8 @@ import pytest
 from conftest import apply, det, inverse_unimodular, orbit_span, snf
 
 from glattice.errors import InvalidRank, KindUnavailable
-from glattice.intmat import IntMatrix, IntVector, LatticeBasis, full_lattice, hnf, hnf_from_rows, index, member, unit_vector
-from glattice.matgroup import closure, orbit
+from glattice.intmat import IntMatrix, IntVector, LatticeBasis, full_lattice, hnf, index, member, unit_vector
+from glattice.matgroup import closure, orbit, stable_span
 from glattice.rootsys import (
     RootSystemSpec,
     WeylModel,
@@ -376,29 +376,16 @@ def test_a_fundamental_weight_orbits_have_the_binomial_size():
             assert weyl_orbit_size(model, unit_vector(n, d - 1)) == comb(n + 1, d)
 
 
-# A_n L+d rows spanned by a smaller orbit than lambda_d's: (n, label) ->
-# (generator, orbit size, q, the supports with a smaller orbit and its size).
-# Every multiple a lambda_i of L with such a support {i} has q | a.
-A_SMALLER_ORBIT_ROWS = {
-    (7, "L+4"): ((0, 0, 0, 0, 0, 1, 2), 56, 2, {1: 8, 7: 8, 2: 28, 6: 28}),
-    (8, "L+3"): ((0, 0, 0, 0, 0, 0, 1, 1), 72, 3, {1: 9, 8: 9, 2: 36, 7: 36}),
-}
-
-
 def _a_row(n, label):
     return next(r for r in weyl_symrank_table(n) if (r.family, r.rank, r.lattice_label) == ("A", n, label))
 
 
-@pytest.mark.parametrize("key", sorted(A_SMALLER_ORBIT_ROWS), ids=lambda k: f"A{k[0]} {k[1]}")
+@pytest.mark.parametrize("key", [(7, "L+4"), (8, "L+3")], ids=lambda k: f"A{k[0]} {k[1]}")
 def test_a_rows_with_a_smaller_spanning_orbit(key):
-    gen, size, _, _ = A_SMALLER_ORBIT_ROWS[key]
+    """The first two A rows whose witness is not lambda_d: the search at radius 1 agrees."""
     row = _a_row(*key)
-    assert (row.symrank, row.witness.entries) == (size, gen)
-    assert expected_symrank(row) == size
     g = build(RootSystemSpec("A", key[0])).matgroup()
-    assert orbit(g, gen).size == size
-    assert orbit_span(g, gen) == row.target.basis
-    assert symrank_search(g, row.target.basis, radius=1).upper_bound == size
+    assert symrank_search(g, row.target.basis, radius=1).upper_bound == row.symrank == expected_symrank(row)
 
 
 def test_a7_l4_search_at_radius_2():
@@ -407,38 +394,55 @@ def test_a7_l4_search_at_radius_2():
     assert (res.upper_bound, [w.entries for w in res.witness]) == (56, [(0, 0, 0, 0, 0, 1, 2)])
 
 
-@pytest.mark.parametrize("key", sorted(A_SMALLER_ORBIT_ROWS), ids=lambda k: f"A{k[0]} {k[1]}")
-def test_a_rows_with_a_smaller_spanning_orbit_are_minimal(key):
-    """The facts the lower-bound argument in ``expected_symrank`` uses."""
-    n = key[0]
-    _, size, q, small = A_SMALLER_ORBIT_ROWS[key]
-    model = build(RootSystemSpec("A", n))
-    g = model.matgroup()
-    target = _a_row(*key).target.basis
-    # a dominant weight's orbit size depends only on its support
-    below = {}
-    for bits in range(1, 2**n):
-        support = [i + 1 for i in range(n) if bits >> i & 1]
-        s = weyl_orbit_size(model, IntVector(tuple(bits >> i & 1 for i in range(n))))
-        if s < size:
-            below[tuple(support)] = s
-    assert below == {(i,): s for i, s in small.items()}
-    for i in small:
-        lam = unit_vector(n, i - 1).entries
-        multiples = [a for a in range(1, 2 * (n + 1) + 1) if member(tuple(a * x for x in lam), target)]
-        assert multiples and all(a % q == 0 for a in multiples)
-        # the orbit of such a v lies in v + qL
-        v = tuple(multiples[0] * x for x in lam)
-        coset = hnf_from_rows([v] + [tuple(q * x for x in r) for r in target.rows()], n)
-        assert all(member(w, coset) for w in orbit(g, v).elements)
-    # L/qL has dimension n, so a union of these orbits needs n of them
-    assert n * min(small.values()) == size
+def _supports_below(model, size):
+    """The supports S (1-indexed) of the dominant weights whose orbit has fewer than size vectors.
+
+    A dominant weight's orbit size depends only on its support."""
+    n = model.rank
+    return {
+        tuple(i + 1 for i in range(n) if bits >> i & 1)
+        for bits in range(1, 2**n)
+        if weyl_orbit_size(model, IntVector(tuple(bits >> i & 1 for i in range(n)))) < size
+    }
 
 
-def test_symrank_table_spans_rank_le_6():
-    for row in weyl_symrank_table(6):
+def _multiples_in(n, i, target):
+    """The a in 1..n+1 with a lambda_i in target; membership depends on a mod n+1."""
+    return [a for a in range(1, n + 2) if member(tuple(a * int(j == i - 1) for j in range(n)), target)]
+
+
+def test_the_a_row_lemma_ingredients():
+    """The finite facts the A_n L+d lemma of ``expected_symrank`` rests on."""
+    for n in range(7, 15):
+        model = build(RootSystemSpec("A", n))
+        assert _supports_below(model, n * (n + 1)) == {(1,), (2,), (n - 1,), (n,)}
+        alpha_1 = model.simple_root(0).entries
+        for d in range(3, n + 1):
+            if (n + 1) % d:
+                continue
+            # the largest prime factor, odd unless d is a power of 2
+            q = max(p for p in range(2, d + 1) if d % p == 0 and all(p % k for k in range(2, p)))
+            target = lattice(model, "intermediate", d).basis
+            for i in (1, 2, n - 1, n):
+                assert all(a % q == 0 for a in _multiples_in(n, i, target)), (n, d, i)
+            assert member(alpha_1, target) and any(x % q for x in alpha_1)
+    for n in range(3, 14, 2):
+        model = build(RootSystemSpec("A", n))
+        assert _supports_below(model, comb(n + 1, 2)) == {(1,), (n,)}
+        target = lattice(model, "intermediate", 2).basis
+        for i in (1, n):
+            assert all(a % 2 == 0 for a in _multiples_in(n, i, target)), (n, i)
+
+
+def test_symrank_table_witnesses_span_their_targets():
+    """Every row of rank <= 8, and every A row of rank <= 20: the witness orbit spans the
+    target and has the closed-form size."""
+    rows = weyl_symrank_table(8)
+    assert len(rows) == 73
+    for row in rows + [r for r in weyl_symrank_table(20) if r.family == "A" and r.rank > 8]:
         g = build(RootSystemSpec(row.family, row.rank)).matgroup()
-        assert orbit_span(g, row.witness) == row.target.basis
+        assert stable_span(g, row.witness) == row.target.basis, (row.family, row.rank, row.lattice_label)
+        assert orbit(g, row.witness).size == row.symrank == expected_symrank(row)
 
 
 def test_symrank_table_sizes_b_d_up_to_rank_20():
