@@ -6,7 +6,7 @@ import pytest
 from conftest import apply, det, inverse_unimodular, orbit_span, snf
 
 from glattice.errors import InvalidRank, KindUnavailable
-from glattice.intmat import IntMatrix, IntVector, LatticeBasis, full_lattice, hnf, index, member, unit_vector
+from glattice.intmat import IntMatrix, IntVector, LatticeBasis, full_lattice, hnf, hnf_from_rows, index, member, unit_vector
 from glattice.matgroup import closure, orbit, stable_span
 from glattice.rootsys import (
     RootSystemSpec,
@@ -409,6 +409,32 @@ def _supports_below(model, size):
 def _multiples_in(n, i, target):
     """The a in 1..n+1 with a lambda_i in target; membership depends on a mod n+1."""
     return [a for a in range(1, n + 2) if member(tuple(a * int(j == i - 1) for j in range(n)), target)]
+
+
+@pytest.mark.parametrize(
+    "key, q, small",
+    [((7, "L+4"), 2, {1: 8, 7: 8, 2: 28, 6: 28}), ((8, "L+3"), 3, {1: 9, 8: 9, 2: 36, 7: 36})],
+    ids=["A7 L+4", "A8 L+3"],
+)
+def test_a_rows_with_a_smaller_spanning_orbit_are_minimal(key, q, small):
+    """The lemma's facts on its first two rows, down to the orbits: small maps each support {i}
+    with an orbit below the row's to that orbit's size, and every a lambda_i in the target has q | a."""
+    n = key[0]
+    row = _a_row(*key)
+    model = build(RootSystemSpec("A", n))
+    g = model.matgroup()
+    target = row.target.basis
+    assert _supports_below(model, row.symrank) == {(i,) for i in small}
+    for i, s in small.items():
+        assert weyl_orbit_size(model, unit_vector(n, i - 1)) == s
+        multiples = _multiples_in(n, i, target)
+        assert multiples and all(a % q == 0 for a in multiples)
+        # the orbit of such a v lies in v + qL
+        v = tuple(multiples[0] * int(j == i - 1) for j in range(n))
+        coset = hnf_from_rows([v] + [tuple(q * x for x in r) for r in target.rows()], n)
+        assert all(member(w, coset) for w in orbit(g, v).elements)
+    # L/qL has dimension n, so a union of these orbits needs n of them
+    assert n * min(small.values()) == row.symrank == expected_symrank(row)
 
 
 def test_the_a_row_lemma_ingredients():
