@@ -23,6 +23,14 @@ The coordinate v_i runs over exactly the integers with
 t^2 <= B // e), and the norm of a leaf is (M bound - B) / M.  Every
 quantity is an integer, so the vector lists and coefficient counts are
 complete by construction -- no pruning heuristic, no fractions, no floats.
+
+The enumeration visits one vector of each pair +-v.  The map -I keeps the
+norm ball {v : v^T X v <= bound}, and of a nonzero pair exactly one member
+has a positive highest-index nonzero coordinate; that member is visited.
+While every coordinate above level i is 0, the centre C_i is 0 and v_i runs
+over v_i >= 0 only; at level 0 on that zero prefix, v_0 = 0 is the zero
+vector, visited once.  The consumers restore -v: ``short_vectors`` lists
+both members, and ``theta_prefix`` and the cap count both.
 """
 from __future__ import annotations
 
@@ -41,6 +49,8 @@ class GramForm:
     matrix: IntMatrix
 
     def __post_init__(self):
+        if self.matrix.rows != self.matrix.cols:
+            raise ValueError(f"Gram matrix must be square, not {self.matrix.rows}x{self.matrix.cols}")
         if not self.matrix.is_symmetric():
             raise ValueError("Gram matrix must be symmetric")
         _scaled_ldl(self)  # raises ValueError unless every leading minor is positive
@@ -83,10 +93,12 @@ def _scaled_ldl(form: GramForm) -> tuple[int, list[int], list[int], list[list[tu
 
 
 def _fincke_pohst(form: GramForm, bound: int, cap: int, leaf) -> None:
-    """Call ``leaf(coords, norm)`` once for every v with v^T X v <= bound.
+    """Call ``leaf(coords, norm)`` once for 0 and once for each pair +-v of nonzero vectors with v^T X v <= bound.
 
-    ``coords`` is the live coordinate list, valid only during the call.
-    Raises CapExceeded as soon as more than ``cap`` vectors are found.
+    The visited member of a pair is the one whose highest-index nonzero
+    coordinate is positive.  ``coords`` is the live coordinate list, valid
+    only during the call.  Raises CapExceeded as soon as more than ``cap``
+    vectors are found, counting v and -v both.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
@@ -95,29 +107,42 @@ def _fincke_pohst(form: GramForm, bound: int, cap: int, leaf) -> None:
     total = m * bound
     coords = [0] * n
     found = 0
+    if n == 0:
+        leaf(coords, 0)  # the zero vector is the only vector of Z^0
+        if cap < 1:
+            raise CapExceeded("short vector enumeration", cap)
+        return
 
-    def descend(i: int, budget: int):
+    def descend(i: int, budget: int, signed: bool):
+        # signed: a coordinate above i is nonzero, so x_i takes both signs;
+        # otherwise the centre is 0 and x_i >= 0 picks one vector of each pair
         nonlocal found
-        if i < 0:
-            norm, rest = divmod(total - budget, m)
-            if rest:
-                raise AssertionError("scaled norm is not a multiple of the scale")
-            leaf(coords, norm)
-            found += 1
-            if found > cap:
-                raise CapExceeded("short vector enumeration", cap)
-            return
         center = sum(c * coords[j] for j, c in rows[i])
         ei, li = e[i], scale[i]
         r = isqrt(budget // ei)
         # |li x + center| <= r: x from ceil((-r - center) / li) to floor((r - center) / li)
-        for x in range(-((r + center) // li), (r - center) // li + 1):
+        lo = -((r + center) // li) if signed else 0
+        hi = (r - center) // li
+        if i:
+            for x in range(lo, hi + 1):
+                t = li * x + center
+                coords[i] = x
+                descend(i - 1, budget - ei * t * t, signed or x != 0)
+            coords[i] = 0
+            return
+        for x in range(lo, hi + 1):
             t = li * x + center
-            coords[i] = x
-            descend(i - 1, budget - ei * t * t)
-        coords[i] = 0
+            coords[0] = x
+            norm, rest = divmod(total - budget + ei * t * t, m)
+            if rest:
+                raise AssertionError("scaled norm is not a multiple of the scale")
+            leaf(coords, norm)
+            found += 2 if signed or x else 1  # -v, or only 0 itself
+            if found > cap:
+                raise CapExceeded("short vector enumeration", cap)
+        coords[0] = 0
 
-    descend(n - 1, total)
+    descend(n - 1, total, False)
 
 
 def short_vectors(form: GramForm, bound: int, cap: int = DEFAULT_CAP) -> list[tuple[tuple[int, ...], int]]:
@@ -127,7 +152,13 @@ def short_vectors(form: GramForm, bound: int, cap: int = DEFAULT_CAP) -> list[tu
     zero vector, whenever bound >= 0).
     """
     out: list[tuple[tuple[int, ...], int]] = []
-    _fincke_pohst(form, bound, cap, lambda coords, norm: out.append((tuple(coords), norm)))
+
+    def collect(coords, norm):
+        out.append((tuple(coords), norm))
+        if norm:  # only the zero vector has norm 0
+            out.append((tuple(-x for x in coords), norm))
+
+    _fincke_pohst(form, bound, cap, collect)
     out.sort()
     return out
 
@@ -150,7 +181,7 @@ def theta_prefix(form: GramForm, horizon: int, cap: int = DEFAULT_CAP) -> ThetaP
     counts = [0] * (horizon + 1)
 
     def count(_coords, norm):
-        counts[norm] += 1
+        counts[norm] += 2 if norm else 1  # +-v, or the zero vector alone
 
     _fincke_pohst(form, horizon, cap, count)
     return ThetaPrefix(tuple(counts))

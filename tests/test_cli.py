@@ -231,6 +231,13 @@ def test_theta_diagonal_bound_of_the_zero_form(tmp_path):
     assert (rc, out) == (EXIT_OK, '[{"diagonal_norms": [], "bound": 0}]\n')
 
 
+def test_theta_names_a_non_square_gram_matrix(tmp_path, capsys):
+    """A 2x3 Gram matrix used to exit 5 with "Gram matrix must be symmetric"."""
+    mpath = _write(tmp_path / "m.json", matrix_to_json(IntMatrix.from_rows([(2, 1, 0), (1, 2, 0)])))
+    assert run(["theta", "--gram", mpath, "--horizon", "2"]) == (EXIT_INPUT_ERROR, "")
+    assert capsys.readouterr().err.splitlines() == ["input error: Gram matrix must be square, not 2x3"]
+
+
 @pytest.mark.parametrize("cap, code", [(240, EXIT_CAP_EXCEEDED), (241, EXIT_OK)])
 def test_theta_cap_counts_every_vector(cap, code, tmp_path, capsys):
     """E8 has 1 + 240 vectors of norm <= 2: --cap 240 stops at the 241st, --cap 241 counts them all."""

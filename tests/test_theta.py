@@ -12,11 +12,12 @@ from hypothesis import strategies as st
 from glattice.errors import CapExceeded
 from glattice.intmat import IntMatrix
 from glattice.matgroup import MatGroup
-from glattice.rootsys import RootSystemSpec, build
+from glattice.rootsys import RootSystemSpec, build, cartan_matrix
 from glattice.theta import (
     GramForm,
     diagonal_bound,
     identity_form,
+    _fincke_pohst,
     _scaled_ldl,
     short_vectors,
     theta_prefix,
@@ -115,6 +116,29 @@ def test_short_vectors_cap():
         short_vectors(identity_form(3), 4, cap=5)
 
 
+def test_the_zero_form_has_only_the_zero_vector():
+    """Z^0 holds one vector, of norm 0, for every bound; cap 0 stops it in both consumers."""
+    form = identity_form(0)
+    assert short_vectors(form, 3) == [((), 0)]
+    assert theta_prefix(form, 3).coefficients == (1, 0, 0, 0)
+    with pytest.raises(CapExceeded):
+        short_vectors(form, 3, cap=0)
+    with pytest.raises(CapExceeded):
+        theta_prefix(form, 3, cap=0)
+
+
+def test_enumeration_visits_one_vector_of_each_pair():
+    """E8 at bound 6: 1 + 240 + 2160 + 6720 = 9121 vectors in 4561 leaves, each nonzero one ending in a positive coordinate."""
+    form = GramForm(cartan_matrix(RootSystemSpec("E", 8)))
+    leaves = []
+    _fincke_pohst(form, 6, 10**6, lambda coords, norm: leaves.append((tuple(coords), norm)))
+    assert len(leaves) == 4561
+    assert leaves[0] == ((0,) * 8, 0)
+    assert all(next(x for x in reversed(v) if x) > 0 for v, _ in leaves[1:])
+    both = leaves + [(tuple(-x for x in v), nm) for v, nm in leaves[1:]]
+    assert sorted(both) == short_vectors(form, 6)
+
+
 def test_completeness_random_small_forms():
     rng = random.Random(11)
     trials = 0
@@ -172,13 +196,19 @@ def test_short_vectors_match_brute_force(form, bound):
 @settings(max_examples=200, deadline=None)
 @given(_symmetric_matrices().map(_shifted_to_positive_definite), st.integers(0, 8))
 def test_theta_prefix_is_the_norm_histogram_of_short_vectors(form, horizon):
-    """Counting the norms during the enumeration gives the histogram of the listed vectors, and the same cap."""
+    """Counting the norms during the enumeration gives the histogram of the listed vectors, and the same cap.
+
+    Both consumers count v and -v, and the zero vector once: cap len(vectors) passes, one less raises.
+    """
     vectors = short_vectors(form, horizon)
     counts = Counter(nm for _, nm in vectors)
     assert theta_prefix(form, horizon).coefficients == tuple(counts[i] for i in range(horizon + 1))
     assert theta_prefix(form, horizon, cap=len(vectors)).coefficients[0] == 1
+    assert short_vectors(form, horizon, cap=len(vectors)) == vectors
     with pytest.raises(CapExceeded):
         theta_prefix(form, horizon, cap=len(vectors) - 1)
+    with pytest.raises(CapExceeded):
+        short_vectors(form, horizon, cap=len(vectors) - 1)
 
 
 def test_theta_prefix_examples():
