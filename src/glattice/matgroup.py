@@ -224,20 +224,29 @@ def _tuple_source(items: list) -> str:
     return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
 
 
-def _orbit_bfs(images: Callable, start: tuple, cap: int, stop=frozenset()) -> tuple[set, bool]:
+def _orbit_bfs(
+    images: Callable, start: tuple, cap: int, stop=frozenset(), class_of: Callable | None = None
+) -> tuple[set, bool]:
     """BFS closure of {start} under a kernel from :func:`_compile_images`.
 
     Returns the set reached and whether it is the whole orbit.  The BFS stops
     early, incomplete, before a new vector would make the set larger than
-    cap, or on reaching a vector in stop.
+    cap, on reaching a vector in stop, or, when a class map class_of is
+    given, on reaching a vector whose class it has reached before.
     """
     seen = {start}
     queue = [start]
+    classes = class_of and {class_of(start)}
     for cur in queue:
         for nxt in images(cur):
             if nxt not in seen:
                 if len(seen) >= cap or nxt in stop:
                     return seen, False
+                if class_of:
+                    c = class_of(nxt)
+                    if c in classes:
+                        return seen, False
+                    classes.add(c)
                 seen.add(nxt)
                 queue.append(nxt)
     return seen, True

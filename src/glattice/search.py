@@ -10,7 +10,7 @@ meets the certified lower bound (the rank).
 
 Orbits are built by one routine, ``_orbit_records``, over a listing of
 candidates: the basis vectors first, as a seed, then the listed vectors
-in order.  Its docstring states the three conditions a listing meets and
+in order.  Its docstring states the four conditions a listing meets and
 shows from them that the records are those of the unfiltered candidates
 and that a listed orbit's representative is its BFS start.  A record
 holds its size, its representative, the group's kernel and a bound on the
@@ -23,21 +23,38 @@ the box holds hundreds of orbits.
 
 The search's listing (``_listed_box``) is the box in ``_rep_key`` order
 (sup-norm, then absolute values, then positive signs first) less the
-vectors that an exact lower bound puts over the cap.  Reduction mod m
-commutes with every integer matrix, so the orbit of v maps onto the
-orbit of v mod m in (Z/m)^r and |orbit(v)| >= |orbit(v mod m)|, a bound
-that is the same on the whole orbit.  With m = ``RESIDUE_MODULUS`` = 3
+vectors that an exact lower bound puts over the cap, each with a divisor
+s of its orbit size.  Both come from one lemma.  Reduction mod m commutes
+with every integer matrix, so it maps the orbit O(v) onto the orbit of
+v mod m in (Z/m)^r, and an h in G maps the members of O(v) in a class c
+one to one onto those in the class h c.  So every class of the orbit of
+v mod m holds the same number f of members of O(v), and
+|O(v)| = f * |orbit(v mod m)| (the equal-fibre lemma); the class-orbit
+size s is the same on the whole orbit.  With m = ``RESIDUE_MODULUS`` = 3
 the orbit sizes of all 3^r classes come from one table per search
 (``_residue_orbit_sizes``), built by a BFS on the generators' compiled
 mod-m kernel (``_compile_images`` with a modulus), one kernel call per
 class; 3 <= 2 * radius + 1, so the table never has more entries than the
-box.  The box vectors of the classes within the cap at listing time are
-listed class by class and sorted into that order.  When no class is over
-the cap, as for the trivial group, {+-I} or a coordinate swap, the whole
-box is listed as ``_box`` generates it, with no sort.  The least vector
-of an orbit has the least sup-norm, so it is in the box when any member
-is, and its class lies in the same class orbit, so it is listed, and
-first, when any member is.
+box.  The box vectors of the classes with s within the cap at listing
+time are listed class by class and sorted into that order, each with its
+s.  When no class is over the cap, as for the trivial group, {+-I} or a
+coordinate swap, the whole box is listed as ``_box`` generates it, with
+no sort, and each vector takes s = 1.  The least vector of an orbit has
+the least sup-norm, so it is in the box when any member is, and its
+class lies in the same class orbit, so it is listed, and first, when any
+member is.
+
+A listed vector's BFS is cut by its s.  With c the current cap:
+
+- c < s: the orbit is over the cap, and no BFS runs (the cap can fall
+  below s after the listing);
+- s <= c < 2s: the orbit fits only if f = 1, that is, only if no two of
+  its members share a class, so the BFS stops, incomplete, at the first
+  class it reaches twice;
+- c >= 2s: the BFS is capped at s * (c // s).
+
+The cut stops only orbits over the cap, where a BFS capped at c would
+stop too, later; ``_orbit_records`` states the argument.
 
 The box holds (2B + 1)^rank - 1 vectors, and a box larger than the
 orbit cap raises ``CapExceeded`` before any vector is listed.
@@ -66,8 +83,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
-from operator import mul, neg
+from functools import cache, cached_property
+from operator import add, mul, neg
 from typing import Callable
 
 from .errors import CapExceeded, NotInLattice
@@ -111,7 +128,13 @@ class _OrbitRecord:
         return _span_rows(self.images, [self.rep])
 
 
-RESIDUE_MODULUS = 3  # m in |orbit(v)| >= |orbit(v mod m)|; 3 <= 2 * radius + 1, so no more classes than box vectors
+RESIDUE_MODULUS = 3  # m in |orbit(v)| = f * |orbit(v mod m)|; 3 <= 2 * radius + 1, so no more classes than box vectors
+
+
+@cache
+def _class_kernel(r: int) -> Callable[[tuple], tuple]:
+    """v -> (v mod m,) on Z^r, a key for the class of v: the mod-m kernel of the identity alone."""
+    return _compile_images(r, (tuple(((i, 1),) for i in range(r)),), RESIDUE_MODULUS)
 
 
 def _rep_key(t: tuple[int, ...]):
@@ -140,7 +163,7 @@ def _residue_orbit_sizes(gl: MatGroup) -> dict[tuple[int, ...], int]:
     [0, m); the classes are visited orbit by orbit, so the mod-m kernel
     from :func:`_compile_images` runs once per class.  Reduction mod m
     commutes with every integer matrix, so the orbit of v maps onto the
-    orbit of its class and ``sizes[v mod m] <= |orbit(v)|``.
+    orbit of its class and ``sizes[v mod m]`` divides ``|orbit(v)|``.
     """
     m = RESIDUE_MODULUS
     images = _compile_images(gl.dim, tuple(map(_rows_terms, gl.generators)), m)
@@ -152,28 +175,41 @@ def _residue_orbit_sizes(gl: MatGroup) -> dict[tuple[int, ...], int]:
     return sizes
 
 
-def _listed_box(r: int, radius: int, sizes: dict[tuple[int, ...], int], cap: int) -> list[tuple[int, ...]]:
-    """The box vectors whose class allows an orbit within cap, in ``_rep_key`` order.
+def _listed_box(r: int, radius: int, sizes: dict[tuple[int, ...], int], cap: int) -> dict[tuple[int, ...], int]:
+    """The box vectors whose class allows an orbit within cap, in ``_rep_key`` order, each with its s.
 
-    When no class is over the cap the whole box is listed, already in
-    order, by ``_box``.  Otherwise the vectors are listed class by class,
-    each coordinate from the x in [-radius, radius] with x = c_i (mod m),
-    and sorted.  The listing is filtered once, against the cap at listing
-    time.
+    s is the size of the vector's class orbit mod m.  When no class is
+    over the cap the whole box is listed, already in order, by ``_box``,
+    and every vector takes s = 1.  Otherwise the vectors are listed class
+    by class, each coordinate from the x in [-radius, radius] with
+    x = c_i (mod m), and sorted by ``_rep_key`` written as one integer: the
+    digits, in base b = 2 * radius + 1, of max |v_i|, then |v_1|, ...,
+    |v_r|, then radius - v_1, ..., radius - v_r.  Every digit lies in
+    [0, b), so the integers are in the order of the key tuples, and past
+    the first digit the integer is a sum of one term per coordinate, so
+    the products that list a class list its keys too.  The listing is
+    filtered once, against the cap at listing time.
     """
     if max(sizes.values()) <= cap:
-        return list(_box(r, radius))
-    m = RESIDUE_MODULUS
+        return dict.fromkeys(_box(r, radius), 1)
+    m, b = RESIDUE_MODULUS, 2 * radius + 1
     by_residue = [[x for x in range(-radius, radius + 1) if x % m == c] for c in range(m)]
-    listed = [
-        v
-        for c, s in sizes.items()
-        if s <= cap
-        for v in itertools.product(*map(by_residue.__getitem__, c))
-        if any(v)
+    abs_by_residue = [[abs(x) for x in xs] for xs in by_residue]
+    # terms[i][c]: the digits of |x| and of radius - x at coordinate i, for each x in by_residue[c]
+    terms = [
+        [[abs(x) * b ** (2 * r - 1 - i) + (radius - x) * b ** (r - 1 - i) for x in xs] for xs in by_residue]
+        for i in range(r)
     ]
-    listed.sort(key=_rep_key)
-    return listed
+    top = b ** (2 * r)
+    product = itertools.product
+    keyed: dict[int, tuple[tuple[int, ...], int]] = {}
+    for c, s in sizes.items():
+        if s <= cap:
+            maxima = map(max, product(*map(abs_by_residue.__getitem__, c)))
+            keys = map(add, map(top.__mul__, maxima), map(sum, product(*map(list.__getitem__, terms, c))))
+            keyed.update(zip(keys, zip(product(*map(by_residue.__getitem__, c)), itertools.repeat(s))))
+    del keyed[min(keyed)]  # the zero vector: its first digit is 0, every other vector's is not
+    return dict(map(keyed.__getitem__, sorted(keyed)))
 
 
 def _orbit_records(gl: MatGroup, listing, orbit_cap: int) -> list[_OrbitRecord]:
@@ -193,17 +229,32 @@ def _orbit_records(gl: MatGroup, listing, orbit_cap: int) -> list[_OrbitRecord]:
     The basis vectors are the seed, and their orbits span Z^r.  The first
     incumbent is the size of a single spanning orbit among them or, once
     they are all visited, the total size of their distinct orbits.  Then
-    ``listing(cap)``, called once at the cap the seed left, returns a list
-    of candidate tuples in the order in which they start a BFS.  BFS of a new
-    orbit is capped at the incumbent once one is known: an orbit strictly
-    larger than a spanning configuration already found can never occur in
-    a minimal solution, so abandoning it is sound.  The incumbent only
-    falls, so the cap never rises.
+    ``listing(cap)``, called once at the cap the seed left, returns a dict
+    from candidate tuples to their s, in the order in which they start a
+    BFS.  BFS of a new orbit is capped at the incumbent once one is known:
+    an orbit strictly larger than a spanning configuration already found
+    can never occur in a minimal solution, so abandoning it is sound.  The
+    incumbent only falls, so the cap never rises.
+
+    A candidate's s is the size of its class orbit mod m
+    (``RESIDUE_MODULUS``), or 1, and its BFS is cut by s: with c the
+    current cap, it runs within s * (c // s), the largest multiple of s
+    within c; if that is s > 1 (s <= c < 2s) it also stops at the first
+    class mod m that it reaches twice; if it is 0 (c < s) no BFS runs.  By
+    the equal-fibre lemma of the module docstring, s divides |O|, so an
+    orbit within c is within s * (c // s).  If s <= c < 2s with s > 1,
+    an orbit within c has |O| = f * s < 2s, so f = 1 and no two of its
+    members share a class; and two members in one class give f >= 2 and
+    |O| >= 2s > c.  So the cut stops only orbits over c, and a BFS is
+    complete exactly when it would be under the plain cap c: the records
+    do not change.  An orbit that the cut stops or skips is over the cap,
+    so it counts below as abandoned, and marking its reach and the
+    negations in ``seen`` stays sound.
 
     ``seen`` holds the vectors whose orbit was built or abandoned: all
-    that a seed BFS reached (a seed orbit is held by its BFS anyway), and
-    the listed ones that a listed BFS reached, so each orbit is built at
-    most once.  Generator BFS in a finite group reaches only vectors of
+    that a seed BFS or a complete BFS reached (its orbit is held by its
+    BFS anyway), and the listed ones that an abandoned listed BFS reached,
+    so each orbit is built at most once.  Generator BFS in a finite group reaches only vectors of
     the start's orbit, and orbits are disjoint, so a vector in ``seen``
     that a BFS reaches lies in an orbit abandoned at a cap no lower than
     the BFS's own, and ``seen`` is its stop set.  An abandoned BFS also
@@ -211,13 +262,14 @@ def _orbit_records(gl: MatGroup, listing, orbit_cap: int) -> list[_OrbitRecord]:
     with every generator, so the orbit of -w is minus the orbit of w, of
     the same size, and would be abandoned too.
 
-    The listing meets three conditions:
+    The listing meets four conditions:
 
     1. a candidate is left out only by a lower bound on its orbit size
        that is the same on its whole orbit and is over the cap;
     2. if an orbit has a listed member, its ``_rep_key`` least member is
        listed and comes before its other listed members;
-    3. the cap never rises.
+    3. the cap never rises;
+    4. a candidate's s is 1 or the size of its class orbit mod m.
 
     By 1 and 3 an orbit with a candidate left out is over every cap from
     the listing on, so its BFS would have been abandoned, and the records
@@ -227,9 +279,9 @@ def _orbit_records(gl: MatGroup, listing, orbit_cap: int) -> list[_OrbitRecord]:
     e_i need not be its least member.  A listed orbit's is its BFS start
     v.  Let w be a member of v's orbit before v in ``_rep_key`` order.  By
     2, w is listed, and before v.  By w's turn the orbit was built, which
-    put v in ``seen``, or it was abandoned or negation-marked at a cap no
-    lower than the current one, by 3, so it is over the current cap.
-    Either way v's BFS cannot be complete.
+    put v in ``seen``, or it was abandoned (perhaps with no BFS) or
+    negation-marked at a cap no lower than the current one, by 3, so it is
+    over the current cap.  Either way v's BFS cannot be complete.
     """
     r = gl.dim
     full_rows = full_lattice(r).hnf_rows
@@ -237,15 +289,19 @@ def _orbit_records(gl: MatGroup, listing, orbit_cap: int) -> list[_OrbitRecord]:
     records: list[_OrbitRecord] = []
     incumbent: int | None = None
 
-    def build(v: tuple[int, ...], cap: int, listed: set | None) -> bool:
-        """BFS from v within cap; mark the reach in seen (past the seed, its listed part); record the orbit if complete."""
+    def build(v: tuple[int, ...], cap: int, s: int, listed: dict | None) -> bool:
+        """BFS from v, cut by s within cap; mark the reach in seen (its listed part if a listed BFS is abandoned); record the orbit if complete."""
         nonlocal incumbent
-        orb, complete = _orbit_bfs(gl.images, v, cap, seen)
-        kept = orb if listed is None else listed.intersection(orb)
-        seen.update(kept)
+        cap -= cap % s  # |O| is a multiple of s
+        if not cap:
+            return False
+        orb, complete = _orbit_bfs(gl.images, v, cap, seen, _class_kernel(r) if cap == s > 1 else None)
         if not complete:
+            kept = orb if listed is None else listed.keys() & orb
+            seen.update(kept)
             seen.update(tuple(map(neg, w)) for w in kept)
             return False
+        seen.update(orb)
         size = len(orb)
         rank_bound = min(r, size // 2 if tuple(map(neg, v)) in orb else size)
         rec = _OrbitRecord(size, min(orb, key=_rep_key) if listed is None else v, rank_bound, gl.images)
@@ -259,15 +315,14 @@ def _orbit_records(gl: MatGroup, listing, orbit_cap: int) -> list[_OrbitRecord]:
         if v in seen:
             continue
         cap = orbit_cap if incumbent is None else min(orbit_cap, incumbent)
-        if not build(v, cap, None) and incumbent is None:
+        if not build(v, cap, 1, None) and incumbent is None:
             raise CapExceeded("orbit", cap)
     if incumbent is None:
         incumbent = sum(rec.size for rec in records)
     cap = min(orbit_cap, incumbent)
     listed = listing(cap)
-    listed_set = set(listed)
-    for v in listed:
-        if v not in seen and build(v, cap, listed_set):
+    for v, s in listed.items():
+        if v not in seen and build(v, cap, s, listed):
             cap = min(orbit_cap, incumbent)
     records.sort(key=lambda rec: (rec.size, _rep_key(rec.rep)))
     return records

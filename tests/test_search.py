@@ -1,5 +1,6 @@
 """Symmetric-rank search: exactness within the box, witnesses, monotonicity."""
 import itertools
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -261,19 +262,40 @@ def test_weyl_search_rows_are_pinned(row):
     assert (res.upper_bound, [w.entries for w in res.witness], res.orbit_count) == WEYL_SEARCH_RADIUS2[row]
 
 
-def test_weyl_search_rows_stay_within_their_bfs_and_span_insertion_counts(monkeypatch):
-    """All fourteen rows: at most 1,163 orbit BFS runs, residue tables
-    included, and 1,970 span-row insertions in ``matgroup``.
+# Two rank-6 root lattices outside the benchmark, pinned the same way: the
+# rows where stopping a BFS at its first repeated class mod 3 cuts most.
+RANK6_ROOT_RADIUS2 = {
+    ("E", 6, "root", None): (72, [(0, 0, 0, 0, 1, -2)], 7),
+    ("D", 6, "root", None): (60, [(0, 0, 0, 1, 0, -2)], 9),
+}
 
-    Wall time on a small machine misses a regression in the box path by a
-    few percent; these deterministic counts do not.
+
+@pytest.mark.parametrize("row", sorted(RANK6_ROOT_RADIUS2, key=str), ids=str)
+def test_rank6_root_lattice_searches_are_pinned(row):
+    family, rank, kind, d = row
+    model = build(RootSystemSpec(family, rank))
+    res = symrank_search(model.matgroup(), lattice(model, kind, d).basis, radius=2)
+    assert (res.upper_bound, [w.entries for w in res.witness], res.orbit_count) == RANK6_ROOT_RADIUS2[row]
+
+
+def test_weyl_search_rows_stay_within_their_bfs_and_span_insertion_counts(monkeypatch):
+    """All fourteen rows: 1,376 orbit BFS runs, residue tables included,
+    that reach 16,527 vectors, and at most 1,970 span-row insertions in
+    ``matgroup``.
+
+    Every BFS is counted, whether it stops at the cap alone or also at the
+    first class mod 3 it reaches twice.  Wall time on a small machine
+    misses a regression in the box path by a few percent; these
+    deterministic counts do not.
     """
-    counts = {"bfs": 0, "insert": 0}
+    counts = {"bfs": 0, "vectors": 0, "insert": 0}
     bfs, insert = search._orbit_bfs, matgroup._hnf_insert
 
     def counted_bfs(*args):
+        reached, complete = bfs(*args)
         counts["bfs"] += 1
-        return bfs(*args)
+        counts["vectors"] += len(reached)
+        return reached, complete
 
     def counted_insert(*args):
         counts["insert"] += 1
@@ -284,7 +306,8 @@ def test_weyl_search_rows_stay_within_their_bfs_and_span_insertion_counts(monkey
     for family, rank, kind, d in [*RANK5_RADIUS2, *WEYL_SEARCH_RADIUS2]:
         model = build(RootSystemSpec(family, rank))
         symrank_search(model.matgroup(), lattice(model, kind, d).basis, radius=2)
-    assert counts["bfs"] <= 1_163 and counts["insert"] <= 1_970
+    assert (counts["bfs"], counts["vectors"]) == (1_376, 16_527)
+    assert counts["insert"] <= 1_970
 
 
 # {+-I}: every orbit has size 2 and rank 1, so the size-per-rank prune cuts
@@ -542,7 +565,7 @@ def _invariant_norm_order(g, radius):
 def test_orbit_records_equal_the_full_bfs_oracle_over_invariant_norm_order():
     """In norm order the incumbent falls before the size-24 orbit of (0, 1, 1) is reached, so that box record is abandoned."""
     order = _invariant_norm_order(C3_CONJUGATED, 2)
-    records = _records(C3_CONJUGATED, lambda cap: order)
+    records = _records(C3_CONJUGATED, lambda cap: dict.fromkeys(order, 1))
     assert records == orbit_records_oracle(C3_CONJUGATED, order)
     assert records != _records(C3_CONJUGATED, _box_listing(C3_CONJUGATED, 2))
 
@@ -558,7 +581,7 @@ def test_orbit_records_equal_the_full_bfs_oracle_on_conjugated_weyl_groups(conj,
     g = conjugate(build(RootSystemSpec(*spec)).matgroup(), u)
     assert _records(g, _box_listing(g, radius)) == orbit_records_oracle(g, _box(g.dim, radius))
     order = _invariant_norm_order(g, radius)
-    assert _records(g, lambda cap: order) == orbit_records_oracle(g, order)
+    assert _records(g, lambda cap: dict.fromkeys(order, 1)) == orbit_records_oracle(g, order)
 
 
 @st.composite
@@ -632,23 +655,64 @@ def test_residue_orbit_sizes_equal_a_plain_bfs_mod_3_and_bound_the_orbit(g, data
         assert sizes[tuple(x % m for x in v)] <= len(bfs_orbit(g.generators, v))
 
 
+@settings(max_examples=40, deadline=None)
+@given(_conjugated_groups(), st.integers(1, 2))
+def test_an_orbit_meets_every_class_of_its_class_orbit_mod_3_equally_often(g, radius):
+    """Reduction mod 3 maps O(v) onto the orbit of v mod 3 and commutes with G, so every class of
+    that orbit holds the same number f of members of O(v), and |O(v)| = f s with s its size.
+
+    Every box vector is checked, orbit by orbit; at rank 4 the box has radius 1.
+    """
+    m = RESIDUE_MODULUS
+    checked = set()
+    for v in _box(g.dim, 1 if g.dim == 4 else radius):
+        if v in checked:
+            continue
+        orb = bfs_orbit(g.generators, v)
+        checked |= orb
+        fibres = Counter(tuple(x % m for x in w) for w in orb)
+        assert fibres.keys() == _residue_bfs(g.generators, tuple(x % m for x in v), m)
+        assert len(set(fibres.values())) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(_conjugated_groups(), st.integers(1, 3), st.data())
+def test_listed_box_is_the_box_less_the_classes_over_the_cap_in_rep_key_order(g, radius, data):
+    """Each vector with the size s of its class orbit mod 3, or with 1 where no class is over the cap."""
+    sizes = _residue_orbit_sizes(g)
+    cap = data.draw(st.integers(1, max(sizes.values())))
+    box = list(_box(g.dim, radius))
+    s = {v: sizes[tuple(x % RESIDUE_MODULUS for x in v)] for v in box}
+    if max(sizes.values()) <= cap:
+        want = [(v, 1) for v in box]
+    else:
+        want = [(v, s[v]) for v in box if s[v] <= cap]
+    assert list(_listed_box(g.dim, radius, sizes, cap).items()) == want
+
+
 @settings(max_examples=80, deadline=None)
 @given(_conjugated_groups(), st.data())
 def test_orbit_bfs_stops_at_the_cap_or_the_stop_set(g, data):
-    """The orbit is complete exactly when it fits the cap and meets the stop set at most in its start."""
+    """The orbit is complete exactly when it fits the cap, meets the stop set at most in its start
+    and, when a class map is given, has no two members in one class."""
     v = data.draw(st.tuples(*[st.integers(-2, 2)] * g.dim))
     want = bfs_orbit(g.generators, v)
     cap = data.draw(st.integers(1, len(want) + 1))
     members = sorted(want)
     stop = set(data.draw(st.lists(st.sampled_from(members), max_size=2)))
     stop |= set(data.draw(st.lists(st.tuples(*[st.integers(-3, 3)] * g.dim), max_size=2)))
-    seen, complete = _orbit_bfs(g.images, v, cap, frozenset(stop))
-    assert complete == (len(want) <= cap and stop & want <= {v})
+    m = data.draw(st.sampled_from([None, 2, 3]))
+    class_of = m and (lambda w: tuple(x % m for x in w))
+    distinct = not class_of or len(set(map(class_of, want))) == len(want)
+    seen, complete = _orbit_bfs(g.images, v, cap, frozenset(stop), class_of)
+    assert complete == (len(want) <= cap and stop & want <= {v} and distinct)
+    if class_of:
+        assert len(set(map(class_of, seen))) == len(seen)
     if complete:
         assert seen == want
     else:
         assert seen < want and len(seen) <= cap
-        if not stop:
+        if not stop and distinct:
             assert len(seen) == cap
 
 

@@ -218,7 +218,6 @@ def test_theta_prefix_examples():
 
 
 def test_theta_plus_minus_symmetry():
-    rng = random.Random(12)
     pre = theta_prefix(identity_form(4), 6)
     assert pre.coefficients[0] == 1
     assert all(c % 2 == 0 for c in pre.coefficients[1:])
