@@ -4,9 +4,13 @@ A :class:`MatGroup` is an immutable value that carries one compiled
 generator-action kernel, ``images`` (:func:`_compile_images`): a function
 from a vector to the tuple of its images under the generators, the one form
 in which generators act on vectors.  Orbits, stable spans and lattice
-checks run on such kernels.  Orbits are a breadth-first search with a hard
-cap (:func:`_orbit_bfs`).  The closure lists the group coset by coset
-(Dimino's algorithm, :func:`_group_closure`) as permutations: the group
+checks run on such kernels.  Given a modulus m, the same compiler builds
+the action on the classes of (Z/m)^n, each class numbered by an index, so
+that the search's class table is a list of index tuples.  Orbits are a
+breadth-first search with a hard cap (:func:`_orbit_bfs`), which can also
+stop, by such a table, at the first class it reaches k + 1 times.  The
+closure lists the group coset by coset (Dimino's algorithm,
+:func:`_group_closure`) as permutations: the group
 acts faithfully on the union X of the orbits of the basis vectors, built
 by that BFS (|X| <= n |G|; for a Weyl group in the weight basis, X is the
 union of the fundamental-weight orbits), and an element is the tuple of
@@ -168,29 +172,44 @@ def _compile_images(dim: int, gens: tuple, modulus: int | None = None) -> Callab
     tuple display of sums instead of a loop over entries, and an identity
     row is a plain copy of v[i].
 
-    With a modulus m >= 1 the kernel gives the images reduced mod m, each
-    entry in [0, m): the coefficients are reduced mod m first, those that
-    vanish are dropped, and each entry is ``(<sum>) % m``.  Since reduction
-    mod m commutes with integer matrices, this is the action on (Z/m)^n,
-    for any integer representatives v.
+    With a modulus m >= 1 the kernel acts on the classes of (Z/m)^n,
+    numbered in ``itertools.product(range(m), repeat=n)`` order, so that
+    the class c has the index sum of c[i] * m^(n-1-i).  It takes a class c,
+    with every entry in [0, m), and gives the tuple of the indices of
+    h_1 c, ..., h_k c: the coefficients are reduced mod m first, those that
+    vanish are dropped (a row with none left adds nothing), a row i that
+    is one v[j] with coefficient 1 mod m is a plain copy of c[j] times its
+    weight m^(n-1-i), and each other row is ``((<sum>) % m) * m^(n-1-i)``.
+    Since reduction mod m commutes with integer matrices, this is the
+    action on (Z/m)^n.  The input must be reduced: an entry outside
+    [0, m) is copied as it is.
 
     The source holds only ``int`` literals and the local names ``v``,
     ``v0``, ``v1``, ...: ``IntMatrix`` coerces every entry with ``int()``,
-    a coefficient or modulus prints as decimal digits, and no other input
-    text reaches the source.  Each kernel gets its own file name,
+    a coefficient, modulus or weight prints as decimal digits, and no other
+    input text reaches the source.  Each kernel gets its own file name,
     ``<matgroup images #N>``, so profiles and tracebacks tell kernels
     apart.
     """
-    def entry(terms) -> str:
-        if modulus is not None:
-            terms = [(j, c % modulus) for j, c in terms if c % modulus]
+    def total(terms) -> str:
         signed = [("-" if c < 0 else "+") + (f"v{j}" if abs(c) == 1 else f"{abs(c)}*v{j}") for j, c in terms]
-        total = " ".join(signed).lstrip("+")
-        if modulus is not None and total:
-            return f"({total}) % {int(modulus)}"
-        return total or "0"
+        return " ".join(signed).lstrip("+")
 
-    body = _tuple_source([_tuple_source([entry(row) for row in rows]) for rows in gens])
+    def index(rows) -> str:
+        digits = []
+        for i, row in enumerate(rows):
+            terms = [(j, c % modulus) for j, c in row if c % modulus]
+            if not terms:
+                continue
+            digit = f"v{terms[0][0]}" if len(terms) == 1 and terms[0][1] == 1 else f"(({total(terms)}) % {int(modulus)})"
+            weight = int(modulus) ** (dim - 1 - i)
+            digits.append(digit if weight == 1 else f"{digit} * {weight}")
+        return " + ".join(digits) or "0"
+
+    if modulus is None:
+        body = _tuple_source([_tuple_source([total(row) or "0" for row in rows]) for rows in gens])
+    else:
+        body = _tuple_source([index(rows) for rows in gens])
     source = f"def images(v):\n    {_tuple_source([f'v{j}' for j in range(dim)])} = v\n    return {body}\n"
     namespace: dict = {}
     exec(compile(source, f"<matgroup images #{next(_KERNEL_IDS)}>", "exec"), {}, namespace)
@@ -224,31 +243,44 @@ def _tuple_source(items: list) -> str:
     return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
 
 
-def _orbit_bfs(
-    images: Callable, start: tuple, cap: int, stop=frozenset(), class_of: Callable | None = None
-) -> tuple[set, bool]:
+def _orbit_bfs(images: Callable, start: tuple, cap: int, stop=frozenset(), classes=None) -> tuple[set, bool]:
     """BFS closure of {start} under a kernel from :func:`_compile_images`.
 
     Returns the set reached and whether it is the whole orbit.  The BFS stops
     early, incomplete, before a new vector would make the set larger than
-    cap, on reaching a vector in stop, or, when a class map class_of is
-    given, on reaching a vector whose class it has reached before.
+    cap or on reaching a vector in stop.
+
+    classes, when given, is (table, c, k): table[d] holds the indices of
+    the classes of the generators' images of any vector in class d, in
+    generator order (the mod-m kernel's images of d), and c is the class
+    of start.  The class of the t-th image of a vector in class d is then
+    table[d][t], with no kernel call, and the BFS also stops, incomplete,
+    on reaching a class for the (k + 1)-th time.
     """
     seen = {start}
     queue = [start]
-    classes = class_of and {class_of(start)}
-    for cur in queue:
-        for nxt in images(cur):
-            if nxt not in seen:
-                if len(seen) >= cap or nxt in stop:
-                    return seen, False
-                if class_of:
-                    c = class_of(nxt)
-                    if c in classes:
+    if classes is None:
+        for cur in queue:
+            for nxt in images(cur):
+                if nxt not in seen:
+                    if len(seen) >= cap or nxt in stop:
                         return seen, False
-                    classes.add(c)
+                    seen.add(nxt)
+                    queue.append(nxt)
+        return seen, True
+    table, c, k = classes
+    reached = {c: 1}  # class -> members reached
+    of = [c]  # of[j]: the class of queue[j]
+    for cur, c in zip(queue, of):
+        for nxt, d in zip(images(cur), table[c]):
+            if nxt not in seen:
+                n = reached.get(d, 0)
+                if len(seen) >= cap or nxt in stop or n == k:
+                    return seen, False
+                reached[d] = n + 1
                 seen.add(nxt)
                 queue.append(nxt)
+                of.append(d)
     return seen, True
 
 
@@ -326,14 +358,20 @@ def _span_rows(images: Callable, todo: list) -> tuple:
 
     The one span worklist, for :func:`stable_span` and the search's orbit
     records: images is a kernel from :func:`_compile_images`, and todo is
-    extended in place by the images of every tuple that grows the span.
+    extended in place by the images of every tuple that grows the span.  A
+    tuple inserted once is skipped when it comes again: it lies in the
+    span, and either it grew the span, so its images are already queued,
+    or it did not.
     """
     span: tuple = ()
+    inserted = set()
     for w in todo:
-        grown = _hnf_insert(span, w)
-        if grown is not span:
-            span = grown
-            todo.extend(images(w))
+        if w not in inserted:
+            inserted.add(w)
+            grown = _hnf_insert(span, w)
+            if grown is not span:
+                span = grown
+                todo.extend(images(w))
     return span
 
 

@@ -23,38 +23,38 @@ the box holds hundreds of orbits.
 
 The search's listing (``_listed_box``) is the box in ``_rep_key`` order
 (sup-norm, then absolute values, then positive signs first) less the
-vectors that an exact lower bound puts over the cap, each with a divisor
-s of its orbit size.  Both come from one lemma.  Reduction mod m commutes
-with every integer matrix, so it maps the orbit O(v) onto the orbit of
-v mod m in (Z/m)^r, and an h in G maps the members of O(v) in a class c
-one to one onto those in the class h c.  So every class of the orbit of
-v mod m holds the same number f of members of O(v), and
-|O(v)| = f * |orbit(v mod m)| (the equal-fibre lemma); the class-orbit
-size s is the same on the whole orbit.  With m = ``RESIDUE_MODULUS`` = 3
-the orbit sizes of all 3^r classes come from one table per search
-(``_residue_orbit_sizes``), built by a BFS on the generators' compiled
-mod-m kernel (``_compile_images`` with a modulus), one kernel call per
-class; 3 <= 2 * radius + 1, so the table never has more entries than the
-box.  The box vectors of the classes with s within the cap at listing
-time are listed class by class and sorted into that order, each with its
-s.  When no class is over the cap, as for the trivial group, {+-I} or a
-coordinate swap, the whole box is listed as ``_box`` generates it, with
-no sort, and each vector takes s = 1.  The least vector of an orbit has
-the least sup-norm, so it is in the box when any member is, and its
-class lies in the same class orbit, so it is listed, and first, when any
-member is.
+vectors that an exact lower bound puts over the cap, each with its class
+mod m, whose orbit size s divides the vector's.  Both come from one
+lemma.  Reduction mod m commutes with every integer matrix, so it maps
+the orbit O(v) onto the orbit of v mod m in (Z/m)^r, and an h in G maps
+the members of O(v) in a class c one to one onto those in the class h c.
+So every class of the orbit of v mod m holds the same number f of
+members of O(v), and |O(v)| = f * |orbit(v mod m)| (the equal-fibre
+lemma); the class-orbit size s is the same on the whole orbit.
 
-A listed vector's BFS is cut by its s.  With c the current cap:
+With m = ``RESIDUE_MODULUS`` = 3, one class table per search
+(``_residue_classes``) holds the action on (Z/m)^r as index
+permutations.  The classes are numbered in ``itertools.product`` order,
+and the generators' compiled mod-m kernel (``_compile_images`` with a
+modulus) maps each class straight to the indices of its images, one
+kernel call per class; a BFS over indices then gives each class's orbit
+size s.  3 <= 2 * radius + 1, so the table never has more entries than
+the box.  The box vectors of the classes with s within the cap at
+listing time are listed class by class and sorted into that order, each
+with its class index.  When no class is over the cap, as for the trivial
+group, {+-I} or a coordinate swap, the whole box is listed as ``_box``
+generates it, with no sort, each vector with None, and its BFS is the
+plain capped one.  The least vector of an orbit has the least sup-norm,
+so it is in the box when any member is, and its class lies in the same
+class orbit, so it is listed, and first, when any member is.
 
-- c < s: the orbit is over the cap, and no BFS runs (the cap can fall
-  below s after the listing);
-- s <= c < 2s: the orbit fits only if f = 1, that is, only if no two of
-  its members share a class, so the BFS stops, incomplete, at the first
-  class it reaches twice;
-- c >= 2s: the BFS is capped at s * (c // s).
-
-The cut stops only orbits over the cap, where a BFS capped at c would
-stop too, later; ``_orbit_records`` states the argument.
+A listed vector's BFS is cut by its s, by one rule.  With c the current
+cap, let k = c // s.  An orbit within c has f <= k, so no BFS runs when
+k = 0, and otherwise the BFS stops, incomplete, at the first class that
+it reaches k + 1 times, which gives f >= k + 1 and |O| >= (k + 1) s > c.
+The BFS reads the class of each image from the table, with no kernel
+call.  The cut stops only orbits over the cap, where a BFS capped at c
+would stop too, later; ``_orbit_records`` states the argument.
 
 The box holds (2B + 1)^rank - 1 vectors, and a box larger than the
 orbit cap raises ``CapExceeded`` before any vector is listed.
@@ -83,7 +83,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 from operator import add, mul, neg
 from typing import Callable
 
@@ -131,12 +131,6 @@ class _OrbitRecord:
 RESIDUE_MODULUS = 3  # m in |orbit(v)| = f * |orbit(v mod m)|; 3 <= 2 * radius + 1, so no more classes than box vectors
 
 
-@cache
-def _class_kernel(r: int) -> Callable[[tuple], tuple]:
-    """v -> (v mod m,) on Z^r, a key for the class of v: the mod-m kernel of the identity alone."""
-    return _compile_images(r, (tuple(((i, 1),) for i in range(r)),), RESIDUE_MODULUS)
-
-
 def _rep_key(t: tuple[int, ...]):
     """Canonical niceness order: small sup-norm, small entries, positive signs."""
     a = tuple(map(abs, t))
@@ -156,42 +150,55 @@ def _box(r: int, radius: int):
                 yield from itertools.product(*[(x, -x) if x else (0,) for x in a])
 
 
-def _residue_orbit_sizes(gl: MatGroup) -> dict[tuple[int, ...], int]:
-    """The orbit size of every class c of (Z/m)^r under gl reduced mod m.
+def _residue_classes(gl: MatGroup) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The class table of (Z/m)^r under gl reduced mod m: (images, sizes), indexed by class.
 
-    m is ``RESIDUE_MODULUS``.  Classes are written with entries in
-    [0, m); the classes are visited orbit by orbit, so the mod-m kernel
-    from :func:`_compile_images` runs once per class.  Reduction mod m
-    commutes with every integer matrix, so the orbit of v maps onto the
-    orbit of its class and ``sizes[v mod m]`` divides ``|orbit(v)|``.
+    m is ``RESIDUE_MODULUS``, and the classes are numbered in
+    ``itertools.product(range(m), repeat=r)`` order, the class c having
+    the index sum of c[i] * m^(r-1-i).  images[i] is the tuple of the
+    indices of the generators' images of class i, one call of the mod-m
+    kernel from :func:`_compile_images` per class, and sizes[i] is the
+    size of the orbit of class i, by a BFS over indices with a flat list as
+    the visited mark.  Reduction mod m commutes with every integer matrix,
+    so the orbit of v maps onto the orbit of its class, and the size of
+    that class orbit divides ``|orbit(v)|``.
     """
-    m = RESIDUE_MODULUS
-    images = _compile_images(gl.dim, tuple(map(_rows_terms, gl.generators)), m)
-    sizes: dict[tuple[int, ...], int] = {}
-    for c in itertools.product(range(m), repeat=gl.dim):
-        if c not in sizes:
-            orb, _ = _orbit_bfs(images, c, m**gl.dim)
-            sizes.update(dict.fromkeys(orb, len(orb)))
-    return sizes
+    m, r = RESIDUE_MODULUS, gl.dim
+    kernel = _compile_images(r, tuple(map(_rows_terms, gl.generators)), m)
+    images = list(map(kernel, itertools.product(range(m), repeat=r)))
+    sizes = [0] * len(images)
+    for c in range(len(images)):
+        if not sizes[c]:
+            orb = [c]
+            sizes[c] = 1
+            for x in orb:
+                for y in images[x]:
+                    if not sizes[y]:
+                        sizes[y] = 1
+                        orb.append(y)
+            for x in orb:
+                sizes[x] = len(orb)
+    return images, sizes
 
 
-def _listed_box(r: int, radius: int, sizes: dict[tuple[int, ...], int], cap: int) -> dict[tuple[int, ...], int]:
-    """The box vectors whose class allows an orbit within cap, in ``_rep_key`` order, each with its s.
+def _listed_box(r: int, radius: int, sizes: list[int], cap: int) -> dict[tuple[int, ...], int | None]:
+    """The box vectors whose class allows an orbit within cap, in ``_rep_key`` order, each with its class index.
 
-    s is the size of the vector's class orbit mod m.  When no class is
-    over the cap the whole box is listed, already in order, by ``_box``,
-    and every vector takes s = 1.  Otherwise the vectors are listed class
-    by class, each coordinate from the x in [-radius, radius] with
-    x = c_i (mod m), and sorted by ``_rep_key`` written as one integer: the
-    digits, in base b = 2 * radius + 1, of max |v_i|, then |v_1|, ...,
-    |v_r|, then radius - v_1, ..., radius - v_r.  Every digit lies in
-    [0, b), so the integers are in the order of the key tuples, and past
-    the first digit the integer is a sum of one term per coordinate, so
-    the products that list a class list its keys too.  The listing is
-    filtered once, against the cap at listing time.
+    sizes[i] is the size of the orbit of class i mod m, with the classes
+    numbered as in :func:`_residue_classes`.  When no class is over the cap
+    the whole box is listed, already in order, by ``_box``, and every
+    vector maps to None.  Otherwise the vectors are listed class by class,
+    each coordinate from the x in [-radius, radius] with x = c_i (mod m),
+    and sorted by ``_rep_key`` written as one integer: the digits, in base
+    b = 2 * radius + 1, of max |v_i|, then |v_1|, ..., |v_r|, then
+    radius - v_1, ..., radius - v_r.  Every digit lies in [0, b), so the
+    integers are in the order of the key tuples, and past the first digit
+    the integer is a sum of one term per coordinate, so the products that
+    list a class list its keys too.  The listing is filtered once, against
+    the cap at listing time.
     """
-    if max(sizes.values()) <= cap:
-        return dict.fromkeys(_box(r, radius), 1)
+    if max(sizes) <= cap:
+        return dict.fromkeys(_box(r, radius))
     m, b = RESIDUE_MODULUS, 2 * radius + 1
     by_residue = [[x for x in range(-radius, radius + 1) if x % m == c] for c in range(m)]
     abs_by_residue = [[abs(x) for x in xs] for xs in by_residue]
@@ -203,16 +210,16 @@ def _listed_box(r: int, radius: int, sizes: dict[tuple[int, ...], int], cap: int
     top = b ** (2 * r)
     product = itertools.product
     keyed: dict[int, tuple[tuple[int, ...], int]] = {}
-    for c, s in sizes.items():
+    for i, (c, s) in enumerate(zip(product(range(m), repeat=r), sizes)):
         if s <= cap:
             maxima = map(max, product(*map(abs_by_residue.__getitem__, c)))
             keys = map(add, map(top.__mul__, maxima), map(sum, product(*map(list.__getitem__, terms, c))))
-            keyed.update(zip(keys, zip(product(*map(by_residue.__getitem__, c)), itertools.repeat(s))))
+            keyed.update(zip(keys, zip(product(*map(by_residue.__getitem__, c)), itertools.repeat(i))))
     del keyed[min(keyed)]  # the zero vector: its first digit is 0, every other vector's is not
     return dict(map(keyed.__getitem__, sorted(keyed)))
 
 
-def _orbit_records(gl: MatGroup, listing, orbit_cap: int) -> list[_OrbitRecord]:
+def _orbit_records(gl: MatGroup, listing, orbit_cap: int, classes=None) -> list[_OrbitRecord]:
     """Group the basis vectors, then the candidates that listing gives, into orbits.
 
     Each record holds the orbit's size, its representative (the
@@ -230,26 +237,29 @@ def _orbit_records(gl: MatGroup, listing, orbit_cap: int) -> list[_OrbitRecord]:
     incumbent is the size of a single spanning orbit among them or, once
     they are all visited, the total size of their distinct orbits.  Then
     ``listing(cap)``, called once at the cap the seed left, returns a dict
-    from candidate tuples to their s, in the order in which they start a
-    BFS.  BFS of a new orbit is capped at the incumbent once one is known:
-    an orbit strictly larger than a spanning configuration already found
-    can never occur in a minimal solution, so abandoning it is sound.  The
-    incumbent only falls, so the cap never rises.
+    from candidate tuples to their class index mod m (``RESIDUE_MODULUS``)
+    or None, in the order in which they start a BFS.  classes is the class
+    table (images, sizes) of :func:`_residue_classes` that the indices
+    refer to, or None when no candidate has an index.  BFS of a new orbit
+    is capped at the incumbent once one is known: an orbit strictly larger
+    than a spanning configuration already found can never occur in a
+    minimal solution, so abandoning it is sound.  The incumbent only
+    falls, so the cap never rises.
 
-    A candidate's s is the size of its class orbit mod m
-    (``RESIDUE_MODULUS``), or 1, and its BFS is cut by s: with c the
-    current cap, it runs within s * (c // s), the largest multiple of s
-    within c; if that is s > 1 (s <= c < 2s) it also stops at the first
-    class mod m that it reaches twice; if it is 0 (c < s) no BFS runs.  By
-    the equal-fibre lemma of the module docstring, s divides |O|, so an
-    orbit within c is within s * (c // s).  If s <= c < 2s with s > 1,
-    an orbit within c has |O| = f * s < 2s, so f = 1 and no two of its
-    members share a class; and two members in one class give f >= 2 and
-    |O| >= 2s > c.  So the cut stops only orbits over c, and a BFS is
-    complete exactly when it would be under the plain cap c: the records
-    do not change.  An orbit that the cut stops or skips is over the cap,
-    so it counts below as abandoned, and marking its reach and the
-    negations in ``seen`` stays sound.
+    A candidate's s is sizes[i], the size of its class orbit, when it maps
+    to the index i, or 1 when it maps to None, and its BFS is cut by s.
+    With c the current cap, let k = c // s: if k = 0 (c < s) no BFS runs;
+    otherwise the BFS runs within k * s, the largest multiple of s within
+    c, and if s > 1 it takes the class table with k, so it also stops at
+    the first class that it reaches k + 1 times.  By the equal-fibre lemma
+    of the module docstring, |O| = f * s, with f members of O in each
+    class of the class orbit, so an orbit within c has f <= k and
+    |O| <= k * s; and a class reached k + 1 times gives f >= k + 1 and
+    |O| >= (k + 1) * s > c.  So the cut stops only orbits over c, and a
+    BFS is complete exactly when it would be under the plain cap c: the
+    records do not change.  An orbit that the cut stops or skips is over
+    the cap, so it counts below as abandoned, and marking its reach and
+    the negations in ``seen`` stays sound.
 
     ``seen`` holds the vectors whose orbit was built or abandoned: all
     that a seed BFS or a complete BFS reached (its orbit is held by its
@@ -269,7 +279,7 @@ def _orbit_records(gl: MatGroup, listing, orbit_cap: int) -> list[_OrbitRecord]:
     2. if an orbit has a listed member, its ``_rep_key`` least member is
        listed and comes before its other listed members;
     3. the cap never rises;
-    4. a candidate's s is 1 or the size of its class orbit mod m.
+    4. a candidate maps to None or to its class index.
 
     By 1 and 3 an orbit with a candidate left out is over every cap from
     the listing on, so its BFS would have been abandoned, and the records
@@ -288,14 +298,16 @@ def _orbit_records(gl: MatGroup, listing, orbit_cap: int) -> list[_OrbitRecord]:
     seen: set[tuple[int, ...]] = set()
     records: list[_OrbitRecord] = []
     incumbent: int | None = None
+    class_images, sizes = classes or ((), ())
 
-    def build(v: tuple[int, ...], cap: int, s: int, listed: dict | None) -> bool:
-        """BFS from v, cut by s within cap; mark the reach in seen (its listed part if a listed BFS is abandoned); record the orbit if complete."""
+    def build(v: tuple[int, ...], cap: int, c: int | None, listed: dict | None) -> bool:
+        """BFS from v in class c, cut by its s within cap; mark the reach in seen (its listed part if a listed BFS is abandoned); record the orbit if complete."""
         nonlocal incumbent
-        cap -= cap % s  # |O| is a multiple of s
-        if not cap:
+        s = 1 if c is None else sizes[c]
+        k = cap // s  # |O| = f * s, and an orbit within cap has f <= k
+        if not k:
             return False
-        orb, complete = _orbit_bfs(gl.images, v, cap, seen, _class_kernel(r) if cap == s > 1 else None)
+        orb, complete = _orbit_bfs(gl.images, v, k * s, seen, (class_images, c, k) if s > 1 else None)
         if not complete:
             kept = orb if listed is None else listed.keys() & orb
             seen.update(kept)
@@ -315,14 +327,14 @@ def _orbit_records(gl: MatGroup, listing, orbit_cap: int) -> list[_OrbitRecord]:
         if v in seen:
             continue
         cap = orbit_cap if incumbent is None else min(orbit_cap, incumbent)
-        if not build(v, cap, 1, None) and incumbent is None:
+        if not build(v, cap, None, None) and incumbent is None:
             raise CapExceeded("orbit", cap)
     if incumbent is None:
         incumbent = sum(rec.size for rec in records)
     cap = min(orbit_cap, incumbent)
     listed = listing(cap)
-    for v, s in listed.items():
-        if v not in seen and build(v, cap, s, listed):
+    for v, c in listed.items():
+        if v not in seen and build(v, cap, c, listed):
             cap = min(orbit_cap, incumbent)
     records.sort(key=lambda rec: (rec.size, _rep_key(rec.rep)))
     return records
@@ -445,7 +457,8 @@ def symrank_search(
         return SymrankResult(0, (), 0, "exact_within_bound", radius, 0)
     # the seed's basis vectors lie in every box with radius >= 1, so every
     # record is an orbit of the box
-    records = _orbit_records(gl, lambda cap: _listed_box(r, radius, _residue_orbit_sizes(gl), cap), orbit_cap)
+    classes = _residue_classes(gl)
+    records = _orbit_records(gl, lambda cap: _listed_box(r, radius, classes[1], cap), orbit_cap, classes)
     best_size, best_reps = _min_spanning_selection(records, r)
     # map representatives back to ambient coordinates (rep . hnf_rows) and
     # re-verify both the bound and the span in the group's own action
