@@ -39,5 +39,5 @@ for subset, lat in sorted(binary_sublattices(P).items(), key=lambda kv: (len(kv[
     extras = ""
     if subset and subset != frozenset({0}):
         v = support_reduce(lat, P)
-        extras = f"  binary generator {v.entries} (support {len(v.support())} <= {2 * P // 3})"
+        extras = f"  binary generator {v} (support {sum(map(bool, v))} <= {2 * P // 3})"
     print(f"  S={str(sorted(subset)):>10}: subspace dim {dim}, lattice index {idx}{extras}")

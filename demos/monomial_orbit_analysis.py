@@ -25,7 +25,7 @@ for p in (5, 7, 11, 13):
     status = "2p(p-1) < 2^p" if rep.inequality_holds else "2p(p-1) >= 2^p (hypothesis p >= 7 matters!)"
     print(f"p = {p}: {status}")
     for row in rep.rows:
-        print(f"    {row.lattice_label:>4}: orbit of {row.witness.entries} has size {row.orbit_size}, spans: {row.spans}")
+        print(f"    {row.lattice_label:>4}: orbit of {row.witness} has size {row.orbit_size}, spans: {row.spans}")
 
 print()
 print("BFS cross-check at p = 7:")

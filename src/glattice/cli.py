@@ -249,7 +249,7 @@ def cmd_symrank(args, out) -> list:
             "lower_bound": res.lower_bound,
             "exactness": res.exactness,
             "radius": res.search_radius,
-            "witness": [vector_to_json(w) for w in res.witness],
+            "witness": [vector_to_json(w.entries) for w in res.witness],
         }
     elif mode.startswith("orbit:"):
         try:
@@ -309,7 +309,7 @@ def cmd_monomial_classify(args, out) -> list:
         rows.append((_subset_label(subset), len(basis), 2 ** len(basis), lat.rank, idx))
     _render(["subset", "subspace_dim", "diagonal_order", "lattice_rank", "index_in_Zp"], rows, args.format, out)
     rep = monomial.three_sublattice_report(p)
-    rows2 = [(r.lattice_label, list(r.witness.entries), r.orbit_size, r.spans) for r in rep.rows]
+    rows2 = [(r.lattice_label, list(r.witness), r.orbit_size, r.spans) for r in rep.rows]
     _render(["lattice", "witness", "orbit_size", "spans"], rows2, args.format, out)
     return []
 

@@ -1,4 +1,4 @@
-"""Exact integer vectors, matrices, and lattice normal forms.
+"""Exact integer matrices and lattice normal forms.
 
 All arithmetic is arbitrary precision (plain Python ints); no floating
 point appears anywhere in this module. Every public object is immutable
@@ -9,6 +9,10 @@ test all go through it.
 
 Conventions fixed here and relied on everywhere else:
 
+* a vector is a tuple of ints.  A routine that takes a vector or a matrix
+  entry from its caller reads each entry through ``operator.index``,
+  which gives an exact ``int`` or raises ``TypeError``, so a float is
+  refused, never truncated;
 * vectors are column vectors and a matrix acts on the left; group
   generators act through the kernel compiled from their entries
   (``MatGroup.images`` in :mod:`matgroup`), not through a matrix-vector
@@ -20,45 +24,15 @@ Conventions fixed here and relied on everywhere else:
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import prod
 
 from .errors import NotASublattice
 
 
-@dataclass(frozen=True)
-class IntVector:
-    """Column vector with arbitrary-precision integer entries."""
-
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(int(e) for e in self.entries))
-
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
-
-    def __getitem__(self, i: int) -> int:
-        return self.entries[i]
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, e in enumerate(self.entries) if e)
-
-
-def as_vector(v) -> IntVector:
-    """Coerce a sequence of ints (or an IntVector) to IntVector."""
-    if isinstance(v, IntVector):
-        return v
-    return IntVector(tuple(v))
-
-
-def unit_vector(dim: int, i: int) -> IntVector:
-    return IntVector(tuple(1 if j == i else 0 for j in range(dim)))
-
-
-def ones_vector(dim: int) -> IntVector:
-    return IntVector((1,) * dim)
+def unit_vector(dim: int, i: int) -> tuple[int, ...]:
+    return tuple(int(j == i) for j in range(dim))
 
 
 @dataclass(frozen=True)
@@ -72,7 +46,7 @@ class IntMatrix:
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
             raise ValueError("negative matrix dimensions")
-        ent = tuple(int(e) for e in self.entries)
+        ent = tuple(map(operator.index, self.entries))
         if len(ent) != self.rows * self.cols:
             raise ValueError("entry count does not match rows*cols")
         object.__setattr__(self, "entries", ent)
@@ -254,7 +228,7 @@ def hnf_from_rows(rows, ambient_dim: int) -> LatticeBasis:
     """HNF basis of the span of arbitrary integer rows."""
     if ambient_dim < 0:
         raise ValueError("negative ambient dimension")
-    rows = [as_vector(r).entries for r in rows]
+    rows = [tuple(map(operator.index, r)) for r in rows]
     for r in rows:
         if len(r) != ambient_dim:
             raise ValueError("row dimension mismatch")
@@ -273,7 +247,7 @@ def full_lattice(ambient_dim: int) -> LatticeBasis:
 
 def coordinates_in(v, lattice: LatticeBasis) -> tuple[int, ...] | None:
     """Integer coordinates of v in the HNF basis, or None if v is outside."""
-    vv = list(as_vector(v).entries)
+    vv = list(map(operator.index, v))
     if len(vv) != lattice.ambient_dim:
         raise ValueError("vector dimension does not match ambient dimension")
     coeffs = []

@@ -30,6 +30,7 @@ store the rows as they come.
 """
 from __future__ import annotations
 
+import operator
 from collections.abc import Set
 from dataclasses import dataclass, field
 from functools import cache
@@ -41,7 +42,6 @@ from .intmat import (
     IntMatrix,
     LatticeBasis,
     _hnf_insert,
-    as_vector,
     coordinates_in,
     hnf_from_rows,
 )
@@ -185,11 +185,12 @@ def _compile_images(dim: int, gens: tuple, modulus: int | None = None) -> Callab
     [0, m) is copied as it is.
 
     The source holds only ``int`` literals and the local names ``v``,
-    ``v0``, ``v1``, ...: ``IntMatrix`` coerces every entry with ``int()``,
-    a coefficient, modulus or weight prints as decimal digits, and no other
-    input text reaches the source.  Each kernel gets its own file name,
-    ``<matgroup images #N>``, so profiles and tracebacks tell kernels
-    apart.
+    ``v0``, ``v1``, ...: ``IntMatrix`` holds only ints, since it takes each
+    entry through ``operator.index``, which gives an exact ``int`` or raises
+    ``TypeError``; a coefficient, modulus or weight prints as decimal
+    digits, and no other input text reaches the source.  Each kernel gets
+    its own file name, ``<matgroup images #N>``, so profiles and tracebacks
+    tell kernels apart.
     """
     def total(terms) -> str:
         signed = [("-" if c < 0 else "+") + (f"v{j}" if abs(c) == 1 else f"{abs(c)}*v{j}") for j, c in terms]
@@ -325,10 +326,10 @@ def _group_closure(kernels, identity: tuple, cap: int) -> tuple[set, bool]:
 
 def orbit(g: MatGroup, v, cap: int = DEFAULT_CAP) -> Orbit:
     """BFS closure of {v} under the generators."""
-    vv = as_vector(v)
-    if vv.dim != g.dim:
+    v = tuple(map(operator.index, v))
+    if len(v) != g.dim:
         raise ValueError("vector dimension does not match group dimension")
-    seen, complete = _orbit_bfs(g.images, vv.entries, cap)
+    seen, complete = _orbit_bfs(g.images, v, cap)
     if not complete:
         raise CapExceeded("orbit", cap)
     return Orbit(frozenset(seen), len(seen))
@@ -347,7 +348,7 @@ def stable_span(g: MatGroup, *vectors) -> LatticeBasis:
     strict step up an ascending chain of sublattices of Z^n, and such
     chains are finite, so the worklist runs out.
     """
-    todo = [as_vector(v).entries for v in vectors]
+    todo = [tuple(map(operator.index, v)) for v in vectors]
     if any(len(w) != g.dim for w in todo):
         raise ValueError("vector dimension does not match group dimension")
     return LatticeBasis(g.dim, _span_rows(g.images, todo))

@@ -24,12 +24,10 @@ from .errors import CapExceeded, HypothesisNotMet
 from .gf2cyclo import _rref_masks, preimage
 from .intmat import (
     IntMatrix,
-    IntVector,
     LatticeBasis,
     full_lattice,
     hnf_from_rows,
     member,
-    ones_vector,
     unit_vector,
 )
 from .matgroup import DEFAULT_CAP, MatGroup, _group_closure, _lookup_kernel, closure
@@ -133,7 +131,7 @@ def o2_diagonal_part(g: MatGroup, cap: int = DEFAULT_CAP) -> tuple[int, ...]:
     return tuple(_rref_masks(masks))
 
 
-def support_reduce(l: LatticeBasis, n: int) -> IntVector:
+def support_reduce(l: LatticeBasis, n: int) -> tuple[int, ...]:
     """A binary vector of l with support at most floor(2n/3).
 
     Preconditions (checked): l is primitive of positive rank, contains
@@ -160,8 +158,8 @@ def support_reduce(l: LatticeBasis, n: int) -> IntVector:
     if not nonconstant:
         raise HypothesisNotMet("lattice is 0 or generated by the all-ones vector")
 
-    def mask_to_vec(m: int) -> IntVector:
-        return IntVector(tuple((m >> i) & 1 for i in range(n)))
+    def mask_to_vec(m: int) -> tuple[int, ...]:
+        return tuple((m >> i) & 1 for i in range(n))
 
     def weight(m: int) -> int:
         return bin(m).count("1")
@@ -190,7 +188,7 @@ def full_monomial_orbit_size_binary(n: int, support: int) -> int:
 @dataclass(frozen=True)
 class ThreeSublatticeRow:
     lattice_label: str
-    witness: IntVector
+    witness: tuple[int, ...]
     orbit_size: int
     spans: bool
 
@@ -223,10 +221,10 @@ def three_sublattice_report(p: int) -> ThreeSublatticeReport:
     if p < 2:
         raise ValueError("p must be at least 2")
     e1 = unit_vector(p, 0)
-    e12 = IntVector(tuple(1 if k < 2 else 0 for k in range(p)))
-    ones = ones_vector(p)
+    e12 = (1, 1) + (0,) * (p - 2)
+    ones = (1,) * p
     # span certificates from canonical orbit members
-    span_full = hnf_from_rows([unit_vector(p, i).entries for i in range(p)], p)
+    span_full = hnf_from_rows([unit_vector(p, i) for i in range(p)], p)
     le = _lattice_e(p)
     span_e = hnf_from_rows(
         [tuple(1 if k in (j, j + 1) else 0 for k in range(p)) for j in range(p - 1)]
@@ -235,7 +233,7 @@ def three_sublattice_report(p: int) -> ThreeSublatticeReport:
     )
     lo = _lattice_ones(p)
     span_ones = hnf_from_rows(
-        [ones.entries] + [tuple(1 if k != j else -1 for k in range(p)) for j in range(p)], p
+        [ones] + [tuple(1 if k != j else -1 for k in range(p)) for j in range(p)], p
     )
     rows = (
         ThreeSublatticeRow("Z^p", e1, full_monomial_orbit_size_binary(p, 1), span_full == full_lattice(p)),

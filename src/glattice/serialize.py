@@ -17,9 +17,10 @@ system); ``load_group_file`` reads one from disk.
 from __future__ import annotations
 
 import json
+import operator
 import re
 
-from .intmat import IntMatrix, as_vector
+from .intmat import IntMatrix
 
 
 def matrix_to_json(m: IntMatrix) -> dict:
@@ -40,8 +41,8 @@ def matrix_from_json(obj: dict) -> IntMatrix:
 
 
 def vector_to_json(v) -> dict:
-    vv = as_vector(v)
-    return {"dim": vv.dim, "entries": [str(e) for e in vv.entries]}
+    entries = [str(operator.index(e)) for e in v]
+    return {"dim": len(entries), "entries": entries}
 
 
 def group_to_json(dim: int, generators, gram: IntMatrix | None = None, label: str | None = None) -> dict:

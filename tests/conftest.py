@@ -12,7 +12,7 @@ from hypothesis import strategies as st  # noqa: E402
 from glattice._primes import ceil_log2, pow2_at_least  # noqa: E402
 from glattice.bounds import LOG_FRAC_BITS  # noqa: E402
 from glattice.gf2cyclo import GF2Poly, binary_sublattices, factor_xp_minus_1  # noqa: E402
-from glattice.intmat import IntMatrix, IntVector, LatticeBasis, _hnf_insert, _hnf_rows, _xgcd, as_vector, full_lattice, hnf_from_rows, zero_lattice  # noqa: E402
+from glattice.intmat import IntMatrix, LatticeBasis, _hnf_insert, _hnf_rows, _xgcd, full_lattice, hnf_from_rows, zero_lattice  # noqa: E402
 from glattice.matgroup import MatGroup, closure, orbit  # noqa: E402
 from glattice.search import _rep_key  # noqa: E402
 from glattice.theta import GramForm  # noqa: E402
@@ -62,16 +62,15 @@ def binary_sublattice(p: int, subset) -> LatticeBasis:
     return binary_sublattices(p)[frozenset(subset)]
 
 
-def binary_coefficient_vector(p: int, i: int) -> IntVector:
+def binary_coefficient_vector(p: int, i: int) -> tuple[int, ...]:
     """v_i: the 0/1 coefficient vector of g_i, the product of every factor of x^p - 1 but the i-th."""
-    return IntVector(factor_xp_minus_1(p).complementary_product(i).coeffs(p))
+    return factor_xp_minus_1(p).complementary_product(i).coeffs(p)
 
 
 def cyclic_shifts(v) -> list[tuple[int, ...]]:
     """The n cyclic shifts of a vector of length n, the unshifted one first."""
-    e = as_vector(v).entries
-    n = len(e)
-    return [tuple(e[(j - k) % n] for j in range(n)) for k in range(n)]
+    n = len(v)
+    return [tuple(v[(j - k) % n] for j in range(n)) for k in range(n)]
 
 
 def binary_sublattices_oracle(p: int) -> dict[frozenset, LatticeBasis]:
@@ -149,7 +148,7 @@ def bfs_orbit(gens, v) -> frozenset:
     queue = [v]
     for cur in queue:
         for h in gens:
-            nxt = apply(h, cur).entries
+            nxt = apply(h, cur)
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
@@ -286,18 +285,16 @@ def conjugate(g: MatGroup, a: IntMatrix) -> MatGroup:
 
 def form_norm(form: GramForm, v) -> int:
     """v^T X v, exact (oracle for the norms ``short_vectors`` carries)."""
-    vv = as_vector(v)
     m = form.matrix
     n = form.dim
-    return sum(vv[i] * m[i, j] * vv[j] for i in range(n) for j in range(n))
+    return sum(v[i] * m[i, j] * v[j] for i in range(n) for j in range(n))
 
 
-def apply(m: IntMatrix, v) -> IntVector:
+def apply(m: IntMatrix, v) -> tuple[int, ...]:
     """Matrix-vector product m v for a column vector v (oracle for the moved-row action)."""
-    vv = as_vector(v)
-    if vv.dim != m.cols:
+    if len(v) != m.cols:
         raise ValueError("dimension mismatch in matrix-vector product")
-    return IntVector(tuple(sum(m[i, j] * vv[j] for j in range(m.cols)) for i in range(m.rows)))
+    return tuple(sum(m[i, j] * v[j] for j in range(m.cols)) for i in range(m.rows))
 
 
 def det(m: IntMatrix) -> int:

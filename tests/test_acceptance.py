@@ -143,8 +143,8 @@ def test_criterion_07_support_reduction():
             if not subset or subset == frozenset({0}):
                 continue
             v = support_reduce(lat, p)
-            ok &= set(v.entries) <= {0, 1}
-            ok &= len(v.support()) <= (2 * p) // 3
+            ok &= set(v) <= {0, 1}
+            ok &= sum(map(bool, v)) <= (2 * p) // 3
             ok &= member(v, lat)
     verdict(7, ok, "binary generator with support <= floor(2p/3) for every eligible sublattice, p<=13")
 

@@ -323,6 +323,36 @@ def test_text_golden(name):
     assert out.encode() == (GOLDEN / f"{name}.txt").read_bytes()
 
 
+# symrank stdout (and, for a vector off the lattice, its one stderr line),
+# recorded before the package's vectors became plain tuples of ints.  Each
+# case names the Weyl group, the lattice written to the --lattice file
+# ("full" for none) and the symrank options.
+GOLDEN_SYMRANK = {
+    "cli_symrank_g2_radius3": (("G", 2), "full", ["--radius", "3"]),
+    "cli_symrank_a3_root_radius2": (("A", 3), "root", ["--radius", "2"]),
+    "cli_symrank_g2_orbit": (("G", 2), "full", ["--mode", "orbit:2,-1"]),
+    "cli_symrank_a2_root_off_lattice_stderr": (("A", 2), "root", ["--mode", "orbit:1,0"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SYMRANK))
+def test_symrank_golden(name, tmp_path, capsys):
+    (family, rank), kind, options = GOLDEN_SYMRANK[name]
+    model = build(RootSystemSpec(family, rank))
+    gpath = _write(tmp_path / "group.json", group_to_json(rank, list(model.matgroup().generators)))
+    argv = ["symrank", "--group", gpath, *options]
+    if kind != "full":
+        rows = lattice(model, kind).basis.rows()
+        argv += ["--lattice", _write(tmp_path / "lattice.json", matrix_to_json(IntMatrix.from_rows(rows)))]
+    rc, out = run(argv)
+    err = capsys.readouterr().err
+    want = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+    if name.endswith("_stderr"):
+        assert (rc, out, err) == (EXIT_INPUT_ERROR, "", want)
+    else:
+        assert (rc, out, err) == (EXIT_OK, want, "")
+
+
 def test_byte_stable_output():
     outs = {run(["rootsys-table", "--max-rank", "8"])[1] for _ in range(3)}
     assert len(outs) == 1

@@ -171,7 +171,7 @@ def test_binary_vector_weights_even_for_nontrivial_components():
         f = factor_xp_minus_1(p)
         for i in range(1, len(f.factors)):
             v = binary_coefficient_vector(p, i)
-            assert sum(v.entries) % 2 == 0
+            assert sum(v) % 2 == 0
 
 
 def test_l1_with_and_without_doubles():

@@ -92,6 +92,22 @@ def test_a_negative_ambient_dimension_is_refused(make):
         make(-1)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        # int() truncated each of these: 1.9 -> 1 made the swap matrix, 0.5 -> 0
+        # the row (0, 1), and (1.5, 0) -> (1, 0) a member of Z(1, 0)
+        lambda: IntMatrix.from_rows([[0, 1.9], [1, 0]]),
+        lambda: hnf_from_rows([(0.5, 1)], 2),
+        lambda: member((1.5, 0), hnf_from_rows([(1, 0)], 2)),
+    ],
+    ids=["matrix entry", "hnf row", "member vector"],
+)
+def test_a_non_integer_entry_is_refused_not_truncated(call):
+    with pytest.raises(TypeError):
+        call()
+
+
 def test_snf_identity():
     dec = snf(IntMatrix.identity(3))
     assert dec.diagonal() == (1, 1, 1)
